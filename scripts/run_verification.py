@@ -20,7 +20,10 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.perf_counter()
-    results = run_all(args.max_pq)
+    try:
+        results = run_all(args.max_pq)
+    except ValueError as exc:
+        parser.error(str(exc))
     elapsed = time.perf_counter() - start
 
     if args.json:

@@ -35,4 +35,4 @@ __all__ = [
     "theta_partial_sum",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

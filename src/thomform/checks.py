@@ -35,8 +35,8 @@ from .mq import (
     fiber_umq,
     mq_phi_at_e,
 )
-from .scalars import Poly, PolyGauss, Scalar, howe_shift, polygauss_eval
-from .superforms import FiberCtx, SuperForm, berezin, exp_even, sort_with_sign
+from .scalars import Poly, PolyGauss, Scalar, howe_shift
+from .superforms import FiberCtx, SuperForm, sort_with_sign
 
 MAX_PQ = 8
 
@@ -162,7 +162,7 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
         for a in range(p):
             for _ in range(counts[a]):
                 lhs = lhs.wedge(etas[a])
-        lhs = berezin(lhs)
+        lhs = lhs.berezin()
 
         terms: dict = {}
         coeff = Fraction(sign)
@@ -207,7 +207,7 @@ def check_hermite_lemma(p: int, q: int) -> CheckResult:
     e1 = eta(ctx, 1)
     x = PolyGauss.from_poly(Poly.var(ctx.nvars, 1))
     arg = e1.map_coeffs(lambda pg: pg * x * Scalar.rational(2)) - e1.wedge(e1)
-    lhs = exp_even(arg)
+    lhs = arg.exp_even()
     rhs = SuperForm.one(ctx)
     power = SuperForm.one(ctx)
     for n in range(1, q + 1):
@@ -340,7 +340,7 @@ def example11_machinery(t: float, x: float, xp: float) -> float:
     root2 = math.sqrt(2.0)
     x1 = (x / t + t * xp) / root2
     x2 = (x / t - t * xp) / root2
-    return polygauss_eval(coeff, [x1, x2])
+    return coeff.eval([x1, x2])
 
 
 def example11_paper(t: float, x: float, xp: float) -> float:
@@ -421,63 +421,84 @@ def check_splitting(p1: int, q1: int, p2: int, q2: int) -> CheckResult:
     return CheckResult("splitting", params, "pass", sign_sigma=sign)
 
 
-# -- dispatch ----------------------------------------------------------
+# -- registry ----------------------------------------------------------
 
-_SIGNATURE_CHECKS: dict[str, Callable[[int, int], CheckResult]] = {
-    "theorem": check_theorem,
-    "km_closed_form": check_km_closed_form,
-    "curvature": check_curvature,
-    "berezin_combinatorial": check_berezin_combinatorial,
-    "hermite_lemma": check_hermite_lemma,
-    "closedness": check_closedness,
-    "k_invariance": check_k_invariance,
+
+@dataclass(frozen=True)
+class ParamSpec:
+    """The parameters a check (or a command sized like one) takes, in order.
+
+    With a ``cap`` the parameters are integers, each at least 1, that sum
+    to at most ``cap``; without one they are positive floats.
+    """
+
+    names: tuple[str, ...]
+    cap: int | None = None
+    defaults: dict[str, Any] = field(default_factory=dict)
+
+    def rule(self) -> str:
+        names = ", ".join(self.names)
+        if self.cap is None:
+            return f"{names} > 0"
+        if len(self.names) == 1:
+            return f"1 <= {names} <= {self.cap}"
+        return f"{names} >= 1 and {' + '.join(self.names)} <= {self.cap}"
+
+    def validate(self, what: str, params: dict[str, Any]) -> dict[str, Any]:
+        """``params`` with defaults filled in, in order and converted; a
+        ValueError naming ``what`` for an unknown, missing or out-of-range
+        parameter."""
+        unknown = sorted(set(params) - set(self.names))
+        if unknown:
+            takes = ", ".join(self.names) or "no parameters"
+            raise ValueError(f"{what}: unknown parameter {', '.join(unknown)}; takes {takes}")
+        given = {**self.defaults, **params}
+        missing = [name for name in self.names if name not in given]
+        if missing:
+            raise ValueError(f"{what}: missing parameter {', '.join(missing)}")
+        number = float if self.cap is None else int
+        values = {name: number(given[name]) for name in self.names}
+        if not all(v > 0 for v in values.values()) or (
+            self.cap is not None and sum(values.values()) > self.cap
+        ):
+            shown = ", ".join(f"{k} = {v}" for k, v in values.items())
+            raise ValueError(f"{what}: {shown} is out of range; require {self.rule()}")
+        return values
+
+
+SIGNATURE = ParamSpec(("p", "q"), cap=MAX_PQ)
+FIBER = ParamSpec(("q",), cap=MAX_PQ - 1)
+
+# Every check, in suite order. Check ``id`` runs the module function
+# ``check_<id>``, looked up when it runs.
+CHECKS: dict[str, ParamSpec] = {
+    "theorem": SIGNATURE,
+    "km_closed_form": SIGNATURE,
+    "curvature": SIGNATURE,
+    "berezin_combinatorial": SIGNATURE,
+    "hermite_lemma": SIGNATURE,
+    "closedness": SIGNATURE,
+    "k_invariance": SIGNATURE,
+    "fiber_integral": FIBER,
+    "fiber_restriction": FIBER,
+    "annihilation": FIBER,
+    "transgression": FIBER,
+    "howe_hermite": ParamSpec(("nmax",), cap=2 * MAX_PQ, defaults={"nmax": 10}),
+    "delta_limit": ParamSpec(("t", "tol"), defaults={"t": 100.0, "tol": 1e-5}),
+    "example11": ParamSpec(()),
+    "splitting": ParamSpec(("p1", "q1", "p2", "q2"), cap=MAX_PQ),
 }
 
-_FIBER_CHECKS: dict[str, Callable[[int], CheckResult]] = {
-    "fiber_integral": check_fiber_integral,
-    "fiber_restriction": check_fiber_restriction,
-    "annihilation": check_annihilation,
-    "transgression": check_transgression,
-}
-
-CHECK_IDS = (
-    list(_SIGNATURE_CHECKS)
-    + list(_FIBER_CHECKS)
-    + ["howe_hermite", "delta_limit", "example11", "splitting"]
-)
-
-
-def _validate_size(p: int | None, q: int | None):
-    if p is not None and q is not None and p + q > MAX_PQ:
-        raise ValueError(f"p+q = {p + q} exceeds the size cap {MAX_PQ}")
+CHECK_IDS = list(CHECKS)
 
 
 def run_check(check_id: str, **params) -> CheckResult:
-    """Run one named check; see CHECK_IDS for the vocabulary."""
+    """Run one named check; see CHECKS for the ids and their parameters."""
     start = time.perf_counter()
-    if check_id in _SIGNATURE_CHECKS:
-        p, q = int(params["p"]), int(params["q"])
-        _validate_size(p, q)
-        res = _SIGNATURE_CHECKS[check_id](p, q)
-    elif check_id in _FIBER_CHECKS:
-        q = int(params["q"])
-        _validate_size(1, q - 1)  # fiber size cap: q <= MAX_PQ - 1
-        res = _FIBER_CHECKS[check_id](q)
-    elif check_id == "howe_hermite":
-        res = check_howe_hermite(int(params.get("nmax", 10)))
-    elif check_id == "delta_limit":
-        res = check_delta_limit(
-            float(params.get("t", 100.0)), float(params.get("tol", 1e-5))
-        )
-    elif check_id == "example11":
-        res = check_example11()
-    elif check_id == "splitting":
-        p1, q1 = int(params["p1"]), int(params["q1"])
-        p2, q2 = int(params["p2"]), int(params["q2"])
-        _validate_size(p1 + p2, q1 + q2)
-        res = check_splitting(p1, q1, p2, q2)
-    else:
+    if check_id not in CHECKS:
         raise ValueError(f"unknown check id: {check_id}")
+    values = CHECKS[check_id].validate(check_id, params)
+    res = globals()[f"check_{check_id}"](**values)
     res.elapsed = time.perf_counter() - start
     return res
 
@@ -485,13 +506,11 @@ def run_check(check_id: str, **params) -> CheckResult:
 def run_all(max_pq: int, check_ids: list[str] | None = None) -> list[CheckResult]:
     """Every applicable check over all signatures with p, q >= 1 and
     p + q <= max_pq, in deterministic order."""
-    if max_pq > MAX_PQ:
-        raise ValueError(f"max_pq exceeds the size cap {MAX_PQ}")
-    if max_pq < 2:
-        raise ValueError("max_pq must be at least 2")
+    if not 2 <= max_pq <= MAX_PQ:
+        raise ValueError(f"max_pq = {max_pq} is out of range; require 2 <= max_pq <= {MAX_PQ}")
     wanted = CHECK_IDS if check_ids is None else check_ids
     for cid in wanted:
-        if cid not in CHECK_IDS:
+        if cid not in CHECKS:
             raise ValueError(f"unknown check id: {cid}")
 
     sigs = [
@@ -507,13 +526,14 @@ def run_all(max_pq: int, check_ids: list[str] | None = None) -> list[CheckResult
             results.append(run_check(cid, **params))
 
     for (p, q) in sigs:
-        for cid in _SIGNATURE_CHECKS:
-            emit(cid, p=p, q=q)
+        for cid, spec in CHECKS.items():
+            if spec is SIGNATURE:
+                emit(cid, p=p, q=q)
     for q in range(1, max_pq):
-        for cid in ("fiber_integral", "fiber_restriction", "annihilation"):
-            emit(cid, q=q)
-        if q <= 4:
-            emit("transgression", q=q)
+        for cid, spec in CHECKS.items():
+            # transgression is exercised up to q = 4 only
+            if spec is FIBER and (cid != "transgression" or q <= 4):
+                emit(cid, q=q)
     emit("howe_hermite", nmax=10)
     emit("delta_limit")
     emit("example11")

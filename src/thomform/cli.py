@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import checks as checks_mod
-from .checks import CHECK_IDS, run_all, run_check
+from .checks import CHECK_IDS, FIBER, SIGNATURE, run_all, run_check
 from .km import km_form_at_e
 from .liealg import SignatureCtx
 from .mq import (
@@ -26,22 +24,6 @@ from .mq import (
 from .theta import LatticeSpec, diagonalize_gram, key_str, theta_partial_sum
 
 SCHEMA = "thomform/1"
-
-
-def _max_pq() -> int:
-    cap = checks_mod.MAX_PQ
-    env = os.environ.get("THOMFORM_MAX_PQ")
-    if env:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            raise SystemExit(2)
-    return cap
-
-
-def _check_size(p: int, q: int, parser: argparse.ArgumentParser):
-    if p < 1 or q < 1 or p + q > _max_pq():
-        parser.error(f"require p >= 1, q >= 1, p + q <= {_max_pq()}")
 
 
 def _parse_tau(text: str) -> complex:
@@ -69,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--max-pq", type=int, default=4)
     p_verify.add_argument("--check", choices=sorted(CHECK_IDS))
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--q", type=int)
+    p_verify.add_argument("--p", type=int, help="p; for splitting, p1 of the first block")
+    p_verify.add_argument("--q", type=int, help="q; for splitting, q1 of the first block")
     p_verify.add_argument("--p2", type=int)
     p_verify.add_argument("--q2", type=int)
     p_verify.add_argument("--format", choices=["text", "json"], default="json")
@@ -94,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, parser) -> int:
-    _check_size(args.p, args.q, parser)
+    SIGNATURE.validate("emit", {"p": args.p, "q": args.q})
     ctx = SignatureCtx(args.p, args.q)
     form = {"km": km_form_at_e, "mq0": mq_phi0_at_e, "mq": mq_phi_at_e}[args.form](ctx)
     if args.format == "json":
@@ -107,26 +89,12 @@ def _emit(args, parser) -> int:
 
 def _verify(args, parser) -> int:
     if args.all:
-        max_pq = min(args.max_pq, _max_pq())
-        results = run_all(max_pq)
+        results = run_all(args.max_pq)
     elif args.check:
-        params = {}
+        flags = {"p": args.p, "q": args.q, "p2": args.p2, "q2": args.q2}
         if args.check == "splitting":
-            for name in ("p", "q", "p2", "q2"):
-                if getattr(args, name) is None:
-                    parser.error("splitting requires --p --q --p2 --q2")
-            params = {"p1": args.p, "q1": args.q, "p2": args.p2, "q2": args.q2}
-            _check_size(args.p + args.p2, args.q + args.q2, parser)
-        elif args.check in checks_mod._SIGNATURE_CHECKS:
-            if args.p is None or args.q is None:
-                parser.error(f"{args.check} requires --p and --q")
-            _check_size(args.p, args.q, parser)
-            params = {"p": args.p, "q": args.q}
-        elif args.check in checks_mod._FIBER_CHECKS:
-            if args.q is None:
-                parser.error(f"{args.check} requires --q")
-            _check_size(1, args.q, parser)
-            params = {"q": args.q}
+            flags["p1"], flags["q1"] = flags.pop("p"), flags.pop("q")
+        params = {name: value for name, value in flags.items() if value is not None}
         results = [run_check(args.check, **params)]
     else:
         parser.error("verify requires --all or --check ID")
@@ -143,8 +111,7 @@ def _verify(args, parser) -> int:
 
 
 def _fiber(args, parser) -> int:
-    if args.q < 1 or args.q + 1 > _max_pq():
-        parser.error(f"require 1 <= q <= {_max_pq() - 1}")
+    FIBER.validate("fiber", {"q": args.q})
     if args.op == "umq":
         print(fiber_umq(args.q))
     elif args.op == "psi":
@@ -170,8 +137,7 @@ def _example11(args, parser) -> int:
 
 def _theta(args, parser) -> int:
     spec = LatticeSpec.load(args.lattice)
-    if spec.p + spec.q > _max_pq():
-        parser.error(f"lattice rank exceeds the cap {_max_pq()}")
+    SIGNATURE.validate("theta", {"p": spec.p, "q": spec.q})
     dl = diagonalize_gram(spec)
     sums, tail = theta_partial_sum(dl, args.tau, args.bound)
     print(json.dumps({

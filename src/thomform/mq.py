@@ -12,14 +12,13 @@ from fractions import Fraction
 
 from .liealg import SignatureCtx, curvature_at_e
 from .scalars import (
-    NotRepresentable,
     Poly,
     PolyGauss,
     Scalar,
     gauss_exp,
     gauss_moment,
 )
-from .superforms import FiberCtx, SuperForm, berezin, exp_even
+from .superforms import FiberCtx, SuperForm
 
 
 def mq_prefactor(q: int) -> Scalar:
@@ -40,7 +39,7 @@ def mq_phi0_at_e(ctx: SignatureCtx) -> SuperForm:
         for mu in ctx.z0:
             terms[(((alpha, mu),), (mu,))] = coeff
     arg = SuperForm(ctx, terms) + curvature_at_e(ctx)
-    body = berezin(exp_even(arg))
+    body = arg.exp_even().berezin()
     # e^{2 pi Q|z0(v,v)} = exp(-2 pi sum_mu x_mu^2)
     coeffs = [Fraction(0)] * ctx.p + [Fraction(2)] * ctx.q
     gauss = PolyGauss.gaussian(coeffs)
@@ -92,7 +91,7 @@ def fiber_umq(q: int) -> SuperForm:
     """
     ctx = FiberCtx(q)
     arg = fiber_omega(ctx).scale(Scalar.rational(-1))
-    return berezin(exp_even(arg)).scale(mq_prefactor(q))
+    return arg.exp_even().berezin().scale(mq_prefactor(q))
 
 
 def fiber_euler_contract(a: SuperForm) -> SuperForm:

@@ -7,7 +7,6 @@ equality of two objects means equality of the functions they represent.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -158,33 +157,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        text = text.strip()
-        if text == "0":
-            return Scalar.zero()
-        out = Scalar.zero()
-        for part in text.split(" + "):
-            r = Fraction(1)
-            e2 = 0
-            epi = 0
-            for tok in part.strip().split("*"):
-                tok = tok.strip()
-                if tok == "sqrt2":
-                    e2 += 1
-                elif tok == "pi":
-                    epi += 2
-                elif tok.startswith("pi^("):
-                    ex = Fraction(tok[4:-1])
-                    num = 2 * ex
-                    if num.denominator != 1:
-                        raise ValueError(f"bad pi exponent in {tok!r}")
-                    epi += int(num)
-                else:
-                    r *= Fraction(tok)
-            out = out + Scalar.term(r, e2=e2, epi=epi)
-        return out
 
 
 ONE = Scalar.one()
@@ -536,18 +508,6 @@ class PolyGauss:
         return f"PolyGauss({self})"
 
 
-def polygauss_mul(a: PolyGauss, b: PolyGauss) -> PolyGauss:
-    return a * b
-
-
-def polygauss_derive(a: PolyGauss, i: int) -> PolyGauss:
-    return a.derive(i)
-
-
-def polygauss_eval(a: PolyGauss, v: Iterable[float]) -> float:
-    return a.eval(v)
-
-
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:
     """Apply x_i - (1/(2 pi)) d/dx_i."""
     if not 1 <= i <= a.n:
@@ -607,119 +567,3 @@ def gauss_moment(n: int, c) -> Scalar:
     # (2 c pi)^(-n/2) = (2c)^(-k) pi^(-k)
     return Scalar.term(Fraction(dfact, (2 * c) ** k if k else 1), epi=-2 * k) * inv_sqrt_c
 
-
-# ---------------------------------------------------------------------------
-# parsing (canonical-text round trip)
-# ---------------------------------------------------------------------------
-
-_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
-
-
-def _parse_poly_term(term: str, n: int) -> Poly:
-    term = term.strip()
-    # optional parenthesized multi-term scalar prefix
-    scal = Scalar.one()
-    if term.startswith("("):
-        depth = 0
-        for idx, ch in enumerate(term):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0:
-                break
-        scal = Scalar.parse(term[1:idx])
-        term = term[idx + 1 :].lstrip("*").strip()
-    mono = [0] * n
-    if term:
-        for tok in term.split("*"):
-            tok = tok.strip()
-            m = _VAR_RE.match(tok)
-            if m:
-                i = int(m.group(1))
-                mono[i - 1] += int(m.group(2) or 1)
-            else:
-                scal = scal * Scalar.parse(tok)
-    if scal.is_zero():
-        return Poly(n)
-    return Poly(n, {tuple(mono): scal})
-
-
-def parse_poly(text: str, n: int) -> Poly:
-    text = text.strip()
-    if text == "0":
-        return Poly(n)
-    out = Poly(n)
-    for part in _split_top(text, " + "):
-        out = out + _parse_poly_term(part, n)
-    return out
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    last = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(sep, i):
-            parts.append(text[last:i])
-            last = i + len(sep)
-            i += len(sep) - 1
-        i += 1
-    parts.append(text[last:])
-    return parts
-
-
-_GAUSS_RE = re.compile(r"^exp\(-pi\*\((.*)\)\)$")
-
-
-def parse_polygauss(text: str, n: int) -> PolyGauss:
-    text = text.strip()
-    if text == "0":
-        return PolyGauss.zero(n)
-    out = PolyGauss.zero(n)
-    for chunk in _split_top(text, " + "):
-        chunk = chunk.strip()
-        coeffs = [Fraction(0)] * n
-        if "exp(" in chunk:
-            if " * exp(" in chunk:
-                poly_txt, gauss_txt = chunk.rsplit(" * ", 1)
-            else:
-                poly_txt, gauss_txt = "1", chunk
-            m = _GAUSS_RE.match(gauss_txt.strip())
-            if not m:
-                raise ValueError(f"bad Gaussian factor in {chunk!r}")
-            for quad in m.group(1).split("+"):
-                quad = quad.strip()
-                if "*" in quad:
-                    c_txt, var_txt = quad.rsplit("*", 1)
-                    c = Fraction(c_txt)
-                else:
-                    c, var_txt = Fraction(1), quad
-                if not var_txt.endswith("^2"):
-                    raise ValueError(f"bad quadratic term {quad!r}")
-                i = int(var_txt[1:-2])
-                coeffs[i - 1] = c
-        else:
-            poly_txt = chunk
-        poly_txt = poly_txt.strip()
-        if poly_txt.startswith("(") and poly_txt.endswith(")"):
-            inner = poly_txt[1:-1]
-            if _balanced(inner):
-                poly_txt = inner
-        poly = parse_poly(poly_txt, n)
-        out = out + PolyGauss(n, {tuple(coeffs): poly} if not poly.is_zero() else {})
-    return out
-
-
-def _balanced(text: str) -> bool:
-    depth = 0
-    for ch in text:
-        depth += ch == "("
-        depth -= ch == ")"
-        if depth < 0:
-            return False
-    return depth == 0

@@ -209,7 +209,6 @@ class SuperForm:
             if i_set or len(j_set) != 1:
                 raise ValueError("contraction argument must have bidegree (0,1)")
             coeffs[j_set[0]] = pg
-        out = SuperForm.zero(self.ctx)
         acc: dict[Key, PolyGauss] = {}
         for (i_set, j_set), pg in self.terms.items():
             deg_i = len(i_set)
@@ -320,18 +319,3 @@ class SuperForm:
             )
         return {"terms": items}
 
-
-def wedge(a: SuperForm, b: SuperForm) -> SuperForm:
-    return a.wedge(b)
-
-
-def berezin(a: SuperForm) -> SuperForm:
-    return a.berezin()
-
-
-def contract(s: SuperForm, a: SuperForm) -> SuperForm:
-    return a.contract(s)
-
-
-def exp_even(a: SuperForm) -> SuperForm:
-    return a.exp_even()

@@ -20,7 +20,6 @@ import numpy as np
 
 from .km import km_form_at_e
 from .liealg import SignatureCtx
-from .scalars import polygauss_eval
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ def theta_partial_sum(
             math.sin(math.pi * x * float(gram_value(dl.spec, u))),
         )
         for (i_set, _j), pg in km.terms.items():
-            sums[i_set] += polygauss_eval(pg, point) * phase
+            sums[i_set] += pg.eval(point) * phase
     return sums, tail_estimate(dl, y, bound)
 
 

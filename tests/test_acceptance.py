@@ -209,7 +209,6 @@ class TestAcceptance:
 
         from thomform.km import km_form_at_e
         from thomform.liealg import SignatureCtx
-        from thomform.scalars import polygauss_eval
         from thomform.theta import gram_value
 
         start = time.perf_counter()
@@ -236,7 +235,7 @@ class TestAcceptance:
                     )
                     for (i_set, _j), pg in km.terms.items():
                         oracle[i_set] += (
-                            polygauss_eval(pg, list(math.sqrt(tau.imag) * v)) * phase
+                            pg.eval(list(math.sqrt(tau.imag) * v)) * phase
                         )
             ok = ok and all(abs(sums[k] - oracle[k]) <= 1e-10 for k in sums)
         ok = ok and all(a > b for a, b in zip(tails, tails[1:]))

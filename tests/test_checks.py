@@ -23,12 +23,18 @@ class TestDispatch:
         with pytest.raises(ValueError):
             run_check("theorem", p=5, q=5)
 
+    def test_fiber_cap_names_the_bound(self):
+        with pytest.raises(ValueError, match=r"^transgression: q = 8 .* 1 <= q <= 7$"):
+            run_check("transgression", q=8)
+
     def test_every_id_is_runnable(self):
         for cid in CHECK_IDS:
             if cid == "splitting":
                 res = run_check(cid, p1=1, q1=1, p2=1, q2=1)
             elif cid in ("howe_hermite", "delta_limit", "example11"):
                 res = run_check(cid)
+            elif cid in ("fiber_integral", "fiber_restriction", "annihilation", "transgression"):
+                res = run_check(cid, q=1)
             else:
                 res = run_check(cid, p=1, q=1)
             assert res.passed, res.to_json()

@@ -6,18 +6,13 @@ import sys
 
 import pytest
 
+from thomform.checks import CHECK_IDS, run_check
+
 CMD = [sys.executable, "-m", "thomform"]
 
 
-def run(*args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env
-    )
+def run(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True)
 
 
 class TestEmit:
@@ -38,20 +33,6 @@ class TestEmit:
 
     def test_size_cap(self):
         res = run("emit", "km", "--p", "5", "--q", "5")
-        assert res.returncode == 2
-
-    def test_env_cap_lowers(self):
-        res = run(
-            "emit", "km", "--p", "2", "--q", "2",
-            env_extra={"THOMFORM_MAX_PQ": "3"},
-        )
-        assert res.returncode == 2
-
-    def test_env_cap_cannot_raise(self):
-        res = run(
-            "emit", "km", "--p", "5", "--q", "5",
-            env_extra={"THOMFORM_MAX_PQ": "12"},
-        )
         assert res.returncode == 2
 
 
@@ -82,6 +63,11 @@ class TestVerify:
         res = run("verify", "--check", "theorem")
         assert res.returncode == 2
 
+    def test_max_pq_past_cap(self):
+        res = run("verify", "--all", "--max-pq", "9")
+        assert res.returncode == 2
+        assert "max_pq <= 8" in res.stderr
+
     def test_splitting_params(self):
         res = run(
             "verify", "--check", "splitting",
@@ -100,6 +86,11 @@ class TestFiber:
         res = run("fiber", "--q", "1", "--op", "umq")
         assert res.returncode == 0
         assert res.stdout.strip() == "1*sqrt2 * exp(-pi*(2*x1^2)) dx[1]"
+
+    def test_size_cap(self):
+        res = run("fiber", "--q", "8", "--op", "umq")
+        assert res.returncode == 2
+        assert "fiber: q = 8 is out of range; require 1 <= q <= 7" in res.stderr
 
     def test_psi(self):
         res = run("fiber", "--q", "1", "--op", "psi")
@@ -150,3 +141,64 @@ class TestUsage:
     def test_unknown_command(self):
         res = run("frobnicate")
         assert res.returncode == 2
+
+
+SIGNATURE_LIMITS = ({"p": 1, "q": 1}, {"p": 1, "q": 8}, {"p": 0, "q": 1}, {"p": 1, "q": 1, "p2": 1})
+FIBER_LIMITS = ({"q": 1}, {"q": 8}, {"q": 0}, {"q": 1, "p": 1})
+
+# Per check: the smallest legal parameters, the first size past the cap, a
+# zero, and a parameter the check does not take. delta_limit and example11
+# are not sized; their legal case is the defaults.
+LIMITS = {
+    **dict.fromkeys(
+        ["theorem", "km_closed_form", "curvature", "berezin_combinatorial",
+         "hermite_lemma", "closedness", "k_invariance"],
+        SIGNATURE_LIMITS,
+    ),
+    **dict.fromkeys(
+        ["fiber_integral", "fiber_restriction", "annihilation", "transgression"],
+        FIBER_LIMITS,
+    ),
+    "howe_hermite": ({"nmax": 1}, {"nmax": 17}, {"nmax": 0}, {"p": 1}),
+    "delta_limit": ({}, None, {"t": 0}, {"p": 1}),
+    "example11": ({}, None, None, {"p": 1}),
+    "splitting": (
+        {"p1": 1, "q1": 1, "p2": 1, "q2": 1},
+        {"p1": 1, "q1": 1, "p2": 1, "q2": 6},
+        {"p1": 1, "q1": 0, "p2": 1, "q2": 1},
+        {"p1": 1, "q1": 1, "p2": 1, "q2": 1, "p3": 1},
+    ),
+}
+
+CASES = [
+    pytest.param(cid, params, kind == "legal", id=f"{cid}-{kind}")
+    for cid in CHECK_IDS
+    for kind, params in zip(("legal", "past_cap", "zero", "unknown"), LIMITS[cid])
+    if params is not None
+]
+
+
+def verify_args(cid, params):
+    """`thomform verify` arguments for run_check(cid, **params), or None
+    when the command line has no flag for one of the parameters."""
+    first = ("p1", "q1") if cid == "splitting" else ("p", "q")
+    flags = dict(zip(first + ("p2", "q2"), ("--p", "--q", "--p2", "--q2")))
+    if not set(params) <= set(flags):
+        return None
+    return ["verify", "--check", cid] + [
+        arg for name, value in params.items() for arg in (flags[name], str(value))
+    ]
+
+
+@pytest.mark.parametrize("cid,params,legal", CASES)
+def test_run_check_and_cli_agree(cid, params, legal):
+    if legal:
+        assert run_check(cid, **params).passed
+    else:
+        with pytest.raises(ValueError, match=f"^{cid}: "):
+            run_check(cid, **params)
+    args = verify_args(cid, params)
+    if args is not None:
+        res = run(*args)
+        assert res.returncode == (0 if legal else 2), res.stderr
+        assert legal or f"error: {cid}: " in res.stderr

@@ -19,7 +19,7 @@ from thomform.liealg import (
     schwartz_action,
 )
 from thomform.scalars import Poly, PolyGauss, Scalar
-from thomform.superforms import SuperForm, wedge
+from thomform.superforms import SuperForm
 
 CTXS = [SignatureCtx(p, q) for p, q in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]]
 
@@ -115,7 +115,7 @@ class TestCurvature:
         rhs = SuperForm.zero(ctx)
         for alpha in range(1, p + 1):
             e = eta(ctx, alpha)
-            rhs = rhs + wedge(e, e)
+            rhs = rhs + e.wedge(e)
         assert curvature_at_e(ctx) == rhs.scale(Scalar.rational(Fraction(-1, 2)))
 
     def test_explicit_1_2(self):
@@ -190,8 +190,8 @@ class TestCoadjointAction:
         x = LieElement.basis(ctx, 1, 2) + LieElement.basis(ctx, 3, 4)
         a = eta(ctx, 1)
         b = eta(ctx, 2) + SuperForm.generator(ctx, (1, 3))
-        lhs = coadjoint_action(x, wedge(a, b))
-        rhs = wedge(coadjoint_action(x, a), b) + wedge(a, coadjoint_action(x, b))
+        lhs = coadjoint_action(x, a.wedge(b))
+        rhs = coadjoint_action(x, a).wedge(b) + a.wedge(coadjoint_action(x, b))
         assert lhs == rhs
 
 

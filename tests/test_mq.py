@@ -24,7 +24,7 @@ from thomform.mq import (
     mq_phi_at_e,
 )
 from thomform.scalars import Poly, PolyGauss, Scalar
-from thomform.superforms import FiberCtx, SuperForm, berezin
+from thomform.superforms import FiberCtx, SuperForm
 
 
 class TestBasepointForm:
@@ -180,7 +180,7 @@ class TestFiberCalculus:
                 SuperForm.section(ctx, 1, PolyGauss.from_poly(Poly.var(q, 1)))
                 + SuperForm.one(ctx)
             )
-            assert fiber_d(berezin(a)) == berezin(fiber_d(a))
+            assert fiber_d(a.berezin()) == fiber_d(a).berezin()
 
     def test_product_rule_example(self):
         # d(sqrt2 x e^{-2 pi x^2}) = sqrt2 (1 - 4 pi x^2) e^{-2 pi x^2} dx

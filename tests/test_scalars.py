@@ -1,5 +1,6 @@
 """Exact scalar ring, polynomials, and Gaussian-weighted polynomials."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from thomform.scalars import (
     Scalar,
     gauss_moment,
     howe_shift,
-    parse_polygauss,
     sqrt_in_ring,
 )
 
@@ -29,6 +29,35 @@ scalars = st.dictionaries(
     max_size=4,
 ).map(Scalar)
 
+
+
+def assert_str_faithful(c, atoms, zero):
+    """Over every sum of at most two atoms, shifted by c: two values print
+    the same text exactly when they are equal."""
+    values = [c + v for v in [zero] + atoms + [a + b for a, b in itertools.combinations(atoms, 2)]]
+    texts = [str(v) for v in values]
+    for a, text_a in zip(values, texts):
+        for b, text_b in zip(values, texts):
+            assert (text_a == text_b) == (a == b), (text_a, text_b)
+
+
+# Each atom differs from another in one printed feature: a rational, a
+# sqrt2 or pi power, a variable exponent, a Gaussian entry, a sum in
+# parentheses.
+SCALAR_ATOMS = [
+    Scalar.term(r, e2=e2, epi=epi)
+    for r, e2, epi in [(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (1, 0, 2), (-1, 0, -1)]
+]
+POLY_ATOMS = [
+    Poly(2, {m: c})
+    for m in [(0, 0), (1, 0), (2, 0), (0, 1)]
+    for c in [Scalar.one(), Scalar.sqrt2(), Scalar.one() + Scalar.sqrt2()]
+]
+POLYGAUSS_ATOMS = [
+    PolyGauss.gaussian(g, p)
+    for g in [(0, 0), (1, 0), (2, 0), (Fraction(1, 2), 1)]
+    for p in [Poly.one(2), Poly.var(2, 1), Poly.one(2) + Poly.var(2, 1)]
+]
 
 class TestScalarRing:
     def test_sqrt2_squares_to_two(self):
@@ -60,8 +89,8 @@ class TestScalarRing:
         )
 
     @given(scalars)
-    def test_str_parse_round_trip(self, a):
-        assert Scalar.parse(str(a)) == a
+    def test_str_is_faithful(self, c):
+        assert_str_faithful(c, SCALAR_ATOMS, Scalar.zero())
 
     def test_power(self):
         s = Scalar.term(Fraction(1, 2), e2=1)
@@ -89,6 +118,10 @@ class TestPoly:
     def test_partials_commute(self, a):
         assert a.derive(1).derive(2) == a.derive(2).derive(1)
 
+    @given(polys)
+    def test_str_is_faithful(self, c):
+        assert_str_faithful(c, POLY_ATOMS, Poly(2))
+
     def test_eval(self):
         p = Poly.var(2, 1) * Poly.var(2, 2) + Poly.one(2)
         assert math.isclose(p.eval([2.0, 3.0]), 7.0)
@@ -108,12 +141,9 @@ class TestPolyGauss:
         x = PolyGauss.from_poly(Poly.var(1, 1))
         assert (g * x).derive(1) == g.derive(1) * x + g * x.derive(1)
 
-    def test_str_parse_round_trip(self):
-        g = PolyGauss.gaussian(
-            [Fraction(1), Fraction(2)],
-            Poly.var(2, 1) * Scalar.sqrt2() + Poly.one(2),
-        )
-        assert parse_polygauss(str(g), 2) == g
+    @given(st.dictionaries(st.tuples(fractions, fractions), polys, max_size=2))
+    def test_str_is_faithful(self, parts):
+        assert_str_faithful(PolyGauss(2, parts), POLYGAUSS_ATOMS, PolyGauss.zero(2))
 
     def test_map_vars(self):
         g = PolyGauss.gaussian([Fraction(1)], Poly.var(1, 1))

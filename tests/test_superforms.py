@@ -13,10 +13,7 @@ from thomform.scalars import Poly, PolyGauss, Scalar
 from thomform.superforms import (
     FiberCtx,
     SuperForm,
-    berezin,
-    exp_even,
     merge_sorted,
-    wedge,
 )
 
 CTX = FiberCtx(3)
@@ -47,29 +44,29 @@ class TestWedge:
     @settings(max_examples=50)
     @given(random_forms(CTX), random_forms(CTX), random_forms(CTX))
     def test_associative(self, a, b, c):
-        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
     @settings(max_examples=50)
     @given(random_forms(CTX), random_forms(CTX), random_forms(CTX))
     def test_bilinear(self, a, b, c):
-        assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
+        assert (a + b).wedge(c) == a.wedge(c) + b.wedge(c)
 
     def test_graded_commutativity(self):
         # total degrees 1 and 1 -> anticommute
         a = SuperForm.generator(CTX, 1)
         b = SuperForm.section(CTX, 2)
-        assert wedge(a, b) == wedge(b, a).scale(Scalar.rational(-1))
+        assert a.wedge(b) == b.wedge(a).scale(Scalar.rational(-1))
 
     def test_koszul_sign_example(self):
         # (dx1 (x) e1) ^ (dx2 (x) e2) carries the (-1)^{|J_a||I_b|} sign
         one = PolyGauss.one(CTX.nvars)
         a = SuperForm(CTX, {((1,), (1,)): one})
         b = SuperForm(CTX, {((2,), (2,)): one})
-        assert wedge(a, b) == SuperForm(CTX, {((1, 2), (1, 2)): -one})
+        assert a.wedge(b) == SuperForm(CTX, {((1, 2), (1, 2)): -one})
 
     def test_odd_squares_vanish(self):
         a = SuperForm.generator(CTX, 1) + SuperForm.section(CTX, 2)
-        assert wedge(a, a).is_zero()
+        assert a.wedge(a).is_zero()
 
 
 class TestBerezin:
@@ -79,13 +76,13 @@ class TestBerezin:
             CTX,
             {((1,), (1, 2, 3)): one, ((2,), (1, 2)): one, ((), ()): one},
         )
-        assert berezin(a) == SuperForm(CTX, {((1,), ()): one})
+        assert a.berezin() == SuperForm(CTX, {((1,), ()): one})
 
     def test_eta_squared_example(self):
         ctx = SignatureCtx(1, 2)
         e1 = eta(ctx, 1)
-        sq = wedge(e1, e1)
-        out = berezin(sq)
+        sq = e1.wedge(e1)
+        out = sq.berezin()
         expected = SuperForm(
             ctx,
             {((((1, 2)), ((1, 3))), ()): PolyGauss.const(3, Scalar.rational(-2))},
@@ -105,9 +102,9 @@ class TestContract:
         )
         a = SuperForm.generator(ctx, 1)
         b = SuperForm.generator(ctx, 2)
-        ab = wedge(a, b)
+        ab = a.wedge(b)
         lhs = ab.contract(s)
-        rhs = wedge(a.contract(s), b) - wedge(a, b.contract(s))
+        rhs = a.contract(s).wedge(b) - a.wedge(b.contract(s))
         assert lhs == rhs
 
     def test_kills_sections(self):
@@ -124,7 +121,7 @@ class TestExpEven:
         ctx = FiberCtx(1)
         quad = Poly.var(1, 1) * Poly.var(1, 1) * Scalar.term(Fraction(-2), epi=2)
         a = SuperForm(ctx, {((), ()): PolyGauss.from_poly(quad)})
-        out = exp_even(a)
+        out = a.exp_even()
         assert out == SuperForm(
             ctx, {((), ()): PolyGauss.gaussian([Fraction(2)])}
         )
@@ -134,19 +131,19 @@ class TestExpEven:
         ctx = SignatureCtx(2, 2)
         a = eta(ctx, 1)
         b = eta(ctx, 2)
-        assert exp_even(a + b) == wedge(exp_even(a), exp_even(b))
+        assert (a + b).exp_even() == a.exp_even().wedge(b.exp_even())
 
     def test_nilpotent_series_truncates(self):
         ctx = SignatureCtx(1, 2)
         e1 = eta(ctx, 1)
-        sq = wedge(e1, e1)
-        out = exp_even(sq)
+        sq = e1.wedge(e1)
+        out = sq.exp_even()
         assert out == SuperForm.one(ctx) + sq  # sq^2 = 0 in z0-degree > q
 
     def test_rejects_off_diagonal(self):
         ctx = FiberCtx(2)
         with pytest.raises(ValueError):
-            exp_even(SuperForm.generator(ctx, 1))
+            SuperForm.generator(ctx, 1).exp_even()
 
 
 class TestHermiteLemma:

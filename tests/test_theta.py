@@ -9,7 +9,6 @@ import pytest
 
 from thomform.km import km_form_at_e
 from thomform.liealg import SignatureCtx
-from thomform.scalars import polygauss_eval
 from thomform.theta import (
     DiagonalizedLattice,
     LatticeSpec,
@@ -113,7 +112,7 @@ class TestThetaSum:
                 qv = float(gram_value(spec, u))
                 phase = complex(math.cos(math.pi * x * qv), math.sin(math.pi * x * qv))
                 for (i_set, _j), pg in km.terms.items():
-                    out[i_set] += polygauss_eval(pg, list(math.sqrt(y) * v)) * phase
+                    out[i_set] += pg.eval(list(math.sqrt(y) * v)) * phase
         return out
 
     @pytest.mark.parametrize("spec", [HYPERBOLIC, DIAG_11, DIAG_2], ids=lambda s: s.label)
