@@ -117,7 +117,7 @@ def exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
     d = sum over p-pairs of (omega_{alpha mu} ^ .) composed with the
     infinitesimal action of X_{alpha mu} on coefficients.
     """
-    out = SuperForm.zero(ctx)
+    acc: dict = {}
     for (alpha, mu) in ctx.p_pairs():
         x = LieElement.basis(ctx, alpha, mu)
         for (i_set, j_set), pg in a.terms.items():
@@ -125,12 +125,12 @@ def exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
             if sign == 0:
                 continue
             pg2 = schwartz_action(x, pg)
-            if pg2.is_zero():
-                continue
             if sign < 0:
                 pg2 = -pg2
-            out = out + SuperForm(ctx, {(new_i, j_set): pg2})
-    return out
+            key = (new_i, j_set)
+            prev = acc.get(key)
+            acc[key] = pg2 if prev is None else prev + pg2
+    return SuperForm(ctx, acc)
 
 
 def lie_derivative(x: LieElement, a: SuperForm) -> SuperForm:
@@ -138,10 +138,9 @@ def lie_derivative(x: LieElement, a: SuperForm) -> SuperForm:
     action on the exterior slots plus the infinitesimal action on the
     coefficient functions. Invariance means this vanishes.
     """
-    out = coadjoint_action(x, a)
-    ctx = x.ctx
+    acc = dict(coadjoint_action(x, a).terms)
     for key, pg in a.terms.items():
         pg2 = schwartz_action(x, pg)
-        if not pg2.is_zero():
-            out = out + SuperForm(ctx, {key: pg2})
-    return out
+        prev = acc.get(key)
+        acc[key] = pg2 if prev is None else prev + pg2
+    return SuperForm(x.ctx, acc)

@@ -6,8 +6,12 @@ Matrix conventions: E_ij is the matrix unit with a 1 in row i, column j.
     X_{alpha beta} = E_{alpha beta} - E_{beta alpha}
     X_{nu mu} = -E_{nu mu} + E_{mu nu}           (both > p, nu < mu)
 
-With this realization [X_{alpha mu}, X_{beta nu}] equals
-delta_{mu nu} X_{alpha beta} + delta_{alpha beta} X_{mu nu}.
+With this realization, for p-pairs and the convention X_{ji} = -X_{ij},
+[X_{alpha mu}, X_{beta nu}] equals
+delta_{mu nu} X_{alpha beta} - delta_{alpha beta} X_{mu nu}.
+
+An element is held by its coordinates; its matrix has at most two non-zero
+entries per coordinate, so brackets and actions work on the sparse entries.
 """
 
 from __future__ import annotations
@@ -121,43 +125,56 @@ class LieElement:
         p = self.ctx.p
         return all(not (i <= p < j) for i, j in self.coords)
 
-    def matrix(self) -> list[list[Fraction]]:
-        n = self.ctx.n
+    def _entries(self) -> dict[Pair, Fraction]:
+        """Non-zero matrix entries {(row, col): value}, 1-based."""
         p = self.ctx.p
-        m = [[Fraction(0)] * n for _ in range(n)]
+        out: dict[Pair, Fraction] = {}
         for (i, j), c in self.coords.items():
             if i <= p < j:  # X_ij = E_ij + E_ji
-                m[i - 1][j - 1] += c
-                m[j - 1][i - 1] += c
+                out[(i, j)], out[(j, i)] = c, c
             elif j <= p:  # X_ij = E_ij - E_ji
-                m[i - 1][j - 1] += c
-                m[j - 1][i - 1] -= c
+                out[(i, j)], out[(j, i)] = c, -c
             else:  # X_ij = -E_ij + E_ji
-                m[i - 1][j - 1] -= c
-                m[j - 1][i - 1] += c
+                out[(i, j)], out[(j, i)] = -c, c
+        return out
+
+    @staticmethod
+    def _from_entries(ctx: SignatureCtx, entries: Mapping[Pair, Fraction]) -> "LieElement":
+        """Coordinates of the matrix with these entries (absent ones are
+        zero); raises ValueError unless the matrix is in so(p,q)."""
+        p = ctx.p
+        coords: dict[Pair, Fraction] = {}
+        # a non-zero diagonal entry (i == j) fails the test below
+        for i, j in sorted({(min(r, c), max(r, c)) for r, c in entries}):
+            upper, lower = entries.get((i, j), 0), entries.get((j, i), 0)
+            if i <= p < j:
+                c, ok = upper, lower == upper
+            elif j <= p:
+                c, ok = upper, lower == -upper
+            else:
+                c, ok = lower, upper == -lower
+            if not ok:
+                raise ValueError("matrix is not in so(p,q)")
+            if c:
+                coords[(i, j)] = c
+        return LieElement(ctx, coords)
+
+    def matrix(self) -> list[list[Fraction]]:
+        n = self.ctx.n
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (r, c), v in self._entries().items():
+            m[r - 1][c - 1] = v
         return m
 
     @staticmethod
     def from_matrix(ctx: SignatureCtx, m: list[list[Fraction]]) -> "LieElement":
-        n, p = ctx.n, ctx.p
-        coords: dict[Pair, Fraction] = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if i <= p < j:
-                    c = m[i - 1][j - 1]
-                    if m[j - 1][i - 1] != c:
-                        raise ValueError("matrix is not in so(p,q)")
-                elif j <= p:
-                    c = m[i - 1][j - 1]
-                    if m[j - 1][i - 1] != -c:
-                        raise ValueError("matrix is not in so(p,q)")
-                else:
-                    c = m[j - 1][i - 1]
-                    if m[i - 1][j - 1] != -c:
-                        raise ValueError("matrix is not in so(p,q)")
-                if c:
-                    coords[(i, j)] = c
-        return LieElement(ctx, coords)
+        entries = {
+            (r, c): v
+            for r, row in enumerate(m, start=1)
+            for c, v in enumerate(row, start=1)
+            if v
+        }
+        return LieElement._from_entries(ctx, entries)
 
     def __str__(self) -> str:
         if not self.coords:
@@ -173,17 +190,17 @@ class LieElement:
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
+    """The commutator XY - YX, formed from the sparse matrix entries."""
     x._check(y)
-    n = x.ctx.n
-    a, b = x.matrix(), y.matrix()
-    comm = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = Fraction(0)
-            for k in range(n):
-                s += a[i][k] * b[k][j] - b[i][k] * a[k][j]
-            comm[i][j] = s
-    return LieElement.from_matrix(x.ctx, comm)
+    comm: dict[Pair, Fraction] = {}
+    ys = y._entries().items()
+    for (i, k), u in x._entries().items():
+        for (l, j), v in ys:
+            if k == l:  # (XY)_ij += X_ik Y_kj
+                comm[(i, j)] = comm.get((i, j), 0) + u * v
+            if j == i:  # (YX)_lk += Y_li X_ik
+                comm[(l, k)] = comm.get((l, k), 0) - v * u
+    return LieElement._from_entries(x.ctx, comm)
 
 
 def project_k(x: LieElement) -> LieElement:
@@ -211,17 +228,12 @@ def so_z0_to_wedge(ctx: SignatureCtx, x: LieElement) -> dict[tuple[int, int], Fr
     The inner product on z0 is -Q|z0, so <e_mu, e_nu> = delta. Returns
     coefficients keyed by (nu, mu) with nu < mu in z0.
     """
-    m = x.matrix()
-    out: dict[tuple[int, int], Fraction] = {}
-    for nu in ctx.z0:
-        for mu in ctx.z0:
-            if nu >= mu:
-                continue
-            # column nu holds the image of e_nu; row mu picks <X e_nu, e_mu>
-            c = m[mu - 1][nu - 1]
-            if c:
-                out[(nu, mu)] = c
-    return out
+    # column nu holds the image of e_nu; row mu picks <X e_nu, e_mu>
+    return {
+        (nu, mu): c
+        for (mu, nu), c in x._entries().items()
+        if ctx.p < nu < mu
+    }
 
 
 def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
@@ -244,22 +256,27 @@ def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
 
 
 def schwartz_action(x: LieElement, f: PolyGauss) -> PolyGauss:
-    """Infinitesimal left action (X f)(v) = d/dt f(exp(-tX) v)|_0 = -(Xv). grad f."""
+    """Infinitesimal left action (X f)(v) = d/dt f(exp(-tX) v)|_0 = -(Xv). grad f.
+
+    (Xv)_k = sum_l m_kl x_l, so each non-zero row k of the matrix m adds
+    -m_kl x_l d_k f: one derivative per row, and x_l shifts exponents.
+    """
     ctx = x.ctx
     if f.n != ctx.n:
         raise ValueError("dimension mismatch")
-    m = x.matrix()
-    out = PolyGauss.zero(ctx.n)
-    for k in range(1, ctx.n + 1):
-        # (Xv)_k = sum_l m[k-1][l-1] x_l
-        lin = Poly(ctx.n)
-        for l in range(1, ctx.n + 1):
-            if m[k - 1][l - 1]:
-                lin = lin + Poly.var(ctx.n, l) * Scalar.rational(m[k - 1][l - 1])
-        if lin.is_zero():
-            continue
-        out = out - f.derive(k) * PolyGauss.from_poly(lin)
-    return out
+    rows: dict[int, list[tuple[int, Scalar]]] = {}
+    for (k, l), c in x._entries().items():
+        rows.setdefault(k, []).append((l - 1, Scalar.rational(-c)))
+    acc: dict[tuple, dict[tuple, Scalar]] = {}
+    for k, row in rows.items():
+        for g, poly in f.derive(k).parts.items():
+            terms = acc.setdefault(g, {})
+            for mono, s in poly.terms.items():
+                for l, c in row:
+                    m2 = mono[:l] + (mono[l] + 1,) + mono[l + 1 :]
+                    prev = terms.get(m2)
+                    terms[m2] = s * c if prev is None else prev + s * c
+    return PolyGauss(ctx.n, {g: Poly(ctx.n, terms) for g, terms in acc.items()})
 
 
 def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
@@ -271,37 +288,37 @@ def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
     if not x.in_k():
         raise ValueError("coadjoint action requires an element of k")
     ctx = x.ctx
-    pairs = ctx.p_pairs()
     # X . omega_P = sum_{P'} (-(coeff of X_P in [X, X_{P'}])) omega_{P'}
     dual: dict[Pair, dict[Pair, Fraction]] = {}
-    for pprime in pairs:
+    for pprime in ctx.p_pairs():
         br = bracket(x, LieElement.basis(ctx, *pprime))
         for p_key, c in br.coords.items():
             dual.setdefault(p_key, {})[pprime] = -c
-    m = x.matrix()
-    out = SuperForm.zero(ctx)
+    # rho(X) e_j = sum_{j2} m_{j2 j} e_{j2}: column j of the z0 block
+    rho: dict[int, list[tuple[int, Fraction]]] = {}
+    for (j2, j), c in x._entries().items():
+        if min(j2, j) > ctx.p:
+            rho.setdefault(j, []).append((j2, c))
+    acc: dict = {}
     for (i_set, j_set), pg in a.terms.items():
         # act on each p* slot
         for pos, gen in enumerate(i_set):
             for gen2, c in dual.get(gen, {}).items():
-                new_i = list(i_set)
-                new_i[pos] = gen2
-                sorted_i, sign = sort_with_sign(tuple(new_i))
+                sorted_i, sign = sort_with_sign(i_set[:pos] + (gen2,) + i_set[pos + 1 :])
                 if sign == 0:
                     continue
+                key = (sorted_i, j_set)
                 pg2 = pg * Fraction(sign * c)
-                out = out + SuperForm(ctx, {(sorted_i, j_set): pg2})
+                prev = acc.get(key)
+                acc[key] = pg2 if prev is None else prev + pg2
         # act on each z0 slot
         for pos, j in enumerate(j_set):
-            for j2 in ctx.z0:
-                c = m[j2 - 1][j - 1]
-                if not c:
-                    continue
-                new_j = list(j_set)
-                new_j[pos] = j2
-                sorted_j, sign = sort_with_sign(tuple(new_j))
+            for j2, c in rho.get(j, ()):
+                sorted_j, sign = sort_with_sign(j_set[:pos] + (j2,) + j_set[pos + 1 :])
                 if sign == 0:
                     continue
+                key = (i_set, sorted_j)
                 pg2 = pg * Fraction(sign * c)
-                out = out + SuperForm(ctx, {(i_set, sorted_j): pg2})
-    return out
+                prev = acc.get(key)
+                acc[key] = pg2 if prev is None else prev + pg2
+    return SuperForm(ctx, acc)

@@ -99,15 +99,16 @@ def fiber_euler_contract(a: SuperForm) -> SuperForm:
     dx_i in turn, multiplying by x_i, with the alternating slot sign.
     """
     ctx = a.ctx
-    out = SuperForm.zero(ctx)
+    acc: dict = {}
     for (i_set, j_set), pg in a.terms.items():
         for pos, i in enumerate(i_set):
-            new_i = i_set[:pos] + i_set[pos + 1 :]
+            key = (i_set[:pos] + i_set[pos + 1 :], j_set)
             pg2 = pg * PolyGauss.from_poly(Poly.var(ctx.nvars, i))
             if pos % 2:
                 pg2 = -pg2
-            out = out + SuperForm(ctx, {(new_i, j_set): pg2})
-    return out
+            prev = acc.get(key)
+            acc[key] = pg2 if prev is None else prev + pg2
+    return SuperForm(ctx, acc)
 
 
 def fiber_transgression(q: int) -> SuperForm:

@@ -139,10 +139,14 @@ def majorant_matrix(dl: DiagonalizedLattice) -> np.ndarray:
     return dl.transform.T @ dl.transform
 
 
+def _check_bound(bound: float) -> None:
+    if not (math.isfinite(bound) and bound >= 0):
+        raise ValueError(f"bound must be a finite number >= 0, got {bound}")
+
+
 def enumerate_vectors(dl: DiagonalizedLattice, bound: float) -> list[tuple[int, ...]]:
     """All integer vectors with Q+(v,v) <= bound, sorted."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    _check_bound(bound)
     a = majorant_matrix(dl)
     n = a.shape[0]
     ainv = np.linalg.inv(a)
@@ -215,6 +219,9 @@ def theta_partial_sum(
     basepoint form, coefficient(sqrt(y) v_hat) * e^{i pi x Q(v,v)} where
     tau = x + i y and v_hat = transform v.
     """
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise ValueError(f"tau must be finite, got {tau}")
+    _check_bound(bound)
     y = tau.imag
     if y <= 0:
         raise ValueError("tau must have positive imaginary part")

@@ -132,6 +132,17 @@ class TestTheta:
         res = run("theta", "--lattice", "/no/such.json", "--tau", "1i", "--bound", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("tau,bound,name", [
+        ("0.5+nani", "4", "tau"),
+        ("0.5+1i", "inf", "bound"),
+        ("0.5+1i", "nan", "bound"),
+    ])
+    def test_non_finite_input(self, lattice_file, tau, bound, name):
+        res = run("theta", "--lattice", lattice_file, "--tau", tau, "--bound", bound)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert name in res.stderr and "Traceback" not in res.stderr
+
 
 class TestUsage:
     def test_no_command(self):

@@ -18,10 +18,13 @@ from thomform.liealg import (
     project_p,
     schwartz_action,
 )
+from thomform.km import km_form_at_e
 from thomform.scalars import Poly, PolyGauss, Scalar
 from thomform.superforms import SuperForm
 
 CTXS = [SignatureCtx(p, q) for p, q in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]]
+SMALL = [SignatureCtx(p, n - p) for n in range(2, 7) for p in range(1, n)]
+UP_TO_8 = [SignatureCtx(p, n - p) for n in range(2, 9) for p in range(1, n)]
 
 
 def elements(ctx):
@@ -50,21 +53,21 @@ class TestBrackets:
         ).is_zero()
 
     def test_p_bracket_identity(self):
+        # the closed form in the liealg docstring, with X_{ji} = -X_{ij}:
         # [X_{a mu}, X_{b nu}] = delta_{mu nu} X_{ab} - delta_{ab} X_{mu nu}
-        # in this realization (signs fixed by the matrix commutator)
-        c = SignatureCtx(3, 3)
-        for (a, mu), (b, nu) in itertools.combinations(c.p_pairs(), 2):
-            lhs = bracket(LieElement.basis(c, a, mu), LieElement.basis(c, b, nu))
-            rhs = LieElement(c, {})
-            if mu == nu and a != b:
-                rhs = rhs + LieElement.basis(c, min(a, b), max(a, b)) * (
-                    1 if a < b else -1
-                )
-            if a == b and mu != nu:
-                rhs = rhs + LieElement.basis(c, min(mu, nu), max(mu, nu)) * (
-                    -1 if mu < nu else 1
-                )
-            assert lhs == rhs
+        for c in SMALL:
+            for (a, mu), (b, nu) in itertools.product(c.p_pairs(), repeat=2):
+                lhs = bracket(LieElement.basis(c, a, mu), LieElement.basis(c, b, nu))
+                rhs = LieElement(c, {})
+                if mu == nu and a != b:
+                    rhs = rhs + LieElement.basis(c, min(a, b), max(a, b)) * (
+                        1 if a < b else -1
+                    )
+                if a == b and mu != nu:
+                    rhs = rhs + LieElement.basis(c, min(mu, nu), max(mu, nu)) * (
+                        -1 if mu < nu else 1
+                    )
+                assert lhs == rhs
 
     @pytest.mark.parametrize("ctx", CTXS, ids=str)
     @settings(max_examples=15, deadline=None)
@@ -204,3 +207,79 @@ class TestProjections:
         assert project_k(x) + project_p(x) == x
         assert project_k(x).in_k()
         assert project_p(project_p(x)) == project_p(x)
+
+
+def realization(ctx, i, j):
+    """The module docstring's matrix of X_ij, from matrix units."""
+    n, p = ctx.n, ctx.p
+    m = [[0] * n for _ in range(n)]
+    sign_ij, sign_ji = (1, 1) if i <= p < j else (1, -1) if j <= p else (-1, 1)
+    m[i - 1][j - 1] = sign_ij
+    m[j - 1][i - 1] = sign_ji
+    return m
+
+
+def dense_bracket(x, y):
+    a, b = x.matrix(), y.matrix()
+    n = len(a)
+    comm = [
+        [sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return LieElement.from_matrix(x.ctx, comm)
+
+
+def dense_schwartz_action(x, f):
+    """-sum_k (Xv)_k d_k f, with (Xv)_k built as a polynomial."""
+    n = x.ctx.n
+    m = x.matrix()
+    out = PolyGauss.zero(n)
+    for k in range(1, n + 1):
+        lin = Poly(n)
+        for l in range(1, n + 1):
+            lin = lin + Poly.var(n, l) * Scalar.rational(m[k - 1][l - 1])
+        out = out - f.derive(k) * PolyGauss.from_poly(lin)
+    return out
+
+
+class TestSparseLayer:
+    @pytest.mark.parametrize("ctx", SMALL, ids=str)
+    def test_matrix_is_the_realization(self, ctx):
+        for i, j in ctx.all_pairs():
+            assert LieElement.basis(ctx, i, j).matrix() == realization(ctx, i, j)
+
+    @pytest.mark.parametrize("ctx", SMALL, ids=str)
+    def test_basis_brackets_match_dense(self, ctx):
+        basis = [LieElement.basis(ctx, *pair) for pair in ctx.all_pairs()]
+        for x in basis:
+            for y in basis:
+                assert bracket(x, y) == dense_bracket(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_brackets_match_dense(self, data):
+        ctx = data.draw(st.sampled_from(UP_TO_8))
+        coeff = st.fractions(
+            min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7
+        )
+        draw = st.dictionaries(st.sampled_from(ctx.all_pairs()), coeff, max_size=12)
+        x = LieElement(ctx, data.draw(draw))
+        y = LieElement(ctx, data.draw(draw))
+        assert bracket(x, y) == dense_bracket(x, y)
+
+    def test_from_matrix_rejects_non_members(self):
+        ctx = SignatureCtx(2, 2)
+        for i, j, v in [(0, 2, 1), (0, 1, 1), (2, 3, 1), (1, 1, 1)]:
+            m = [[Fraction(0)] * 4 for _ in range(4)]
+            m[i][j] = Fraction(v)  # a lone entry is never in so(2,2)
+            with pytest.raises(ValueError, match="so\\(p,q\\)"):
+                LieElement.from_matrix(ctx, m)
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_schwartz_action_matches_dense(self, p, q, data):
+        ctx = SignatureCtx(p, q)
+        x = data.draw(elements(ctx))
+        for pg in km_form_at_e(ctx).terms.values():
+            assert schwartz_action(x, pg) == dense_schwartz_action(x, pg)

@@ -138,6 +138,36 @@ class TestThetaSum:
         with pytest.raises(ValueError):
             theta_partial_sum(diagonalize_gram(HYPERBOLIC), 1.0 + 0j, 1.0)
 
+    @pytest.mark.parametrize("tau,bound,name", [
+        (complex(0.5, math.nan), 4.0, "tau"),
+        (complex(math.inf, 1.0), 4.0, "tau"),
+        (0.5 + 1j, math.inf, "bound"),
+        (0.5 + 1j, math.nan, "bound"),
+    ])
+    def test_rejects_non_finite(self, tau, bound, name):
+        dl = diagonalize_gram(HYPERBOLIC)
+        with pytest.raises(ValueError, match=name):
+            theta_partial_sum(dl, tau, bound)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan, -1.0])
+    def test_enumerate_rejects_bad_bound(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            enumerate_vectors(diagonalize_gram(HYPERBOLIC), bound)
+
+    def test_tail_bounds_the_omitted_terms(self):
+        # hyp + hyp, signature (2,2): even q, so the sums do not vanish by
+        # v -> -v and the omitted terms are seen
+        spec = LatticeSpec("hyp+hyp", 2, 2, frac_gram(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        ))
+        dl = diagonalize_gram(spec)
+        tau = 0.3 + 0.6j
+        ref, _ = theta_partial_sum(dl, tau, 30.0)
+        assert max(abs(v) for v in ref.values()) > 1e-3
+        for bound in range(1, 9):
+            sums, tail = theta_partial_sum(dl, tau, float(bound))
+            assert tail >= max(abs(ref[k] - sums[k]) for k in ref)
+
     @pytest.mark.parametrize("spec", [HYPERBOLIC, SIG_21], ids=lambda s: s.label)
     def test_cauchy_in_the_bound(self, spec):
         dl = diagonalize_gram(spec)
