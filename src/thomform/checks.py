@@ -29,6 +29,7 @@ from .mq import (
     fiber_divide_t,
     fiber_integrate,
     fiber_omega,
+    fiber_scale_pullback,
     fiber_scale_pullback_symbolic,
     fiber_section,
     fiber_transgression,
@@ -132,10 +133,8 @@ def check_km_closed_form(p: int, q: int) -> CheckResult:
 
 def check_curvature(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
-    rhs = SuperForm.zero(ctx)
-    for alpha in range(1, p + 1):
-        e = eta(ctx, alpha)
-        rhs = rhs + e.wedge(e)
+    etas = [eta(ctx, alpha) for alpha in range(1, p + 1)]
+    rhs = SuperForm(ctx, (kv for e in etas for kv in e.wedge(e).terms.items()))
     rhs = rhs.scale(Scalar.rational(Fraction(-1, 2)))
     return _form_check("curvature", {"p": p, "q": q}, curvature_at_e(ctx), rhs)
 
@@ -164,33 +163,26 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
                 lhs = lhs.wedge(etas[a])
         lhs = lhs.berezin()
 
-        terms: dict = {}
         coeff = Fraction(sign)
         for n in counts:
             coeff *= math.factorial(n)
 
         def rec(mu_idx: int, gens: tuple, left: tuple):
+            # every tuple with the remaining occurrence counts ``left``
             if mu_idx == q:
-                if any(left):
-                    return
                 key, s = sort_with_sign(gens)
-                if s == 0:
-                    return
-                pg = PolyGauss.const(ctx.nvars, Scalar.rational(coeff * s))
-                prev = terms.get((key, ()))
-                terms[(key, ())] = pg if prev is None else prev + pg
+                yield (key, ()), PolyGauss.const(ctx.nvars, Scalar.rational(coeff * s))
                 return
             mu = p + 1 + mu_idx
             for a in range(p):
                 if left[a]:
-                    rec(
+                    yield from rec(
                         mu_idx + 1,
                         gens + ((a + 1, mu),),
                         left[: a] + (left[a] - 1,) + left[a + 1 :],
                     )
 
-        rec(0, (), counts)
-        rhs = SuperForm(ctx, terms)
+        rhs = SuperForm(ctx, rec(0, (), counts))
         if lhs != rhs:
             return CheckResult(
                 "berezin_combinatorial", params, "fail",
@@ -281,9 +273,11 @@ def check_transgression(q: int) -> CheckResult:
 def check_delta_limit(t: float = 100.0, tol: float = 1e-5) -> CheckResult:
     """For q=1, int (t*U) f -> f(0) as t -> infinity, tested at the given t.
 
-    The exact error at finite t is of order 1/(4 pi t^2) (about 8e-6 at
-    t=100 for the Gaussian test function), so the default tolerance is the
-    tight O(1/t^2) envelope 1e-5 at t=100.
+    t*U is the library's `fiber_scale_pullback(fiber_umq(1), t)`; its dx_1
+    coefficient is integrated against each test function through its own
+    `eval`. The exact error at finite t is of order 1/(4 pi t^2) (about
+    8e-6 at t=100 for the Gaussian test function), so the default
+    tolerance is the tight O(1/t^2) envelope 1e-5 at t=100.
     """
     from scipy.integrate import quad
 
@@ -293,13 +287,9 @@ def check_delta_limit(t: float = 100.0, tol: float = 1e-5) -> CheckResult:
         ("cos r", math.cos),
         ("exp(-r^2)", lambda r: math.exp(-r * r)),
     ]
-    root2 = math.sqrt(2.0)
+    density = fiber_scale_pullback(fiber_umq(1), Fraction(t)).terms[((1,), ())]
     for name, f in tests:
-        val, _err = quad(
-            lambda r: root2 * t * math.exp(-2 * math.pi * (t * r) ** 2) * f(r),
-            -math.inf,
-            math.inf,
-        )
+        val, _err = quad(lambda r: density.eval([r]) * f(r), -math.inf, math.inf)
         if abs(val - f(0.0)) > tol:
             return CheckResult(
                 "delta_limit", params, "fail",
@@ -372,13 +362,17 @@ def check_example11(points=None, tol: float = 1e-12) -> CheckResult:
 
 def _relabel(form: SuperForm, target: SignatureCtx, var_map: dict[int, int]) -> SuperForm:
     """Re-index a basepoint form into a larger signature context."""
-    out: dict = {}
-    for (i_set, j_set), pg in form.terms.items():
-        new_i = tuple(sorted((var_map[a], var_map[m]) for a, m in i_set))
-        new_j = tuple(sorted(var_map[j] for j in j_set))
-        # relabeling of p-pairs and z0 slots is order-preserving per block
-        out[(new_i, new_j)] = pg.map_vars(var_map, target.nvars)
-    return SuperForm(target, out)
+    # relabeling of p-pairs and z0 slots is order-preserving per block
+    return SuperForm(target, (
+        (
+            (
+                tuple(sorted((var_map[a], var_map[m]) for a, m in i_set)),
+                tuple(sorted(var_map[j] for j in j_set)),
+            ),
+            pg.map_vars(var_map, target.nvars),
+        )
+        for (i_set, j_set), pg in form.terms.items()
+    ))
 
 
 def block_var_maps(p1, q1, p2, q2):
@@ -429,7 +423,7 @@ class ParamSpec:
     """The parameters a check (or a command sized like one) takes, in order.
 
     With a ``cap`` the parameters are integers, each at least 1, that sum
-    to at most ``cap``; without one they are positive floats.
+    to at most ``cap``; without one they are positive finite floats.
     """
 
     names: tuple[str, ...]
@@ -439,7 +433,7 @@ class ParamSpec:
     def rule(self) -> str:
         names = ", ".join(self.names)
         if self.cap is None:
-            return f"{names} > 0"
+            return f"{names} finite and > 0"
         if len(self.names) == 1:
             return f"1 <= {names} <= {self.cap}"
         return f"{names} >= 1 and {' + '.join(self.names)} <= {self.cap}"
@@ -458,7 +452,7 @@ class ParamSpec:
             raise ValueError(f"{what}: missing parameter {', '.join(missing)}")
         number = float if self.cap is None else int
         values = {name: number(given[name]) for name in self.names}
-        if not all(v > 0 for v in values.values()) or (
+        if not all(0 < v < math.inf for v in values.values()) or (
             self.cap is not None and sum(values.values()) > self.cap
         ):
             shown = ", ".join(f"{k} = {v}" for k, v in values.items())

@@ -7,10 +7,11 @@ expansion directly. The two must agree coefficient-by-coefficient, exactly.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .liealg import SignatureCtx, schwartz_action, coadjoint_action, LieElement
-from .scalars import Poly, PolyGauss, Scalar, howe_shift
+from .scalars import Poly, PolyGauss, Scalar, _add_into, howe_shift
 from .superforms import SuperForm, sort_with_sign
 
 
@@ -34,11 +35,10 @@ def hermite_scaled(n: int, nvars: int, var: int) -> Poly:
     The monomial x^k in H_n picks up the factor (2 pi)^(k/2) = 2^(k/2) pi^(k/2).
     """
     h = hermite(n, nvars, var)
-    out = Poly(nvars)
-    for exps, c in h.terms.items():
-        k = exps[var - 1]
-        out = out + Poly(nvars, {exps: c * Scalar.term(Fraction(1), e2=k, epi=k)})
-    return out
+    return Poly(nvars, (
+        (exps, c * Scalar.term(Fraction(1), e2=exps[var - 1], epi=exps[var - 1]))
+        for exps, c in h.terms.items()
+    ))
 
 
 def gaussian_plus(ctx: SignatureCtx) -> PolyGauss:
@@ -55,24 +55,20 @@ def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
     order and wedge the new generator on the right, so the resulting index
     tuples read omega_{alpha_1, p+1} ^ ... ^ omega_{alpha_q, p+q}.
     """
-    acc: dict[tuple, PolyGauss] = {(): gaussian_plus(ctx)}
-    for mu in ctx.z0:
-        nxt: dict[tuple, PolyGauss] = {}
+
+    def step(acc: dict[tuple, PolyGauss], mu: int):
         for i_set, pg in acc.items():
             for alpha in range(1, ctx.p + 1):
-                gen = (alpha, mu)
-                new_i, sign = sort_with_sign(i_set + (gen,))
-                if sign == 0:
-                    continue
-                pg2 = howe_shift(pg, alpha)
-                if sign < 0:
-                    pg2 = -pg2
-                prev = nxt.get(new_i)
-                nxt[new_i] = pg2 if prev is None else prev + pg2
-        acc = nxt
+                new_i, sign = sort_with_sign(i_set + ((alpha, mu),))
+                if sign:
+                    pg2 = howe_shift(pg, alpha)
+                    yield new_i, pg2 if sign > 0 else -pg2
+
+    acc = {(): gaussian_plus(ctx)}
+    for mu in ctx.z0:
+        acc = _add_into({}, step(acc, mu))
     scale = Scalar.term(Fraction(1), e2=-2 * ctx.q)  # 2^{-q}
-    terms = {(i_set, ()): pg * scale for i_set, pg in acc.items()}
-    return SuperForm(ctx, terms)
+    return SuperForm(ctx, (((i_set, ()), pg * scale) for i_set, pg in acc.items()))
 
 
 def km_closed_form(ctx: SignatureCtx) -> SuperForm:
@@ -86,30 +82,17 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
     p, q = ctx.p, ctx.q
     pref = Scalar.term(Fraction(1), e2=-3 * q, epi=-q)  # 2^{-q} (2pi)^{-q/2}
     gauss = gaussian_plus(ctx)
-    terms: dict = {}
 
-    def rec(mu_idx: int, gens: tuple, counts: list[int]):
-        if mu_idx == q:
-            sorted_i, sign = sort_with_sign(gens)
-            if sign == 0:
-                return
-            poly = Poly.one(ctx.nvars)
-            for alpha in range(1, p + 1):
-                if counts[alpha - 1]:
-                    poly = poly * hermite_scaled(counts[alpha - 1], ctx.nvars, alpha)
-            pg = PolyGauss.from_poly(poly) * gauss * (pref * Scalar.rational(sign))
-            key = (sorted_i, ())
-            prev = terms.get(key)
-            terms[key] = pg if prev is None else prev + pg
-            return
-        mu = p + 1 + mu_idx
+    def term(alphas: tuple[int, ...]):
+        sorted_i, sign = sort_with_sign(tuple((a, p + 1 + k) for k, a in enumerate(alphas)))
+        poly = Poly.one(ctx.nvars)
         for alpha in range(1, p + 1):
-            counts[alpha - 1] += 1
-            rec(mu_idx + 1, gens + ((alpha, mu),), counts)
-            counts[alpha - 1] -= 1
+            if alpha in alphas:
+                poly = poly * hermite_scaled(alphas.count(alpha), ctx.nvars, alpha)
+        pg = PolyGauss.from_poly(poly) * gauss * (pref * Scalar.rational(sign))
+        return (sorted_i, ()), pg
 
-    rec(0, (), [0] * p)
-    return SuperForm(ctx, terms)
+    return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=q)))
 
 
 def exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
@@ -117,20 +100,17 @@ def exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
     d = sum over p-pairs of (omega_{alpha mu} ^ .) composed with the
     infinitesimal action of X_{alpha mu} on coefficients.
     """
-    acc: dict = {}
-    for (alpha, mu) in ctx.p_pairs():
-        x = LieElement.basis(ctx, alpha, mu)
-        for (i_set, j_set), pg in a.terms.items():
-            new_i, sign = sort_with_sign(((alpha, mu),) + i_set)
-            if sign == 0:
-                continue
-            pg2 = schwartz_action(x, pg)
-            if sign < 0:
-                pg2 = -pg2
-            key = (new_i, j_set)
-            prev = acc.get(key)
-            acc[key] = pg2 if prev is None else prev + pg2
-    return SuperForm(ctx, acc)
+
+    def terms():
+        for (alpha, mu) in ctx.p_pairs():
+            x = LieElement.basis(ctx, alpha, mu)
+            for (i_set, j_set), pg in a.terms.items():
+                new_i, sign = sort_with_sign(((alpha, mu),) + i_set)
+                if sign:
+                    pg2 = schwartz_action(x, pg)
+                    yield (new_i, j_set), pg2 if sign > 0 else -pg2
+
+    return SuperForm(ctx, terms())
 
 
 def lie_derivative(x: LieElement, a: SuperForm) -> SuperForm:
@@ -138,9 +118,7 @@ def lie_derivative(x: LieElement, a: SuperForm) -> SuperForm:
     action on the exterior slots plus the infinitesimal action on the
     coefficient functions. Invariance means this vanishes.
     """
-    acc = dict(coadjoint_action(x, a).terms)
-    for key, pg in a.terms.items():
-        pg2 = schwartz_action(x, pg)
-        prev = acc.get(key)
-        acc[key] = pg2 if prev is None else prev + pg2
-    return SuperForm(x.ctx, acc)
+    return SuperForm(x.ctx, itertools.chain(
+        coadjoint_action(x, a).terms.items(),
+        ((key, schwartz_action(x, pg)) for key, pg in a.terms.items()),
+    ))

@@ -16,11 +16,12 @@ entries per coordinate, so brackets and actions work on the sparse entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .scalars import Poly, PolyGauss, Scalar
+from .scalars import Poly, PolyGauss, Scalar, _add_into, _pairs
 from .superforms import SuperForm, sort_with_sign
 
 Pair = tuple[int, int]
@@ -65,20 +66,12 @@ class SignatureCtx:
 class LieElement:
     __slots__ = ("ctx", "coords")
 
-    def __init__(self, ctx: SignatureCtx, coords: Mapping[Pair, Fraction] | None = None):
+    def __init__(self, ctx: SignatureCtx, coords: Mapping[Pair, Fraction] | Iterable | None = None):
         self.ctx = ctx
-        clean: dict[Pair, Fraction] = {}
-        if coords:
-            for (i, j), c in coords.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if not (1 <= i < j <= ctx.n):
-                    raise ValueError(f"bad basis pair ({i},{j})")
-                clean[(i, j)] = clean.get((i, j), Fraction(0)) + c
-                if clean[(i, j)] == 0:
-                    del clean[(i, j)]
-        self.coords = clean
+        self.coords = _add_into({}, ((pair, Fraction(c)) for pair, c in _pairs(coords)))
+        for i, j in self.coords:
+            if not (1 <= i < j <= ctx.n):
+                raise ValueError(f"bad basis pair ({i},{j})")
 
     @staticmethod
     def basis(ctx: SignatureCtx, i: int, j: int) -> "LieElement":
@@ -86,24 +79,17 @@ class LieElement:
 
     def __add__(self, other: "LieElement") -> "LieElement":
         self._check(other)
-        out = dict(self.coords)
-        for k, c in other.coords.items():
-            acc = out.get(k, Fraction(0)) + c
-            if acc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return LieElement(self.ctx, out)
+        return LieElement(self.ctx, itertools.chain(self.coords.items(), other.coords.items()))
 
     def __neg__(self):
-        return LieElement(self.ctx, {k: -c for k, c in self.coords.items()})
+        return LieElement(self.ctx, ((k, -c) for k, c in self.coords.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, r) -> "LieElement":
         r = Fraction(r)
-        return LieElement(self.ctx, {k: c * r for k, c in self.coords.items()})
+        return LieElement(self.ctx, ((k, c * r) for k, c in self.coords.items()))
 
     __rmul__ = __mul__
 
@@ -143,21 +129,22 @@ class LieElement:
         """Coordinates of the matrix with these entries (absent ones are
         zero); raises ValueError unless the matrix is in so(p,q)."""
         p = ctx.p
-        coords: dict[Pair, Fraction] = {}
-        # a non-zero diagonal entry (i == j) fails the test below
-        for i, j in sorted({(min(r, c), max(r, c)) for r, c in entries}):
-            upper, lower = entries.get((i, j), 0), entries.get((j, i), 0)
-            if i <= p < j:
-                c, ok = upper, lower == upper
-            elif j <= p:
-                c, ok = upper, lower == -upper
-            else:
-                c, ok = lower, upper == -lower
-            if not ok:
-                raise ValueError("matrix is not in so(p,q)")
-            if c:
-                coords[(i, j)] = c
-        return LieElement(ctx, coords)
+
+        def coords():
+            # a non-zero diagonal entry (i == j) fails the test below
+            for i, j in sorted({(min(r, c), max(r, c)) for r, c in entries}):
+                upper, lower = entries.get((i, j), 0), entries.get((j, i), 0)
+                if i <= p < j:
+                    c, ok = upper, lower == upper
+                elif j <= p:
+                    c, ok = upper, lower == -upper
+                else:
+                    c, ok = lower, upper == -lower
+                if not ok:
+                    raise ValueError("matrix is not in so(p,q)")
+                yield (i, j), c
+
+        return LieElement(ctx, coords())
 
     def matrix(self) -> list[list[Fraction]]:
         n = self.ctx.n
@@ -169,10 +156,7 @@ class LieElement:
     @staticmethod
     def from_matrix(ctx: SignatureCtx, m: list[list[Fraction]]) -> "LieElement":
         entries = {
-            (r, c): v
-            for r, row in enumerate(m, start=1)
-            for c, v in enumerate(row, start=1)
-            if v
+            (r, c): v for r, row in enumerate(m, start=1) for c, v in enumerate(row, start=1)
         }
         return LieElement._from_entries(ctx, entries)
 
@@ -192,15 +176,17 @@ class LieElement:
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     """The commutator XY - YX, formed from the sparse matrix entries."""
     x._check(y)
-    comm: dict[Pair, Fraction] = {}
     ys = y._entries().items()
-    for (i, k), u in x._entries().items():
-        for (l, j), v in ys:
-            if k == l:  # (XY)_ij += X_ik Y_kj
-                comm[(i, j)] = comm.get((i, j), 0) + u * v
-            if j == i:  # (YX)_lk += Y_li X_ik
-                comm[(l, k)] = comm.get((l, k), 0) - v * u
-    return LieElement._from_entries(x.ctx, comm)
+
+    def products():
+        for (i, k), u in x._entries().items():
+            for (l, j), v in ys:
+                if k == l:  # (XY)_ij += X_ik Y_kj
+                    yield (i, j), u * v
+                if j == i:  # (YX)_lk -= Y_li X_ik
+                    yield (l, k), -v * u
+
+    return LieElement._from_entries(x.ctx, _add_into({}, products()))
 
 
 def project_k(x: LieElement) -> LieElement:
@@ -239,20 +225,18 @@ def so_z0_to_wedge(ctx: SignatureCtx, x: LieElement) -> dict[tuple[int, int], Fr
 def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
     """rho(R_e) in Lambda^2 p* (x) Lambda^2 z0, from brackets and projection."""
     pairs = ctx.p_pairs()
-    terms: dict = {}
-    one = PolyGauss.one(ctx.nvars)
-    for ia, pa in enumerate(pairs):
-        for pb in pairs[ia + 1 :]:
-            k_part = project_k(
-                bracket(LieElement.basis(ctx, *pa), LieElement.basis(ctx, *pb))
-            )
-            coeffs = so_z0_to_wedge(ctx, -k_part)
-            for (nu, mu), c in coeffs.items():
-                key = ((min(pa, pb), max(pa, pb)), (nu, mu))
-                pg = PolyGauss.from_poly(Poly.const(ctx.nvars, Scalar.rational(c)))
-                prev = terms.get(key)
-                terms[key] = pg if prev is None else prev + pg
-    return SuperForm(ctx, terms)
+
+    def terms():
+        for ia, pa in enumerate(pairs):
+            for pb in pairs[ia + 1 :]:
+                k_part = project_k(
+                    bracket(LieElement.basis(ctx, *pa), LieElement.basis(ctx, *pb))
+                )
+                for (nu, mu), c in so_z0_to_wedge(ctx, -k_part).items():
+                    pg = PolyGauss.from_poly(Poly.const(ctx.nvars, Scalar.rational(c)))
+                    yield ((min(pa, pb), max(pa, pb)), (nu, mu)), pg
+
+    return SuperForm(ctx, terms())
 
 
 def schwartz_action(x: LieElement, f: PolyGauss) -> PolyGauss:
@@ -270,13 +254,12 @@ def schwartz_action(x: LieElement, f: PolyGauss) -> PolyGauss:
     acc: dict[tuple, dict[tuple, Scalar]] = {}
     for k, row in rows.items():
         for g, poly in f.derive(k).parts.items():
-            terms = acc.setdefault(g, {})
-            for mono, s in poly.terms.items():
-                for l, c in row:
-                    m2 = mono[:l] + (mono[l] + 1,) + mono[l + 1 :]
-                    prev = terms.get(m2)
-                    terms[m2] = s * c if prev is None else prev + s * c
-    return PolyGauss(ctx.n, {g: Poly(ctx.n, terms) for g, terms in acc.items()})
+            _add_into(acc.setdefault(g, {}), (
+                (mono[:l] + (mono[l] + 1,) + mono[l + 1 :], s * c)
+                for mono, s in poly.terms.items()
+                for l, c in row
+            ))
+    return PolyGauss(ctx.n, ((g, Poly(ctx.n, terms)) for g, terms in acc.items()))
 
 
 def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
@@ -299,26 +282,20 @@ def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
     for (j2, j), c in x._entries().items():
         if min(j2, j) > ctx.p:
             rho.setdefault(j, []).append((j2, c))
-    acc: dict = {}
-    for (i_set, j_set), pg in a.terms.items():
-        # act on each p* slot
-        for pos, gen in enumerate(i_set):
-            for gen2, c in dual.get(gen, {}).items():
-                sorted_i, sign = sort_with_sign(i_set[:pos] + (gen2,) + i_set[pos + 1 :])
-                if sign == 0:
-                    continue
-                key = (sorted_i, j_set)
-                pg2 = pg * Fraction(sign * c)
-                prev = acc.get(key)
-                acc[key] = pg2 if prev is None else prev + pg2
-        # act on each z0 slot
-        for pos, j in enumerate(j_set):
-            for j2, c in rho.get(j, ()):
-                sorted_j, sign = sort_with_sign(j_set[:pos] + (j2,) + j_set[pos + 1 :])
-                if sign == 0:
-                    continue
-                key = (i_set, sorted_j)
-                pg2 = pg * Fraction(sign * c)
-                prev = acc.get(key)
-                acc[key] = pg2 if prev is None else prev + pg2
-    return SuperForm(ctx, acc)
+
+    def terms():
+        for (i_set, j_set), pg in a.terms.items():
+            # act on each p* slot
+            for pos, gen in enumerate(i_set):
+                for gen2, c in dual.get(gen, {}).items():
+                    sorted_i, sign = sort_with_sign(i_set[:pos] + (gen2,) + i_set[pos + 1 :])
+                    if sign:
+                        yield (sorted_i, j_set), pg * Fraction(sign * c)
+            # act on each z0 slot
+            for pos, j in enumerate(j_set):
+                for j2, c in rho.get(j, ()):
+                    sorted_j, sign = sort_with_sign(j_set[:pos] + (j2,) + j_set[pos + 1 :])
+                    if sign:
+                        yield (i_set, sorted_j), pg * Fraction(sign * c)
+
+    return SuperForm(ctx, terms())

@@ -8,16 +8,11 @@ extra polynomial variable whose square also scales the Gaussian exponents.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .liealg import SignatureCtx, curvature_at_e
-from .scalars import (
-    Poly,
-    PolyGauss,
-    Scalar,
-    gauss_exp,
-    gauss_moment,
-)
+from .scalars import Poly, PolyGauss, Scalar, gauss_exp, gauss_moment
 from .superforms import FiberCtx, SuperForm
 
 
@@ -57,6 +52,11 @@ def mq_phi_at_e(ctx: SignatureCtx) -> SuperForm:
 # -- fiber-level forms -------------------------------------------------
 
 
+def _unit(n: int, exps: dict[int, int]) -> tuple[int, ...]:
+    """The exponent tuple of prod x_i^exps[i] (1-based) in n variables."""
+    return tuple(exps.get(i, 0) for i in range(1, n + 1))
+
+
 def fiber_section(ctx: FiberCtx) -> SuperForm:
     """The tautological section s = sum_i x_i (x) e_i, bidegree (0,1)."""
     terms = {
@@ -76,10 +76,8 @@ def fiber_omega(ctx: FiberCtx) -> SuperForm:
     """2 pi |s|^2 + 2 sqrt(pi) ds, the exponent kernel on a fiber (curvature
     vanishes there)."""
     n = ctx.nvars
-    quad = Poly(n)
-    for i in ctx.z0:
-        xi = Poly.var(n, i)
-        quad = quad + xi * xi * Scalar.term(Fraction(2), epi=2)
+    two_pi = Scalar.term(Fraction(2), epi=2)
+    quad = Poly(n, ((_unit(n, {i: 2}), two_pi) for i in ctx.z0))
     out = SuperForm(ctx, {((), ()): PolyGauss.from_poly(quad)})
     return out + fiber_ds(ctx).scale(Scalar.term(Fraction(2), epi=1))
 
@@ -99,16 +97,14 @@ def fiber_euler_contract(a: SuperForm) -> SuperForm:
     dx_i in turn, multiplying by x_i, with the alternating slot sign.
     """
     ctx = a.ctx
-    acc: dict = {}
-    for (i_set, j_set), pg in a.terms.items():
-        for pos, i in enumerate(i_set):
-            key = (i_set[:pos] + i_set[pos + 1 :], j_set)
-            pg2 = pg * PolyGauss.from_poly(Poly.var(ctx.nvars, i))
-            if pos % 2:
-                pg2 = -pg2
-            prev = acc.get(key)
-            acc[key] = pg2 if prev is None else prev + pg2
-    return SuperForm(ctx, acc)
+
+    def terms():
+        for (i_set, j_set), pg in a.terms.items():
+            for pos, i in enumerate(i_set):
+                pg2 = pg * PolyGauss.from_poly(Poly.var(ctx.nvars, i))
+                yield (i_set[:pos] + i_set[pos + 1 :], j_set), -pg2 if pos % 2 else pg2
+
+    return SuperForm(ctx, terms())
 
 
 def fiber_transgression(q: int) -> SuperForm:
@@ -120,34 +116,23 @@ def _derive_x(ctx: FiberCtx, pg: PolyGauss, i: int) -> PolyGauss:
     """d/dx_i, aware that with t the Gaussian entry c means c t^2 x_i^2."""
     if not ctx.with_t:
         return pg.derive(i)
-    n = ctx.nvars
-    t = ctx.nvars  # the t variable index
-    out = PolyGauss.zero(n)
-    for g, poly in pg.parts.items():
-        dp = poly.derive(i)
-        if not dp.is_zero():
-            out = out + PolyGauss(n, {g: dp})
-        c = g[i - 1]
-        if c:
-            extra = (
-                Poly.var(n, i)
-                * Poly.var(n, t)
-                * Poly.var(n, t)
-                * Scalar.term(-2 * c, epi=2)
-            )
-            out = out + PolyGauss(n, {g: poly * extra})
-    return out
+    n = t = ctx.nvars  # t is the last variable
+    x_t2 = Poly(n, {_unit(n, {i: 1, t: 2}): Scalar.one()})
+    return PolyGauss(n, (
+        (g, poly.derive(i) + poly * (x_t2 * Scalar.term(-2 * g[i - 1], epi=2)))
+        for g, poly in pg.parts.items()
+    ))
 
 
 def fiber_d(a: SuperForm) -> SuperForm:
     """Exterior derivative d = sum_i dx_i ^ d/dx_i on a fiber."""
     ctx = a.ctx
-    out = SuperForm.zero(ctx)
-    for i in ctx.z0:
-        gen = SuperForm.generator(ctx, i)
+
+    def terms(i: int):
         da = a.map_coeffs(lambda pg: _derive_x(ctx, pg, i))
-        out = out + gen.wedge(da)
-    return out
+        return SuperForm.generator(ctx, i).wedge(da).terms.items()
+
+    return SuperForm(ctx, itertools.chain.from_iterable(map(terms, ctx.z0)))
 
 
 def fiber_ddt(a: SuperForm) -> SuperForm:
@@ -156,27 +141,18 @@ def fiber_ddt(a: SuperForm) -> SuperForm:
     ctx = a.ctx
     if not ctx.with_t:
         raise ValueError("ddt requires a t-carrying context")
-    n = ctx.nvars
-    t = n
+    n = t = ctx.nvars
 
-    def deriv(pg: PolyGauss) -> PolyGauss:
-        out = PolyGauss.zero(n)
-        for g, poly in pg.parts.items():
-            dp = poly.derive(t)
-            if not dp.is_zero():
-                out = out + PolyGauss(n, {g: dp})
-            chain = Poly(n)
-            for i in ctx.z0:
-                c = g[i - 1]
-                if c:
-                    xi = Poly.var(n, i)
-                    chain = chain + xi * xi * Scalar.term(-2 * c, epi=2)
-            if not chain.is_zero():
-                chain = chain * Poly.var(n, t)
-                out = out + PolyGauss(n, {g: poly * chain})
-        return out
+    def part(g: tuple, poly: Poly) -> Poly:
+        # the t-derivative of the Gaussian exponent: sum_i -2 pi c_i x_i^2 t
+        chain = Poly(n, (
+            (_unit(n, {i: 2, t: 1}), Scalar.term(-2 * g[i - 1], epi=2)) for i in ctx.z0
+        ))
+        return poly.derive(t) + poly * chain
 
-    return a.map_coeffs(deriv)
+    return a.map_coeffs(
+        lambda pg: PolyGauss(n, ((g, part(g, poly)) for g, poly in pg.parts.items()))
+    )
 
 
 def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
@@ -188,20 +164,21 @@ def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
     if ctx.with_t:
         raise ValueError("rational pullback applies to t-free forms")
     n = ctx.nvars
-    t2 = t * t
-    out: dict = {}
-    for (i_set, j_set), pg in a.terms.items():
-        parts: dict = {}
-        for g, poly in pg.parts.items():
-            g2 = gauss_exp([c * t2 for c in g])
-            poly2 = Poly(n)
-            for mono, coeff in poly.terms.items():
-                poly2 = poly2 + Poly(n, {mono: coeff * Scalar.rational(t ** sum(mono))})
-            prev = parts.get(g2)
-            parts[g2] = poly2 if prev is None else prev + poly2
-        pg2 = PolyGauss(n, parts) * Scalar.rational(t ** len(i_set))
-        out[(i_set, j_set)] = pg2
-    return SuperForm(ctx, out)
+
+    def pull(pg: PolyGauss, slots: int) -> PolyGauss:
+        # each monomial gains t^(degree), each dx-slot one more t
+        return PolyGauss(n, (
+            (
+                gauss_exp([c * t * t for c in g]),
+                Poly(n, (
+                    (mono, c * Scalar.rational(t ** (sum(mono) + slots)))
+                    for mono, c in poly.terms.items()
+                )),
+            )
+            for g, poly in pg.parts.items()
+        ))
+
+    return SuperForm(ctx, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
 
 
 def fiber_scale_pullback_symbolic(a: SuperForm) -> SuperForm:
@@ -216,19 +193,17 @@ def fiber_scale_pullback_symbolic(a: SuperForm) -> SuperForm:
         raise ValueError("form already carries t")
     ctx_t = FiberCtx(ctx.q, with_t=True)
     n = ctx_t.nvars
-    out: dict = {}
-    for (i_set, j_set), pg in a.terms.items():
-        parts: dict = {}
-        for g, poly in pg.parts.items():
-            g2 = gauss_exp(list(g) + [0])
-            poly2 = Poly(n)
-            for mono, coeff in poly.terms.items():
-                t_pow = sum(mono) + len(i_set)
-                poly2 = poly2 + Poly(n, {mono + (t_pow,): coeff})
-            prev = parts.get(g2)
-            parts[g2] = poly2 if prev is None else prev + poly2
-        out[(i_set, j_set)] = PolyGauss(n, parts)
-    return SuperForm(ctx_t, out)
+
+    def pull(pg: PolyGauss, slots: int) -> PolyGauss:
+        return PolyGauss(n, (
+            (
+                gauss_exp(list(g) + [0]),
+                Poly(n, ((mono + (sum(mono) + slots,), c) for mono, c in poly.terms.items())),
+            )
+            for g, poly in pg.parts.items()
+        ))
+
+    return SuperForm(ctx_t, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
 
 
 def fiber_divide_t(a: SuperForm) -> SuperForm:
@@ -263,14 +238,16 @@ def fiber_integrate(a: SuperForm) -> Scalar:
         raise ValueError("integration applies to t-free forms")
     q = ctx.q
     top = tuple(ctx.z0)
-    total = Scalar.zero()
-    for (i_set, j_set), pg in a.terms.items():
-        if i_set != top or j_set:
-            continue
-        for g, poly in pg.parts.items():
-            for mono, coeff in poly.terms.items():
-                val = coeff
-                for i in range(q):
-                    val = val * gauss_moment(mono[i], g[i])
-                total = total + val
-    return total
+
+    def values():
+        for (i_set, j_set), pg in a.terms.items():
+            if i_set != top or j_set:
+                continue
+            for g, poly in pg.parts.items():
+                for mono, coeff in poly.terms.items():
+                    val = coeff
+                    for i in range(q):
+                        val = val * gauss_moment(mono[i], g[i])
+                    yield from val.terms.items()
+
+    return Scalar(values())

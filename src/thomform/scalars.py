@@ -2,21 +2,49 @@
 
 Everything here is immutable value data with exact Fraction arithmetic, so
 equality of two objects means equality of the functions they represent.
+
+That holds because every sparse sum is canonical: equal keys are merged and
+zero coefficients dropped. One function, `_add_into`, applies that rule for
+the whole package; `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and
+`LieElement` build their terms through it, from a mapping or from any
+iterable of (key, value) pairs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 SQRT2 = math.sqrt(2.0)
 SQRTPI = math.sqrt(math.pi)
 
 
-def _fold_sqrt2(r: Fraction, e2: int) -> tuple[Fraction, int]:
+def _add_into(out: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, value) of ``items`` into ``out``, dropping a key whose
+    sum is zero; returns ``out``. Values are falsy exactly when zero."""
+    for key, value in items:
+        old = out.get(key)
+        if old is not None:
+            value = old + value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _pairs(terms) -> Iterable[tuple]:
+    """The (key, value) pairs of a mapping, an iterable of pairs, or None."""
+    if terms is None:
+        return ()
+    return terms.items() if hasattr(terms, "items") else terms
+
+
+def _fold_sqrt2(e2: int, epi: int, r: Fraction) -> tuple[tuple[int, int], Fraction]:
     # sqrt2^e2 = 2^(e2//2) * sqrt2^(e2%2), also for negative e2
-    return r * Fraction(2) ** (e2 // 2), e2 % 2
+    return (e2 % 2, epi), r * Fraction(2) ** (e2 // 2)
 
 
 class Scalar:
@@ -28,21 +56,16 @@ class Scalar:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (e2, epi), r in terms.items():
-                r = Fraction(r)
-                if r == 0:
-                    continue
-                r, e2 = _fold_sqrt2(r, e2)
-                key = (e2, epi)
-                acc = clean.get(key, Fraction(0)) + r
-                if acc == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
-        self.terms = clean
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction] | Iterable | None = None):
+        self.terms = _add_into(
+            {}, (_fold_sqrt2(e2, epi, Fraction(r)) for (e2, epi), r in _pairs(terms))
+        )
+
+    @staticmethod
+    def _of(terms: dict) -> "Scalar":
+        s = Scalar.__new__(Scalar)
+        s.terms = terms
+        return s
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -75,21 +98,10 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        out = dict(self.terms)
-        for k, r in other.terms.items():
-            acc = out.get(k, Fraction(0)) + r
-            if acc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        s = Scalar.__new__(Scalar)
-        s.terms = out
-        return s
+        return Scalar._of(_add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s.terms = {k: -r for k, r in self.terms.items()}
-        return s
+        return Scalar._of({k: -r for k, r in self.terms.items()})
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -97,19 +109,11 @@ class Scalar:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Scalar.rational(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a2, api), ra in self.terms.items():
-            for (b2, bpi), rb in other.terms.items():
-                r, e2 = _fold_sqrt2(ra * rb, a2 + b2)
-                key = (e2, api + bpi)
-                acc = out.get(key, Fraction(0)) + r
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        s = Scalar.__new__(Scalar)
-        s.terms = out
-        return s
+        return Scalar._of(_add_into({}, (
+            _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
+            for (a2, api), ra in self.terms.items()
+            for (b2, bpi), rb in other.terms.items()
+        )))
 
     __rmul__ = __mul__
 
@@ -161,6 +165,12 @@ class Scalar:
 
 ONE = Scalar.one()
 
+
+def _check_index(i: int, n: int) -> None:
+    if not 1 <= i <= n:
+        raise ValueError(f"index {i} out of range for dimension {n}")
+
+
 Monomial = tuple[int, ...]
 
 
@@ -169,21 +179,18 @@ class Poly:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
+    def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | Iterable | None = None):
         self.n = n
-        clean: dict[Monomial, Scalar] = {}
-        if terms:
-            for m, c in terms.items():
-                if len(m) != n:
-                    raise ValueError("monomial length mismatch")
-                if not c.is_zero():
-                    prev = clean.get(m)
-                    c = prev + c if prev is not None else c
-                    if c.is_zero():
-                        clean.pop(m, None)
-                    else:
-                        clean[m] = c
-        self.terms = clean
+        items = list(_pairs(terms))
+        if any(len(m) != n for m, _ in items):
+            raise ValueError("monomial length mismatch")
+        self.terms = _add_into({}, items)
+
+    @staticmethod
+    def _of(n: int, terms: dict) -> "Poly":
+        p = Poly.__new__(Poly)
+        p.n, p.terms = n, terms
+        return p
 
     @staticmethod
     def const(n: int, c: Scalar) -> "Poly":
@@ -196,6 +203,7 @@ class Poly:
     @staticmethod
     def var(n: int, i: int, power: int = 1) -> "Poly":
         # i is 1-based
+        _check_index(i, n)
         m = [0] * n
         m[i - 1] = power
         return Poly(n, {tuple(m): ONE})
@@ -206,23 +214,10 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
-        return p
+        return Poly._of(self.n, _add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.n = self.n
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Poly._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -230,62 +225,35 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c = other if isinstance(other, Scalar) else Scalar.rational(other)
-            p = Poly.__new__(Poly)
-            p.n = self.n
-            p.terms = {
-                m: v for m, v in ((m, a * c) for m, a in self.terms.items()) if not v.is_zero()
-            }
-            return p
+            return Poly._of(self.n, _add_into({}, ((m, a * c) for m, a in self.terms.items())))
         self._check(other)
-        out: dict[Monomial, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                c = ca * cb
-                acc = out.get(m)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
-        return p
+        return Poly._of(self.n, _add_into({}, (
+            (tuple(map(add, ma, mb)), ca * cb)
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items()
+        )))
 
     __rmul__ = __mul__
 
     def derive(self, i: int) -> "Poly":
         # d/dx_i, 1-based
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            e = m[i - 1]
-            if e == 0:
-                continue
-            m2 = m[: i - 1] + (e - 1,) + m[i:]
-            acc = out.get(m2)
-            c2 = c * e
-            acc = c2 if acc is None else acc + c2
-            if acc.is_zero():
-                out.pop(m2, None)
-            else:
-                out[m2] = acc
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
-        return p
+        _check_index(i, self.n)
+        k = i - 1
+        return Poly._of(self.n, _add_into({}, (
+            (m[:k] + (m[k] - 1,) + m[i:], c * m[k]) for m, c in self.terms.items() if m[k]
+        )))
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "Poly":
         """Relabel variables: old 1-based index -> new 1-based index."""
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
+
+        def relabel(m: Monomial) -> Monomial:
             m2 = [0] * new_n
             for i, e in enumerate(m, start=1):
                 if e:
                     m2[mapping[i] - 1] = e
-            key = tuple(m2)
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            out[key] = acc
-        return Poly(new_n, out)
+            return tuple(m2)
+
+        return Poly(new_n, ((relabel(m), c) for m, c in self.terms.items()))
 
     def eval(self, v: Iterable[float]) -> float:
         vv = list(v)
@@ -300,6 +268,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
@@ -344,22 +315,18 @@ class PolyGauss:
 
     __slots__ = ("n", "parts")
 
-    def __init__(self, n: int, parts: Mapping[GaussExp, Poly] | None = None):
+    def __init__(self, n: int, parts: Mapping[GaussExp, Poly] | Iterable | None = None):
         self.n = n
-        clean: dict[GaussExp, Poly] = {}
-        if parts:
-            for g, p in parts.items():
-                if len(g) != n or p.n != n:
-                    raise ValueError("dimension mismatch")
-                if p.is_zero():
-                    continue
-                prev = clean.get(g)
-                p2 = prev + p if prev is not None else p
-                if p2.is_zero():
-                    clean.pop(g, None)
-                else:
-                    clean[g] = p2
-        self.parts = clean
+        items = list(_pairs(parts))
+        if any(len(g) != n or p.n != n for g, p in items):
+            raise ValueError("dimension mismatch")
+        self.parts = _add_into({}, items)
+
+    @staticmethod
+    def _of(n: int, parts: dict) -> "PolyGauss":
+        pg = PolyGauss.__new__(PolyGauss)
+        pg.n, pg.parts = n, parts
+        return pg
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -391,74 +358,48 @@ class PolyGauss:
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
         self._check(other)
-        out = dict(self.parts)
-        for g, p in other.parts.items():
-            prev = out.get(g)
-            p2 = p if prev is None else prev + p
-            if p2.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = p2
-        pg = PolyGauss.__new__(PolyGauss)
-        pg.n, pg.parts = self.n, out
-        return pg
+        return PolyGauss._of(self.n, _add_into(dict(self.parts), other.parts.items()))
 
     def __neg__(self):
-        pg = PolyGauss.__new__(PolyGauss)
-        pg.n = self.n
-        pg.parts = {g: -p for g, p in self.parts.items()}
-        return pg
+        return PolyGauss._of(self.n, {g: -p for g, p in self.parts.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            out = {g: p * other for g, p in self.parts.items()}
-            return PolyGauss(self.n, out)
+            return PolyGauss._of(
+                self.n, _add_into({}, ((g, p * other) for g, p in self.parts.items()))
+            )
         self._check(other)
-        out: dict[GaussExp, Poly] = {}
-        for ga, pa in self.parts.items():
-            for gb, pb in other.parts.items():
-                g = tuple(a + b for a, b in zip(ga, gb))
-                p = pa * pb
-                prev = out.get(g)
-                p = p if prev is None else prev + p
-                if p.is_zero():
-                    out.pop(g, None)
-                else:
-                    out[g] = p
-        pg = PolyGauss.__new__(PolyGauss)
-        pg.n, pg.parts = self.n, out
-        return pg
+        return PolyGauss._of(self.n, _add_into({}, (
+            (tuple(map(add, ga, gb)), pa * pb)
+            for ga, pa in self.parts.items()
+            for gb, pb in other.parts.items()
+        )))
 
     __rmul__ = __mul__
 
     def derive(self, i: int) -> "PolyGauss":
         """Exact d/dx_i; the Gaussian contributes -2*pi*c_i*x_i times itself."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"index {i} out of range for dimension {self.n}")
-        out = PolyGauss.zero(self.n)
-        for g, p in self.parts.items():
-            acc = p.derive(i)
-            c = g[i - 1]
-            if c:
-                acc = acc + p * Poly.var(self.n, i) * Scalar.term(-2 * c, epi=2)
-            out = out + PolyGauss(self.n, {g: acc} if not acc.is_zero() else {})
-        return out
+        _check_index(i, self.n)
+        x = Poly.var(self.n, i)
+        return PolyGauss._of(self.n, _add_into({}, (
+            (g, p.derive(i) + p * (x * Scalar.term(-2 * g[i - 1], epi=2)))
+            for g, p in self.parts.items()
+        )))
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
-        out: dict[GaussExp, Poly] = {}
-        for g, p in self.parts.items():
+        def relabel(g: GaussExp) -> GaussExp:
             g2 = [Fraction(0)] * new_n
             for i, c in enumerate(g, start=1):
                 if c:
                     g2[mapping[i] - 1] = c
-            key = tuple(g2)
-            p2 = p.map_vars(mapping, new_n)
-            prev = out.get(key)
-            out[key] = p2 if prev is None else prev + p2
-        return PolyGauss(new_n, out)
+            return tuple(g2)
+
+        return PolyGauss(
+            new_n, ((relabel(g), p.map_vars(mapping, new_n)) for g, p in self.parts.items())
+        )
 
     def eval(self, v: Iterable[float]) -> float:
         vv = list(v)
@@ -472,6 +413,9 @@ class PolyGauss:
 
     def is_zero(self) -> bool:
         return not self.parts
+
+    def __bool__(self):
+        return bool(self.parts)
 
     def __eq__(self, other):
         return (
@@ -510,8 +454,7 @@ class PolyGauss:
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:
     """Apply x_i - (1/(2 pi)) d/dx_i."""
-    if not 1 <= i <= a.n:
-        raise ValueError(f"index {i} out of range for dimension {a.n}")
+    _check_index(i, a.n)
     shift = a * PolyGauss.from_poly(Poly.var(a.n, i))
     return shift - a.derive(i) * Scalar.term(Fraction(1, 2), epi=-2)
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .scalars import Poly, PolyGauss, Scalar, gauss_exp
+from .scalars import PolyGauss, Scalar, _add_into, _pairs
 
 Key = tuple[tuple, tuple]
 
@@ -70,23 +70,19 @@ class FiberCtx:
 class SuperForm:
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx, terms: Mapping[Key, PolyGauss] | None = None):
+    def __init__(self, ctx, terms: Mapping[Key, PolyGauss] | Iterable | None = None):
         self.ctx = ctx
-        clean: dict[Key, PolyGauss] = {}
-        if terms:
-            for (i_set, j_set), pg in terms.items():
-                if pg.is_zero():
-                    continue
-                if pg.n != ctx.nvars:
-                    raise ValueError("coefficient dimension mismatch")
-                key = (tuple(i_set), tuple(j_set))
-                prev = clean.get(key)
-                pg2 = pg if prev is None else prev + pg
-                if pg2.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = pg2
-        self.terms = clean
+        self.terms = _add_into(
+            {}, (((tuple(i_set), tuple(j_set)), pg) for (i_set, j_set), pg in _pairs(terms))
+        )
+        if any(pg.n != ctx.nvars for pg in self.terms.values()):
+            raise ValueError("coefficient dimension mismatch")
+
+    @staticmethod
+    def _of(ctx, terms: dict) -> "SuperForm":
+        f = SuperForm.__new__(SuperForm)
+        f.ctx, f.terms = ctx, terms
+        return f
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -120,23 +116,10 @@ class SuperForm:
 
     def __add__(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-        out = dict(self.terms)
-        for k, pg in other.terms.items():
-            prev = out.get(k)
-            pg2 = pg if prev is None else prev + pg
-            if pg2.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = pg2
-        f = SuperForm.__new__(SuperForm)
-        f.ctx, f.terms = self.ctx, out
-        return f
+        return SuperForm._of(self.ctx, _add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        f = SuperForm.__new__(SuperForm)
-        f.ctx = self.ctx
-        f.terms = {k: -pg for k, pg in self.terms.items()}
-        return f
+        return SuperForm._of(self.ctx, {k: -pg for k, pg in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -144,11 +127,10 @@ class SuperForm:
     def scale(self, c) -> "SuperForm":
         if isinstance(c, (int, Fraction)):
             c = Scalar.rational(c)
-        out = {k: pg * c for k, pg in self.terms.items()}
-        return SuperForm(self.ctx, out)
+        return SuperForm(self.ctx, ((k, pg * c) for k, pg in self.terms.items()))
 
     def map_coeffs(self, fn) -> "SuperForm":
-        return SuperForm(self.ctx, {k: fn(pg) for k, pg in self.terms.items()})
+        return SuperForm(self.ctx, ((k, fn(pg)) for k, pg in self.terms.items()))
 
     def __eq__(self, other):
         return (
@@ -171,29 +153,22 @@ class SuperForm:
     # -- products --------------------------------------------------------
     def wedge(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-        out: dict[Key, PolyGauss] = {}
-        for (ia, ja), pga in self.terms.items():
-            for (ib, jb), pgb in other.terms.items():
-                i_set, si = merge_sorted(ia, ib)
-                if si == 0:
-                    continue
-                j_set, sj = merge_sorted(ja, jb)
-                if sj == 0:
-                    continue
-                sign = si * sj * (-1 if (len(ja) * len(ib)) % 2 else 1)
-                pg = pga * pgb
-                if sign < 0:
-                    pg = -pg
-                key = (i_set, j_set)
-                prev = out.get(key)
-                pg = pg if prev is None else prev + pg
-                if pg.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = pg
-        f = SuperForm.__new__(SuperForm)
-        f.ctx, f.terms = self.ctx, out
-        return f
+
+        def products():
+            for (ia, ja), pga in self.terms.items():
+                for (ib, jb), pgb in other.terms.items():
+                    i_set, si = merge_sorted(ia, ib)
+                    if si == 0:
+                        continue
+                    j_set, sj = merge_sorted(ja, jb)
+                    if sj == 0:
+                        continue
+                    pg = pga * pgb
+                    if si * sj * (-1 if (len(ja) * len(ib)) % 2 else 1) < 0:
+                        pg = -pg
+                    yield (i_set, j_set), pg
+
+        return SuperForm._of(self.ctx, _add_into({}, products()))
 
     def berezin(self) -> "SuperForm":
         """Project onto the top z0 component e_{min}^...^e_{max}, stripping it."""
@@ -209,27 +184,17 @@ class SuperForm:
             if i_set or len(j_set) != 1:
                 raise ValueError("contraction argument must have bidegree (0,1)")
             coeffs[j_set[0]] = pg
-        acc: dict[Key, PolyGauss] = {}
-        for (i_set, j_set), pg in self.terms.items():
-            deg_i = len(i_set)
-            for pos, j in enumerate(j_set, start=1):
-                c = coeffs.get(j)
-                if c is None:
-                    continue
-                sign = 1 if (deg_i + pos - 1) % 2 == 0 else -1  # (-1)^(i+k-1)
-                pg2 = pg * c
-                if sign < 0:
-                    pg2 = -pg2
-                key = (i_set, j_set[: pos - 1] + j_set[pos:])
-                prev = acc.get(key)
-                pg2 = pg2 if prev is None else prev + pg2
-                if pg2.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = pg2
-        out = SuperForm.__new__(SuperForm)
-        out.ctx, out.terms = self.ctx, acc
-        return out
+
+        def terms():
+            for (i_set, j_set), pg in self.terms.items():
+                for pos, j in enumerate(j_set, start=1):
+                    if j in coeffs:
+                        pg2 = pg * coeffs[j]
+                        if (len(i_set) + pos - 1) % 2:  # (-1)^(i+k-1)
+                            pg2 = -pg2
+                        yield (i_set, j_set[: pos - 1] + j_set[pos:]), pg2
+
+        return SuperForm._of(self.ctx, _add_into({}, terms()))
 
     def exp_even(self) -> "SuperForm":
         """Exponential of an even element.
@@ -264,15 +229,16 @@ class SuperForm:
             else:
                 raise ValueError("exp argument must lie in the diagonal subalgebra")
         nil = SuperForm(self.ctx, rest)
-        total = SuperForm.one(self.ctx)
         power = SuperForm.one(self.ctx)
+        terms = dict(power.terms)
         fact = 1
         for k in range(1, len(self.ctx.z0) + 1):
             power = power.wedge(nil)
             if power.is_zero():
                 break
             fact *= k
-            total = total + power.scale(Fraction(1, fact))
+            _add_into(terms, power.scale(Fraction(1, fact)).terms.items())
+        total = SuperForm._of(self.ctx, terms)
         if any(gauss_coeffs):
             gfactor = SuperForm.const(self.ctx, PolyGauss.gaussian(gauss_coeffs))
             total = gfactor.wedge(total)

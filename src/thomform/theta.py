@@ -20,6 +20,7 @@ import numpy as np
 
 from .km import km_form_at_e
 from .liealg import SignatureCtx
+from .superforms import SuperForm
 
 
 @dataclass(frozen=True)
@@ -176,16 +177,15 @@ def gram_value(spec: LatticeSpec, u: tuple[int, ...]) -> Fraction:
     return total
 
 
-def tail_estimate(dl: DiagonalizedLattice, y: float, bound: float) -> float:
+def tail_estimate(dl: DiagonalizedLattice, km: SuperForm, y: float, bound: float) -> float:
     """Upper bound for the omitted terms with Q+(v,v) > bound.
 
-    Vectors in the shell k < Q+ <= k+1 number at most (2 sqrt((k+1)/lmin)+3)^n
+    ``km`` is the basepoint form of the lattice's signature. Vectors in the
+    shell k < Q+ <= k+1 number at most (2 sqrt((k+1)/lmin)+3)^n
     (lmin = least eigenvalue of the majorant); each contributes at most
     Cp (1 + sqrt(y (k+1)))^deg e^{-pi y k} where Cp sums the absolute
     polynomial coefficients of the basepoint form and deg is its degree.
     """
-    ctx = SignatureCtx(dl.spec.p, dl.spec.q)
-    km = km_form_at_e(ctx)
     cp = 0.0
     deg = 0
     for pg in km.terms.values():
@@ -233,13 +233,11 @@ def theta_partial_sum(
     for u in enumerate_vectors(dl, bound):
         vhat = dl.transform @ np.array(u, dtype=float)
         point = list(sqrt_y * vhat)
-        phase = complex(
-            math.cos(math.pi * x * float(gram_value(dl.spec, u))),
-            math.sin(math.pi * x * float(gram_value(dl.spec, u))),
-        )
+        angle = math.pi * x * float(gram_value(dl.spec, u))
+        phase = complex(math.cos(angle), math.sin(angle))
         for (i_set, _j), pg in km.terms.items():
             sums[i_set] += pg.eval(point) * phase
-    return sums, tail_estimate(dl, y, bound)
+    return sums, tail_estimate(dl, km, y, bound)
 
 
 def key_str(i_set: tuple) -> str:

@@ -91,6 +91,23 @@ class TestWitnesses:
         assert res.status == "fail"
         assert res.witness
 
+    def test_delta_limit_integrates_the_library_form(self, monkeypatch):
+        # the check must see the library's Thom form: doubling it doubles
+        # every integral, so the limit is 2 f(0) and the check fails
+        import thomform.checks as checks
+
+        assert run_check("delta_limit").passed
+        real = checks.fiber_umq
+        monkeypatch.setattr(checks, "fiber_umq", lambda q: real(q).scale(2))
+        res = run_check("delta_limit")
+        assert res.status == "fail"
+        assert res.witness.startswith("f=1: integral ")
+
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_delta_limit_rejects_non_finite_t(self, t):
+        with pytest.raises(ValueError, match="delta_limit"):
+            run_check("delta_limit", t=t)
+
 
 class TestExample11:
     def test_default_points(self):

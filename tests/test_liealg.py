@@ -109,6 +109,20 @@ class TestBrackets:
         assert LieElement.from_matrix(ctx, x.matrix()) == x
 
 
+class TestCanonicalCoords:
+    def test_pairs_merge_and_drop(self):
+        ctx = SignatureCtx(2, 1)
+        x = LieElement(ctx, [((1, 2), 1), ((1, 3), 2), ((1, 2), -1), ((2, 3), 0)])
+        assert x.coords == {(1, 3): Fraction(2)}
+        assert (x - x).is_zero() and (x * 0).is_zero()
+
+    def test_rejects_a_bad_pair_with_a_non_zero_coefficient(self):
+        ctx = SignatureCtx(2, 1)
+        with pytest.raises(ValueError, match="bad basis pair"):
+            LieElement(ctx, {(2, 1): 1})
+        assert LieElement(ctx, {(2, 1): 0}).is_zero()
+
+
 class TestCurvature:
     @pytest.mark.parametrize(
         "p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 4), (5, 2), (3, 4)]

@@ -126,6 +126,57 @@ class TestPoly:
         p = Poly.var(2, 1) * Poly.var(2, 2) + Poly.one(2)
         assert math.isclose(p.eval([2.0, 3.0]), 7.0)
 
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_var_rejects_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            Poly.var(2, i)
+
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_derive_rejects_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            (Poly.var(2, 1) * Poly.var(2, 2)).derive(i)
+
+    def test_bool_is_non_zero(self):
+        assert Poly.var(2, 1) and not Poly(2) and not Poly.var(2, 1) - Poly.var(2, 1)
+
+
+class TestCanonicalSums:
+    """Every constructor takes a mapping or (key, value) pairs, merges equal
+    keys and drops zero sums."""
+
+    def test_scalar_pairs(self):
+        s = Scalar([((0, 0), 1), ((2, 0), Fraction(1, 2)), ((1, 1), 3), ((1, 1), -3)])
+        assert s == Scalar.rational(2)  # sqrt2^2 / 2 folds into the rational
+        assert Scalar([((0, 0), 1), ((0, 0), -1)]).terms == {}
+
+    def test_poly_pairs(self):
+        x = (1, 0)
+        p = Poly(2, [(x, Scalar.one()), ((0, 1), Scalar.one()), (x, -Scalar.one())])
+        assert p == Poly.var(2, 2) and list(p.terms) == [(0, 1)]
+        assert Poly(2, iter([(x, Scalar.zero())])).terms == {}
+
+    def test_poly_checks_every_monomial(self):
+        with pytest.raises(ValueError, match="monomial length"):
+            Poly(2, [((1,), Scalar.zero())])
+
+    def test_polygauss_pairs(self):
+        g = (Fraction(1), Fraction(0))
+        x = Poly.var(2, 1)
+        pg = PolyGauss(2, [(g, x), (g, x), ((Fraction(0),) * 2, x), (g, x * -2)])
+        assert pg == PolyGauss.from_poly(x)
+        assert not PolyGauss(2, [(g, x), (g, -x)])
+        with pytest.raises(ValueError, match="dimension"):
+            PolyGauss(2, [((Fraction(0),), Poly(2))])
+
+    @given(scalars, scalars)
+    def test_sums_stay_canonical(self, a, b):
+        for value in (a + b, a * b, a - a, a * 0):
+            assert all(value.terms.values())
+        p = Poly(2, {(1, 0): a, (0, 1): b})
+        for value in (p + p, p * p, p - p, p.derive(1), p * Scalar.zero()):
+            assert all(value.terms.values())
+        assert not p - p
+
 
 class TestPolyGauss:
     def test_gaussian_derivative(self):

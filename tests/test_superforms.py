@@ -31,6 +31,25 @@ def random_forms(ctx, max_terms=3):
     )
 
 
+class TestCanonicalSums:
+    def test_pairs_merge_and_drop(self):
+        one = PolyGauss.one(CTX.nvars)
+        f = SuperForm(CTX, [(((1,), ()), one), (([1], []), one), (((2,), ()), one),
+                            (((2,), ()), -one)])
+        assert f.terms == {((1,), ()): one * 2}
+        assert SuperForm(CTX, [(((1,), ()), one), (((1,), ()), -one)]).is_zero()
+
+    def test_rejects_coefficient_of_wrong_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            SuperForm(CTX, {((1,), ()): PolyGauss.one(CTX.nvars + 1)})
+
+    @given(random_forms(CTX), random_forms(CTX))
+    def test_results_stay_canonical(self, a, b):
+        for f in (a + b, a - a, a.wedge(b), a.scale(0)):
+            assert all(f.terms.values())
+        assert (a - a).is_zero()
+
+
 class TestMergeSorted:
     def test_repeat_kills(self):
         assert merge_sorted((1,), (1,))[1] == 0

@@ -154,6 +154,24 @@ class TestThetaSum:
         with pytest.raises(ValueError, match="bound"):
             enumerate_vectors(diagonalize_gram(HYPERBOLIC), bound)
 
+    def test_builds_the_form_once_and_q_once_per_vector(self, monkeypatch):
+        import thomform.theta as theta
+
+        calls = {"km": 0, "gram": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(theta, "km_form_at_e", counting("km", theta.km_form_at_e))
+        monkeypatch.setattr(theta, "gram_value", counting("gram", theta.gram_value))
+        dl = diagonalize_gram(SIG_21)
+        sums, tail = theta_partial_sum(dl, 0.3 + 1.1j, 3.0)
+        assert calls == {"km": 1, "gram": len(enumerate_vectors(dl, 3.0))}
+        assert tail == theta.tail_estimate(dl, km_form_at_e(SignatureCtx(2, 1)), 1.1, 3.0)
+
     def test_tail_bounds_the_omitted_terms(self):
         # hyp + hyp, signature (2,2): even q, so the sums do not vanish by
         # v -> -v and the omitted terms are seen
