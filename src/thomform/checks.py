@@ -200,14 +200,16 @@ def check_hermite_lemma(p: int, q: int) -> CheckResult:
     x = PolyGauss.from_poly(Poly.var(ctx.nvars, 1))
     arg = e1.map_coeffs(lambda pg: pg * x * Scalar.rational(2)) - e1.wedge(e1)
     lhs = arg.exp_even()
-    rhs = SuperForm.one(ctx)
     power = SuperForm.one(ctx)
+    pairs = list(power.terms.items())
     for n in range(1, q + 1):
         power = power.wedge(e1)
         hn = PolyGauss.from_poly(hermite(n, ctx.nvars, 1))
-        rhs = rhs + power.map_coeffs(
-            lambda pg, hn=hn, n=n: pg * hn * Scalar.rational(Fraction(1, math.factorial(n)))
+        pairs += (
+            (k, pg * hn * Scalar.rational(Fraction(1, math.factorial(n))))
+            for k, pg in power.terms.items()
         )
+    rhs = SuperForm(ctx, pairs)
     return _form_check("hermite_lemma", {"p": p, "q": q}, lhs, rhs)
 
 

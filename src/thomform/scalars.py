@@ -8,6 +8,10 @@ zero coefficients dropped. One function, `_add_into`, applies that rule for
 the whole package; `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and
 `LieElement` build their terms through it, from a mapping or from any
 iterable of (key, value) pairs.
+
+Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
+as an int and any other entry as a Fraction. The two hash and compare equal,
+so values, text and JSON do not depend on it; int keys are hashed in C.
 """
 
 from __future__ import annotations
@@ -43,8 +47,11 @@ def _pairs(terms) -> Iterable[tuple]:
 
 
 def _fold_sqrt2(e2: int, epi: int, r: Fraction) -> tuple[tuple[int, int], Fraction]:
-    # sqrt2^e2 = 2^(e2//2) * sqrt2^(e2%2), also for negative e2
-    return (e2 % 2, epi), r * Fraction(2) ** (e2 // 2)
+    # sqrt2^e2 = 2^(e2>>1) * sqrt2^(e2&1), also for negative e2
+    k = e2 >> 1
+    if k:
+        r = r * (1 << k) if k > 0 else r / (1 << -k)
+    return (e2 & 1, epi), r
 
 
 class Scalar:
@@ -107,7 +114,9 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.rational(other)
         return Scalar._of(_add_into({}, (
             _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
@@ -223,15 +232,18 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = other if isinstance(other, Scalar) else Scalar.rational(other)
-            return Poly._of(self.n, _add_into({}, ((m, a * c) for m, a in self.terms.items())))
-        self._check(other)
-        return Poly._of(self.n, _add_into({}, (
-            (tuple(map(add, ma, mb)), ca * cb)
-            for ma, ca in self.terms.items()
-            for mb, cb in other.terms.items()
-        )))
+        if type(other) is Poly:
+            self._check(other)
+            return Poly._of(self.n, _add_into({}, (
+                (tuple(map(add, ma, mb)), ca * cb)
+                for ma, ca in self.terms.items()
+                for mb, cb in other.terms.items()
+            )))
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.rational(other)
+        return Poly._of(self.n, _add_into({}, ((m, a * other) for m, a in self.terms.items())))
 
     __rmul__ = __mul__
 
@@ -299,11 +311,12 @@ class Poly:
         return " + ".join(parts)
 
 
-GaussExp = tuple[Fraction, ...]
+# Canonical key rule: an integral entry is an int (hashed in C), any other a Fraction.
+GaussExp = tuple[int | Fraction, ...]
 
 
 def gauss_exp(coeffs: Iterable) -> GaussExp:
-    return tuple(Fraction(c) for c in coeffs)
+    return tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, coeffs))
 
 
 class PolyGauss:
@@ -367,16 +380,18 @@ class PolyGauss:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return PolyGauss._of(
-                self.n, _add_into({}, ((g, p * other) for g, p in self.parts.items()))
-            )
-        self._check(other)
-        return PolyGauss._of(self.n, _add_into({}, (
-            (tuple(map(add, ga, gb)), pa * pb)
-            for ga, pa in self.parts.items()
-            for gb, pb in other.parts.items()
-        )))
+        if type(other) is PolyGauss:
+            self._check(other)
+            return PolyGauss._of(self.n, _add_into({}, (
+                (tuple(map(add, ga, gb)), pa * pb)
+                for ga, pa in self.parts.items()
+                for gb, pb in other.parts.items()
+            )))
+        if type(other) is not Scalar and not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return PolyGauss._of(
+            self.n, _add_into({}, ((g, p * other) for g, p in self.parts.items()))
+        )
 
     __rmul__ = __mul__
 
@@ -391,7 +406,7 @@ class PolyGauss:
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
         def relabel(g: GaussExp) -> GaussExp:
-            g2 = [Fraction(0)] * new_n
+            g2 = [0] * new_n
             for i, c in enumerate(g, start=1):
                 if c:
                     g2[mapping[i] - 1] = c

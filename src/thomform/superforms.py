@@ -205,7 +205,7 @@ class SuperForm:
         finite sum up to z0-degree q.
         """
         n = self.ctx.nvars
-        gauss_coeffs = [Fraction(0)] * n
+        gauss_coeffs = [0] * n
         rest: dict[Key, PolyGauss] = {}
         for (i_set, j_set), pg in self.terms.items():
             di, dj = len(i_set), len(j_set)

@@ -14,6 +14,8 @@ from thomform.scalars import (
     Poly,
     PolyGauss,
     Scalar,
+    _fold_sqrt2,
+    gauss_exp,
     gauss_moment,
     howe_shift,
     sqrt_in_ring,
@@ -258,3 +260,82 @@ class TestHoweShift:
             * Scalar.term(Fraction(1), e2=-n, epi=-n)
         )
         assert lhs == rhs
+
+
+gauss_entries = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]))
+
+
+class TestMixedTypeProducts:
+    """An operand a type does not know is handed to the other operand's
+    __rmul__: a Scalar scales a Poly or PolyGauss from either side, and an
+    unsupported pair raises TypeError."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scalar_times_poly(self, n):
+        x = Poly.var(n, 1)
+        expected = Poly(n, {(1,) + (0,) * (n - 1): Scalar.sqrt2()})
+        assert Scalar.sqrt2() * x == expected == x * Scalar.sqrt2()
+
+    def test_scalar_times_polygauss(self):
+        g = PolyGauss.gaussian([1, 1])
+        assert Scalar.one() * g == g
+        assert Scalar.sqrt2() * g == g * Scalar.sqrt2() == PolyGauss.gaussian(
+            [1, 1], Poly.const(2, Scalar.sqrt2())
+        )
+
+    def test_poly_times_polygauss_is_a_type_error(self):
+        x, g = Poly.var(2, 1), PolyGauss.gaussian([1, 1])
+        with pytest.raises(TypeError):
+            x * g
+        with pytest.raises(TypeError):
+            g * x
+
+    @pytest.mark.parametrize(
+        "value", [Scalar.sqrt2(), Poly.var(2, 1), PolyGauss.gaussian([1, 1])]
+    )
+    def test_float_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            value * 0.5
+        with pytest.raises(TypeError):
+            0.5 * value
+
+
+class TestKernelReferences:
+    """The integer fast paths agree with the Fraction formulas they replace."""
+
+    @pytest.mark.parametrize("r", [Fraction(1), Fraction(-3, 7), Fraction(5, 4), Fraction(0)])
+    def test_fold_sqrt2_matches_fraction_power(self, r):
+        for e2 in range(-12, 13):
+            for epi in (-1, 0, 3):
+                assert _fold_sqrt2(e2, epi, r) == ((e2 % 2, epi), r * Fraction(2) ** (e2 // 2))
+
+    def test_gauss_exp_is_int_exactly_when_integral(self):
+        values = [0, 2, -3, Fraction(4, 2), Fraction(0), Fraction(1, 2), Fraction(-3, 4), "5/3", 3.0]
+        for value, entry in zip(values, gauss_exp(values)):
+            assert entry == Fraction(value)
+            assert (type(entry) is int) == (Fraction(value).denominator == 1)
+
+    @given(
+        st.dictionaries(st.tuples(gauss_entries, gauss_entries), polys, max_size=2),
+        st.dictionaries(st.tuples(gauss_entries, gauss_entries), polys, max_size=2),
+    )
+    def test_int_and_fraction_keys_agree(self, a_parts, b_parts):
+        def both(parts):
+            as_fraction = {tuple(map(Fraction, g)): p for g, p in parts.items()}
+            as_int = {gauss_exp(g): p for g, p in parts.items()}
+            return PolyGauss(2, as_fraction), PolyGauss(2, as_int)
+
+        (af, ai), (bf, bi) = both(a_parts), both(b_parts)
+        assert af == ai and hash(af) == hash(ai) and str(af) == str(ai)
+        for f, i in [(af + bf, ai + bi), (af + bi, ai + bf), (af * bf, ai * bi), (af * bi, ai * bf)]:
+            assert f == i and hash(f) == hash(i) and str(f) == str(i)
+
+    def test_constructed_forms_have_int_keys(self):
+        from thomform.km import km_form_at_e
+        from thomform.liealg import SignatureCtx
+        from thomform.mq import fiber_umq, mq_phi_at_e
+
+        ctx = SignatureCtx(2, 2)
+        for form in (km_form_at_e(ctx), mq_phi_at_e(ctx), fiber_umq(3)):
+            keys = [g for pg in form.terms.values() for g in pg.parts]
+            assert keys and all(type(c) is int for g in keys for c in g)
