@@ -8,13 +8,16 @@ a check fails if a computed sign deviates.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
 from .km import (
+    _omega_key,
     exterior_derivative,
     hermite,
     hermite_scaled,
@@ -37,7 +40,7 @@ from .mq import (
     mq_phi_at_e,
 )
 from .scalars import Poly, PolyGauss, Scalar, howe_shift
-from .superforms import FiberCtx, SuperForm, sort_with_sign
+from .superforms import FiberCtx, SuperForm
 
 MAX_PQ = 8
 
@@ -47,6 +50,7 @@ MAX_PQ = 8
 SIGMA_EVEN = 1     # main-theorem sign for even q (forced by the (1,2) value)
 SIGMA_ODD = -1     # main-theorem sign for odd q
 EPSILON_TRANSGRESSION = 1   # d/dt (t*U) = eps * (1/t) d(t*psi)
+SIGMA_SPLITTING = 1  # restricted form = sign * (block-1 form ^ block-2 form)
 
 
 def berezin_sign(q: int) -> int:
@@ -79,56 +83,51 @@ class CheckResult:
         }
 
 
-def _witness(diff: SuperForm) -> str | None:
+def _witness(diff: SuperForm) -> str:
     """Canonical text of the first discrepant term of a nonzero form."""
-    if diff.is_zero():
-        return None
     key = sorted(diff.terms)[0]
     return str(SuperForm(diff.ctx, {key: diff.terms[key]}))
 
 
-def _form_check(check_id, params, lhs: SuperForm, rhs: SuperForm, sign=None):
-    diff = lhs - rhs
+def _zero_check(check_id, params, diff: SuperForm) -> CheckResult:
+    """Pass when ``diff`` vanishes; fail with its first term otherwise."""
     if diff.is_zero():
-        return CheckResult(check_id, params, "pass", sign_sigma=sign)
-    return CheckResult(check_id, params, "fail", witness=_witness(diff), sign_sigma=sign)
+        return CheckResult(check_id, params, "pass")
+    return CheckResult(check_id, params, "fail", witness=_witness(diff))
 
 
-def _detect_sign(lhs: SuperForm, rhs: SuperForm) -> int | None:
-    """The sign s with lhs == s*rhs, if one exists."""
+def _signed_check(check_id, params, lhs: SuperForm, rhs: SuperForm, label: str, expected: int):
+    """Pass when lhs == s * rhs for s = ``expected``, the recorded ``label``
+    sign; fail with a witness when no sign s = +-1 works, or when s is off
+    the ledger."""
     if lhs == rhs:
-        return 1
-    if lhs == rhs.scale(Scalar.rational(-1)):
-        return -1
-    return None
+        sign = 1
+    elif lhs == -rhs:
+        sign = -1
+    else:
+        return CheckResult(check_id, params, "fail", witness=_witness(lhs - rhs))
+    if sign != expected:
+        return CheckResult(
+            check_id, params, "fail", sign_sigma=sign,
+            witness=f"sign {sign:+d} violates the recorded {label} = {expected:+d}",
+        )
+    return CheckResult(check_id, params, "pass", sign_sigma=sign)
 
 
 # -- individual checks -------------------------------------------------
 
 
 def check_theorem(p: int, q: int) -> CheckResult:
-    params = {"p": p, "q": q}
     ctx = SignatureCtx(p, q)
     lhs = km_form_at_e(ctx)
     rhs = mq_phi_at_e(ctx).scale(Scalar.term(Fraction(1), e2=-q))  # 2^{-q/2}
-    sigma = _detect_sign(lhs, rhs)
     expected = SIGMA_EVEN if q % 2 == 0 else SIGMA_ODD
-    if sigma is None:
-        return CheckResult("theorem", params, "fail", witness=_witness(lhs - rhs))
-    if sigma != expected:
-        return CheckResult(
-            "theorem", params, "fail",
-            witness=f"sign {sigma:+d} violates the recorded sigma({q}) = {expected:+d}",
-            sign_sigma=sigma,
-        )
-    return CheckResult("theorem", params, "pass", sign_sigma=sigma)
+    return _signed_check("theorem", {"p": p, "q": q}, lhs, rhs, f"sigma({q})", expected)
 
 
 def check_km_closed_form(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
-    return _form_check(
-        "km_closed_form", {"p": p, "q": q}, km_form_at_e(ctx), km_closed_form(ctx)
-    )
+    return _zero_check("km_closed_form", {"p": p, "q": q}, km_form_at_e(ctx) - km_closed_form(ctx))
 
 
 def check_curvature(p: int, q: int) -> CheckResult:
@@ -136,16 +135,7 @@ def check_curvature(p: int, q: int) -> CheckResult:
     etas = [eta(ctx, alpha) for alpha in range(1, p + 1)]
     rhs = SuperForm(ctx, (kv for e in etas for kv in e.wedge(e).terms.items()))
     rhs = rhs.scale(Scalar.rational(Fraction(-1, 2)))
-    return _form_check("curvature", {"p": p, "q": q}, curvature_at_e(ctx), rhs)
-
-
-def _multi_indices(p: int, q: int):
-    if p == 1:
-        yield (q,)
-        return
-    for first in range(q + 1):
-        for rest in _multi_indices(p - 1, q - first):
-            yield (first,) + rest
+    return _zero_check("curvature", {"p": p, "q": q}, curvature_at_e(ctx) - rhs)
 
 
 def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
@@ -156,37 +146,26 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
     etas = [eta(ctx, a) for a in range(1, p + 1)]
     sign = berezin_sign(q)
-    for counts in _multi_indices(p, q):
+    by_counts: dict[tuple, list] = {}
+    for alphas in itertools.product(range(1, p + 1), repeat=q):
+        counts = tuple(alphas.count(a) for a in range(1, p + 1))
+        by_counts.setdefault(counts, []).append(alphas)
+    for counts in sorted(by_counts):
         lhs = SuperForm.one(ctx)
-        for a in range(p):
-            for _ in range(counts[a]):
-                lhs = lhs.wedge(etas[a])
-        lhs = lhs.berezin()
-
         coeff = Fraction(sign)
-        for n in counts:
+        for e, n in zip(etas, counts):
+            for _ in range(n):
+                lhs = lhs.wedge(e)
             coeff *= math.factorial(n)
-
-        def rec(mu_idx: int, gens: tuple, left: tuple):
-            # every tuple with the remaining occurrence counts ``left``
-            if mu_idx == q:
-                key, s = sort_with_sign(gens)
-                yield (key, ()), PolyGauss.const(ctx.nvars, Scalar.rational(coeff * s))
-                return
-            mu = p + 1 + mu_idx
-            for a in range(p):
-                if left[a]:
-                    yield from rec(
-                        mu_idx + 1,
-                        gens + ((a + 1, mu),),
-                        left[: a] + (left[a] - 1,) + left[a + 1 :],
-                    )
-
-        rhs = SuperForm(ctx, rec(0, (), counts))
+        lhs = lhs.berezin()
+        rhs = SuperForm(ctx, (
+            ((key, ()), PolyGauss.const(ctx.nvars, Scalar.rational(coeff * s)))
+            for key, s in (_omega_key(p, alphas) for alphas in by_counts[counts])
+        ))
         if lhs != rhs:
             return CheckResult(
                 "berezin_combinatorial", params, "fail",
-                witness=f"counts {counts}: " + (_witness(lhs - rhs) or ""),
+                witness=f"counts {counts}: " + _witness(lhs - rhs),
                 sign_sigma=sign,
             )
     return CheckResult("berezin_combinatorial", params, "pass", sign_sigma=sign)
@@ -210,7 +189,7 @@ def check_hermite_lemma(p: int, q: int) -> CheckResult:
             for k, pg in power.terms.items()
         )
     rhs = SuperForm(ctx, pairs)
-    return _form_check("hermite_lemma", {"p": p, "q": q}, lhs, rhs)
+    return _zero_check("hermite_lemma", {"p": p, "q": q}, lhs - rhs)
 
 
 def check_howe_hermite(nmax: int = 10) -> CheckResult:
@@ -242,7 +221,7 @@ def check_fiber_restriction(q: int) -> CheckResult:
     expected = SuperForm(
         ctx, {(tuple(ctx.z0), ()): gauss * Scalar.term(Fraction(1), e2=q)}
     )
-    return _form_check("fiber_restriction", {"q": q}, fiber_umq(q), expected)
+    return _zero_check("fiber_restriction", {"q": q}, fiber_umq(q) - expected)
 
 
 def check_annihilation(q: int) -> CheckResult:
@@ -250,26 +229,13 @@ def check_annihilation(q: int) -> CheckResult:
     om = fiber_omega(ctx)
     two_sqrt_pi = Scalar.term(Fraction(2), epi=1)
     res = fiber_d(om) + om.contract(fiber_section(ctx)).scale(two_sqrt_pi)
-    if res.is_zero():
-        return CheckResult("annihilation", {"q": q}, "pass")
-    return CheckResult("annihilation", {"q": q}, "fail", witness=_witness(res))
+    return _zero_check("annihilation", {"q": q}, res)
 
 
 def check_transgression(q: int) -> CheckResult:
-    params = {"q": q}
     lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q)))
     rhs = fiber_divide_t(fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q))))
-    eps = _detect_sign(lhs, rhs)
-    if eps is None:
-        return CheckResult("transgression", params, "fail", witness=_witness(lhs - rhs))
-    if eps != EPSILON_TRANSGRESSION:
-        return CheckResult(
-            "transgression", params, "fail",
-            witness=f"sign {eps:+d} violates the recorded epsilon = "
-            f"{EPSILON_TRANSGRESSION:+d}",
-            sign_sigma=eps,
-        )
-    return CheckResult("transgression", params, "pass", sign_sigma=eps)
+    return _signed_check("transgression", {"q": q}, lhs, rhs, "epsilon", EPSILON_TRANSGRESSION)
 
 
 def check_delta_limit(t: float = 100.0, tol: float = 1e-5) -> CheckResult:
@@ -303,9 +269,7 @@ def check_delta_limit(t: float = 100.0, tol: float = 1e-5) -> CheckResult:
 def check_closedness(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
     res = exterior_derivative(ctx, km_form_at_e(ctx))
-    if res.is_zero():
-        return CheckResult("closedness", {"p": p, "q": q}, "pass")
-    return CheckResult("closedness", {"p": p, "q": q}, "fail", witness=_witness(res))
+    return _zero_check("closedness", {"p": p, "q": q}, res)
 
 
 def check_k_invariance(p: int, q: int) -> CheckResult:
@@ -316,7 +280,7 @@ def check_k_invariance(p: int, q: int) -> CheckResult:
         if not res.is_zero():
             return CheckResult(
                 "k_invariance", {"p": p, "q": q}, "fail",
-                witness=f"X{pair}: " + (_witness(res) or ""),
+                witness=f"X{pair}: " + _witness(res),
             )
     return CheckResult("k_invariance", {"p": p, "q": q}, "pass")
 
@@ -408,24 +372,26 @@ def check_splitting(p1: int, q1: int, p2: int, q2: int) -> CheckResult:
 
     f1 = _relabel(km_form_at_e(SignatureCtx(p1, q1)), ctx, map1)
     f2 = _relabel(km_form_at_e(SignatureCtx(p2, q2)), ctx, map2)
-    product = f1.wedge(f2)
-    sign = _detect_sign(restricted, product)
-    if sign is None:
-        return CheckResult(
-            "splitting", params, "fail", witness=_witness(restricted - product)
-        )
-    return CheckResult("splitting", params, "pass", sign_sigma=sign)
+    return _signed_check(
+        "splitting", params, restricted, f1.wedge(f2), "splitting sign", SIGMA_SPLITTING
+    )
 
 
 # -- registry ----------------------------------------------------------
+
+
+def _is_int(value) -> bool:
+    """An integer, and not a bool: a size is never truncated from a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ParamSpec:
     """The parameters a check (or a command sized like one) takes, in order.
 
-    With a ``cap`` the parameters are integers, each at least 1, that sum
-    to at most ``cap``; without one they are positive finite floats.
+    With a ``cap`` the parameters are integers (not bools, not floats),
+    each at least 1, that sum to at most ``cap``; without one they are
+    positive finite floats.
     """
 
     names: tuple[str, ...]
@@ -441,7 +407,7 @@ class ParamSpec:
         return f"{names} >= 1 and {' + '.join(self.names)} <= {self.cap}"
 
     def validate(self, what: str, params: dict[str, Any]) -> dict[str, Any]:
-        """``params`` with defaults filled in, in order and converted; a
+        """``params`` with defaults filled in, in order (floats converted); a
         ValueError naming ``what`` for an unknown, missing or out-of-range
         parameter."""
         unknown = sorted(set(params) - set(self.names))
@@ -452,12 +418,16 @@ class ParamSpec:
         missing = [name for name in self.names if name not in given]
         if missing:
             raise ValueError(f"{what}: missing parameter {', '.join(missing)}")
-        number = float if self.cap is None else int
-        values = {name: number(given[name]) for name in self.names}
-        if not all(0 < v < math.inf for v in values.values()) or (
-            self.cap is not None and sum(values.values()) > self.cap
-        ):
-            shown = ", ".join(f"{k} = {v}" for k, v in values.items())
+        values = {name: given[name] for name in self.names}
+        if self.cap is None:
+            values = {k: float(v) for k, v in values.items()}
+            ok = all(0 < v < math.inf for v in values.values())
+        else:
+            ok = all(map(_is_int, values.values()))
+            values = {k: int(v) if ok else v for k, v in values.items()}
+            ok = ok and min(values.values()) >= 1 and sum(values.values()) <= self.cap
+        if not ok:
+            shown = ", ".join(f"{k} = {v!r}" for k, v in values.items())
             raise ValueError(f"{what}: {shown} is out of range; require {self.rule()}")
         return values
 
@@ -502,8 +472,8 @@ def run_check(check_id: str, **params) -> CheckResult:
 def run_all(max_pq: int, check_ids: list[str] | None = None) -> list[CheckResult]:
     """Every applicable check over all signatures with p, q >= 1 and
     p + q <= max_pq, in deterministic order."""
-    if not 2 <= max_pq <= MAX_PQ:
-        raise ValueError(f"max_pq = {max_pq} is out of range; require 2 <= max_pq <= {MAX_PQ}")
+    if not (_is_int(max_pq) and 2 <= max_pq <= MAX_PQ):
+        raise ValueError(f"max_pq = {max_pq!r} is out of range; require 2 <= max_pq <= {MAX_PQ}")
     wanted = CHECK_IDS if check_ids is None else check_ids
     for cid in wanted:
         if cid not in CHECKS:

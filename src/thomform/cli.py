@@ -11,6 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import checks
 from .checks import CHECK_IDS, FIBER, SIGNATURE, run_all, run_check
 from .km import km_form_at_e
 from .liealg import SignatureCtx
@@ -107,6 +108,12 @@ def _verify(args, parser) -> int:
             extra = f" sigma={r.sign_sigma:+d}" if r.sign_sigma is not None else ""
             wit = f" [{r.witness}]" if r.witness else ""
             print(f"{r.status.upper():4s} {r.check_id} {r.params}{extra}{wit}")
+        print(
+            f"{sum(r.passed for r in results)}/{len(results)} checks passed "
+            f"(recorded signs: sigma_even={checks.SIGMA_EVEN:+d}, "
+            f"sigma_odd={checks.SIGMA_ODD:+d}, epsilon={checks.EPSILON_TRANSGRESSION:+d}, "
+            f"splitting={checks.SIGMA_SPLITTING:+d})"
+        )
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -46,6 +46,11 @@ def gaussian_plus(ctx: SignatureCtx) -> PolyGauss:
     return PolyGauss.gaussian([Fraction(1)] * ctx.nvars)
 
 
+def _omega_key(p: int, alphas: tuple[int, ...]) -> tuple[tuple, int]:
+    """The sorted key and sign of omega_{alpha_1, p+1} ^ ... ^ omega_{alpha_q, p+q}."""
+    return sort_with_sign(tuple((a, p + 1 + k) for k, a in enumerate(alphas)))
+
+
 def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
     """Apply the operator product: 2^{-q} prod_mu (sum_alpha A_{alpha mu})
     to exp(-pi |x|^2), where A_{alpha mu} = omega_{alpha mu} (x)
@@ -84,7 +89,7 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
     gauss = gaussian_plus(ctx)
 
     def term(alphas: tuple[int, ...]):
-        sorted_i, sign = sort_with_sign(tuple((a, p + 1 + k) for k, a in enumerate(alphas)))
+        sorted_i, sign = _omega_key(p, alphas)
         poly = Poly.one(ctx.nvars)
         for alpha in range(1, p + 1):
             if alpha in alphas:

@@ -56,9 +56,6 @@ class SignatureCtx:
         neg = [(n, m) for n in self.z0 for m in self.z0 if n < m]
         return pos + neg
 
-    def all_pairs(self) -> list[Pair]:
-        return [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
-
     def gen_str(self, g) -> str:
         return f"w[{g[0]},{g[1]}]"
 
@@ -192,11 +189,6 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
 def project_k(x: LieElement) -> LieElement:
     p = x.ctx.p
     return LieElement(x.ctx, {k: c for k, c in x.coords.items() if not (k[0] <= p < k[1])})
-
-
-def project_p(x: LieElement) -> LieElement:
-    p = x.ctx.p
-    return LieElement(x.ctx, {k: c for k, c in x.coords.items() if k[0] <= p < k[1]})
 
 
 def eta(ctx: SignatureCtx, alpha: int) -> SuperForm:

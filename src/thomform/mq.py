@@ -22,6 +22,15 @@ def mq_prefactor(q: int) -> Scalar:
     return Scalar.term(Fraction(sign), e2=-q, epi=-q)
 
 
+def _thom(arg: SuperForm, gauss: list) -> SuperForm:
+    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(arg)
+    for a nilpotent even ``arg``; the Gaussian commutes with everything, so
+    it multiplies the Berezin integral instead of entering the exponential."""
+    weight = PolyGauss.gaussian(gauss)
+    pref = mq_prefactor(len(arg.ctx.z0))
+    return arg.exp_even().berezin().map_coeffs(lambda pg: pg * weight * pref)
+
+
 def mq_phi0_at_e(ctx: SignatureCtx) -> SuperForm:
     """(-1)^{q(q+1)/2} (2 pi)^{-q/2} e^{2 pi Q|z0(v,v)}
     int^B exp(2 sqrt(pi) sum_alpha x_alpha eta_alpha + rho(R_e)).
@@ -34,12 +43,8 @@ def mq_phi0_at_e(ctx: SignatureCtx) -> SuperForm:
         for mu in ctx.z0:
             terms[(((alpha, mu),), (mu,))] = coeff
     arg = SuperForm(ctx, terms) + curvature_at_e(ctx)
-    body = arg.exp_even().berezin()
     # e^{2 pi Q|z0(v,v)} = exp(-2 pi sum_mu x_mu^2)
-    coeffs = [Fraction(0)] * ctx.p + [Fraction(2)] * ctx.q
-    gauss = PolyGauss.gaussian(coeffs)
-    pref = mq_prefactor(ctx.q)
-    return body.map_coeffs(lambda pg: pg * gauss * pref)
+    return _thom(arg, [0] * ctx.p + [2] * ctx.q)
 
 
 def mq_phi_at_e(ctx: SignatureCtx) -> SuperForm:
@@ -83,13 +88,12 @@ def fiber_omega(ctx: FiberCtx) -> SuperForm:
 
 
 def fiber_umq(q: int) -> SuperForm:
-    """Thom-form restriction to a fiber: Berezin of exp(-2 pi |s|^2
-    - 2 sqrt(pi) ds) with the standard prefactor. Equals
-    2^{q/2} e^{-2 pi |x|^2} dx_1 ^ ... ^ dx_q.
+    """Thom-form restriction to a fiber: the standard prefactor times
+    e^{-2 pi |x|^2} times the Berezin integral of exp(-2 sqrt(pi) ds).
+    Equals 2^{q/2} e^{-2 pi |x|^2} dx_1 ^ ... ^ dx_q.
     """
     ctx = FiberCtx(q)
-    arg = fiber_omega(ctx).scale(Scalar.rational(-1))
-    return arg.exp_even().berezin().scale(mq_prefactor(q))
+    return _thom(fiber_ds(ctx).scale(Scalar.term(Fraction(-2), epi=1)), [2] * q)
 
 
 def fiber_euler_contract(a: SuperForm) -> SuperForm:

@@ -96,10 +96,6 @@ class Scalar:
         return Scalar.term(1, e2=power)
 
     @staticmethod
-    def sqrt_pi(power: int = 1) -> "Scalar":
-        return Scalar.term(1, epi=power)
-
-    @staticmethod
     def pi(power: int = 1) -> "Scalar":
         return Scalar.term(1, epi=2 * power)
 
@@ -125,14 +121,6 @@ class Scalar:
         )))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            raise ValueError("negative powers only via explicit terms")
-        out = Scalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Scalar) and self.terms == other.terms

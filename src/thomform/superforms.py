@@ -142,13 +142,17 @@ class SuperForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(len(i), len(j)) for i, j in self.terms}
-
-    def component(self, i: int, j: int) -> "SuperForm":
-        return SuperForm(
-            self.ctx, {k: pg for k, pg in self.terms.items() if (len(k[0]), len(k[1])) == (i, j)}
-        )
+    def sizes(self) -> tuple[int, int, int]:
+        """(exterior terms, monomials, largest numerator or denominator
+        bit length over all coefficients)."""
+        monomials = bits = 0
+        for pg in self.terms.values():
+            for poly in pg.parts.values():
+                monomials += len(poly.terms)
+                for scalar in poly.terms.values():
+                    for r in scalar.terms.values():
+                        bits = max(bits, r.numerator.bit_length(), r.denominator.bit_length())
+        return len(self.terms), monomials, bits
 
     # -- products --------------------------------------------------------
     def wedge(self, other: "SuperForm") -> "SuperForm":
@@ -197,52 +201,21 @@ class SuperForm:
         return SuperForm._of(self.ctx, _add_into({}, terms()))
 
     def exp_even(self) -> "SuperForm":
-        """Exponential of an even element.
-
-        The (0,0) part must be a pure quadratic -pi * sum c_i x_i^2 (it
-        exponentiates into a Gaussian); all other terms must be diagonal
-        (bidegree (k,k) with k >= 1) and are nilpotent, so the series is the
-        finite sum up to z0-degree q.
-        """
-        n = self.ctx.nvars
-        gauss_coeffs = [0] * n
-        rest: dict[Key, PolyGauss] = {}
-        for (i_set, j_set), pg in self.terms.items():
-            di, dj = len(i_set), len(j_set)
-            if di == 0 and dj == 0:
-                for g, poly in pg.parts.items():
-                    if any(g):
-                        raise ValueError("(0,0) part must carry no Gaussian factor")
-                    for mono, c in poly.terms.items():
-                        idx = [k for k, e in enumerate(mono) if e]
-                        if len(idx) != 1 or mono[idx[0]] != 2:
-                            raise ValueError(
-                                "(0,0) part of exp argument must be a pure quadratic"
-                            )
-                        if len(c.terms) != 1 or (0, 2) not in c.terms:
-                            raise ValueError(
-                                "(0,0) quadratic coefficients must be rational multiples of pi"
-                            )
-                        gauss_coeffs[idx[0]] -= c.terms[(0, 2)]
-            elif di == dj:
-                rest[(i_set, j_set)] = pg
-            else:
-                raise ValueError("exp argument must lie in the diagonal subalgebra")
-        nil = SuperForm(self.ctx, rest)
+        """Exponential of a nilpotent even element: every term must have
+        bidegree (k,k) with k >= 1, so the series is the finite sum up to
+        z0-degree q. A Gaussian factor is multiplied in by the caller."""
+        if any(len(i_set) != len(j_set) or not j_set for i_set, j_set in self.terms):
+            raise ValueError("exp argument must be nilpotent: bidegree (k,k) with k >= 1")
         power = SuperForm.one(self.ctx)
         terms = dict(power.terms)
         fact = 1
         for k in range(1, len(self.ctx.z0) + 1):
-            power = power.wedge(nil)
+            power = power.wedge(self)
             if power.is_zero():
                 break
             fact *= k
             _add_into(terms, power.scale(Fraction(1, fact)).terms.items())
-        total = SuperForm._of(self.ctx, terms)
-        if any(gauss_coeffs):
-            gfactor = SuperForm.const(self.ctx, PolyGauss.gaussian(gauss_coeffs))
-            total = gfactor.wedge(total)
-        return total
+        return SuperForm._of(self.ctx, terms)
 
     # -- text / json -------------------------------------------------------
     def _key_str(self, i_set: tuple, j_set: tuple) -> str:

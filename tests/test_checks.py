@@ -80,8 +80,9 @@ class TestRunAll:
             run_all(3, check_ids=["theorem", "bogus"])
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            run_all(9)
+        for max_pq in (9, 1, 3.5, True):
+            with pytest.raises(ValueError, match=r"require 2 <= max_pq <= 8$"):
+                run_all(max_pq)
 
 
 class TestWitnesses:
@@ -107,6 +108,21 @@ class TestWitnesses:
     def test_delta_limit_rejects_non_finite_t(self, t):
         with pytest.raises(ValueError, match="delta_limit"):
             run_check("delta_limit", t=t)
+
+
+class TestSignLedger:
+    @pytest.mark.parametrize("constant,cid,params,label", [
+        ("SIGMA_EVEN", "theorem", {"p": 1, "q": 2}, "sigma(2)"),
+        ("EPSILON_TRANSGRESSION", "transgression", {"q": 2}, "epsilon"),
+        ("SIGMA_SPLITTING", "splitting", {"p1": 1, "q1": 1, "p2": 1, "q2": 1}, "splitting sign"),
+    ])
+    def test_sign_off_the_ledger_fails(self, monkeypatch, constant, cid, params, label):
+        import thomform.checks as checks
+
+        monkeypatch.setattr(checks, constant, -getattr(checks, constant))
+        res = run_check(cid, **params)
+        assert res.status == "fail" and res.sign_sigma == 1
+        assert res.witness == f"sign +1 violates the recorded {label} = -1"
 
 
 class TestExample11:

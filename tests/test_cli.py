@@ -59,6 +59,15 @@ class TestVerify:
         assert res.returncode == 0
         assert res.stdout.startswith("PASS curvature")
 
+    def test_text_summary_line(self):
+        res = run("verify", "--all", "--max-pq", "3", "--format", "text")
+        assert res.returncode == 0
+        lines = res.stdout.splitlines()
+        assert lines[-1] == (
+            f"{len(lines) - 1}/{len(lines) - 1} checks passed (recorded signs: "
+            "sigma_even=+1, sigma_odd=-1, epsilon=+1, splitting=+1)"
+        )
+
     def test_missing_params(self):
         res = run("verify", "--check", "theorem")
         assert res.returncode == 2
@@ -154,12 +163,16 @@ class TestUsage:
         assert res.returncode == 2
 
 
-SIGNATURE_LIMITS = ({"p": 1, "q": 1}, {"p": 1, "q": 8}, {"p": 0, "q": 1}, {"p": 1, "q": 1, "p2": 1})
-FIBER_LIMITS = ({"q": 1}, {"q": 8}, {"q": 0}, {"q": 1, "p": 1})
+SIGNATURE_LIMITS = (
+    {"p": 1, "q": 1}, {"p": 1, "q": 8}, {"p": 0, "q": 1}, {"p": 1, "q": 1, "p2": 1},
+    {"p": 1.5, "q": 1}, {"p": True, "q": 1},
+)
+FIBER_LIMITS = ({"q": 1}, {"q": 8}, {"q": 0}, {"q": 1, "p": 1}, {"q": 2.9}, {"q": True})
 
 # Per check: the smallest legal parameters, the first size past the cap, a
-# zero, and a parameter the check does not take. delta_limit and example11
-# are not sized; their legal case is the defaults.
+# zero, a parameter the check does not take, a size that is not an integer
+# and a bool. delta_limit and example11 are not sized; their legal case is
+# the defaults.
 LIMITS = {
     **dict.fromkeys(
         ["theorem", "km_closed_form", "curvature", "berezin_combinatorial",
@@ -170,31 +183,38 @@ LIMITS = {
         ["fiber_integral", "fiber_restriction", "annihilation", "transgression"],
         FIBER_LIMITS,
     ),
-    "howe_hermite": ({"nmax": 1}, {"nmax": 17}, {"nmax": 0}, {"p": 1}),
-    "delta_limit": ({}, None, {"t": 0}, {"p": 1}),
-    "example11": ({}, None, None, {"p": 1}),
+    "howe_hermite": (
+        {"nmax": 1}, {"nmax": 17}, {"nmax": 0}, {"p": 1}, {"nmax": 2.5}, {"nmax": True},
+    ),
+    "delta_limit": ({}, None, {"t": 0}, {"p": 1}, None, None),
+    "example11": ({}, None, None, {"p": 1}, None, None),
     "splitting": (
         {"p1": 1, "q1": 1, "p2": 1, "q2": 1},
         {"p1": 1, "q1": 1, "p2": 1, "q2": 6},
         {"p1": 1, "q1": 0, "p2": 1, "q2": 1},
         {"p1": 1, "q1": 1, "p2": 1, "q2": 1, "p3": 1},
+        {"p1": 1, "q1": 1, "p2": 1, "q2": 1.5},
+        {"p1": 1, "q1": 1, "p2": 1, "q2": True},
     ),
 }
 
 CASES = [
     pytest.param(cid, params, kind == "legal", id=f"{cid}-{kind}")
     for cid in CHECK_IDS
-    for kind, params in zip(("legal", "past_cap", "zero", "unknown"), LIMITS[cid])
+    for kind, params in zip(
+        ("legal", "past_cap", "zero", "unknown", "non_integral", "bool"), LIMITS[cid]
+    )
     if params is not None
 ]
 
 
 def verify_args(cid, params):
     """`thomform verify` arguments for run_check(cid, **params), or None
-    when the command line has no flag for one of the parameters."""
+    when the command line has no flag for one of the parameters or parses
+    one of the values differently (its flags take decimal integers)."""
     first = ("p1", "q1") if cid == "splitting" else ("p", "q")
     flags = dict(zip(first + ("p2", "q2"), ("--p", "--q", "--p2", "--q2")))
-    if not set(params) <= set(flags):
+    if not set(params) <= set(flags) or any(type(v) is not int for v in params.values()):
         return None
     return ["verify", "--check", cid] + [
         arg for name, value in params.items() for arg in (flags[name], str(value))

@@ -1,14 +1,17 @@
 """Bigraded exterior algebra: wedge, Berezin integral, contraction,
 and the even exponential."""
 
-import math
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thomform.km import km_form_at_e
 from thomform.liealg import SignatureCtx, eta
+from thomform.mq import mq_phi_at_e
 from thomform.scalars import Poly, PolyGauss, Scalar
 from thomform.superforms import (
     FiberCtx,
@@ -136,15 +139,6 @@ class TestContract:
 
 
 class TestExpEven:
-    def test_gaussian_part(self):
-        ctx = FiberCtx(1)
-        quad = Poly.var(1, 1) * Poly.var(1, 1) * Scalar.term(Fraction(-2), epi=2)
-        a = SuperForm(ctx, {((), ()): PolyGauss.from_poly(quad)})
-        out = a.exp_even()
-        assert out == SuperForm(
-            ctx, {((), ()): PolyGauss.gaussian([Fraction(2)])}
-        )
-
     def test_addition_rule_on_diagonal(self):
         # exp(a + b) = exp(a) exp(b) for commuting diagonal nilpotents
         ctx = SignatureCtx(2, 2)
@@ -163,6 +157,10 @@ class TestExpEven:
         ctx = FiberCtx(2)
         with pytest.raises(ValueError):
             SuperForm.generator(ctx, 1).exp_even()
+        # a (0,0) term is not nilpotent: a Gaussian is multiplied in by the caller
+        quad = Poly.var(2, 1) * Poly.var(2, 1) * Scalar.term(Fraction(-2), epi=2)
+        with pytest.raises(ValueError, match="nilpotent"):
+            SuperForm(ctx, {((), ()): PolyGauss.from_poly(quad)}).exp_even()
 
 
 class TestHermiteLemma:
@@ -171,6 +169,36 @@ class TestHermiteLemma:
         from thomform.checks import check_hermite_lemma
 
         assert check_hermite_lemma(p, q).passed
+
+
+def benchmark_form_sizes():
+    """``form_sizes`` of the benchmark harness, which walks the coefficient tower."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.form_sizes
+
+
+class TestSizes:
+    def test_counts(self):
+        one = PolyGauss.one(CTX.nvars)
+        x = PolyGauss.from_poly(Poly.var(CTX.nvars, 1) * Scalar.rational(Fraction(-5, 12)))
+        f = SuperForm(CTX, {((1,), ()): one + x, ((2,), (3,)): x})
+        assert f.sizes() == (2, 3, 4)  # 12 has 4 bits
+        assert SuperForm.zero(CTX).sizes() == (0, 0, 0)
+
+    @pytest.mark.parametrize("p,q", [(4, 4), (2, 6)])
+    def test_matches_the_benchmark_tower_walk(self, p, q):
+        ctx = SignatureCtx(p, q)
+        km, mq = km_form_at_e(ctx), mq_phi_at_e(ctx)
+        tag = f"p{p}q{q}"
+        assert benchmark_form_sizes()({(p, q): {"km": km, "mq": mq}}) == {
+            f"forms.km_terms.{tag}": km.sizes()[0],
+            f"forms.km_monomials.{tag}": km.sizes()[1],
+            f"forms.mq_monomials.{tag}": mq.sizes()[1],
+            f"forms.max_coeff_bits.{tag}": max(km.sizes()[2], mq.sizes()[2]),
+        }
 
 
 class TestRendering:
