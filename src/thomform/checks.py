@@ -391,7 +391,7 @@ class ParamSpec:
 
     With a ``cap`` the parameters are integers (not bools, not floats),
     each at least 1, that sum to at most ``cap``; without one they are
-    positive finite floats.
+    positive finite real numbers (not bools, not strings), converted to float.
     """
 
     names: tuple[str, ...]
@@ -420,8 +420,9 @@ class ParamSpec:
             raise ValueError(f"{what}: missing parameter {', '.join(missing)}")
         values = {name: given[name] for name in self.names}
         if self.cap is None:
-            values = {k: float(v) for k, v in values.items()}
-            ok = all(0 < v < math.inf for v in values.values())
+            ok = all(isinstance(v, numbers.Real) and type(v) is not bool for v in values.values())
+            values = {k: float(v) if ok else v for k, v in values.items()}
+            ok = ok and all(0 < v < math.inf for v in values.values())
         else:
             ok = all(map(_is_int, values.values()))
             values = {k: int(v) if ok else v for k, v in values.items()}

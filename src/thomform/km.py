@@ -32,13 +32,17 @@ def hermite(n: int, nvars: int = 1, var: int = 1) -> Poly:
 def hermite_scaled(n: int, nvars: int, var: int) -> Poly:
     """H_n(sqrt(2 pi) x_var) as a polynomial with coefficients in the ring.
 
-    The monomial x^k in H_n picks up the factor (2 pi)^(k/2) = 2^(k/2) pi^(k/2).
+    The raising recurrence in y = sqrt(2 pi) x, where d/dy = (2 pi)^(-1/2) d/dx:
+    h_{n+1} = 2 sqrt(2 pi) x h_n - (2 pi)^(-1/2) h_n'.
     """
-    h = hermite(n, nvars, var)
-    return Poly(nvars, (
-        (exps, c * Scalar.term(Fraction(1), e2=exps[var - 1], epi=exps[var - 1]))
-        for exps, c in h.terms.items()
-    ))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    h = Poly.one(nvars)
+    y2 = Poly.var(nvars, var) * Scalar.term(2, e2=1, epi=1)
+    inv = Scalar.term(1, e2=-1, epi=-1)
+    for _ in range(n):
+        h = y2 * h - h.derive(var) * inv
+    return h
 
 
 def gaussian_plus(ctx: SignatureCtx) -> PolyGauss:

@@ -234,24 +234,11 @@ def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
 def schwartz_action(x: LieElement, f: PolyGauss) -> PolyGauss:
     """Infinitesimal left action (X f)(v) = d/dt f(exp(-tX) v)|_0 = -(Xv). grad f.
 
-    (Xv)_k = sum_l m_kl x_l, so each non-zero row k of the matrix m adds
-    -m_kl x_l d_k f: one derivative per row, and x_l shifts exponents.
+    (Xv)_k = sum_l m_kl x_l, so this is the linear field -sum m_kl x_l d_k.
     """
-    ctx = x.ctx
-    if f.n != ctx.n:
+    if f.n != x.ctx.n:
         raise ValueError("dimension mismatch")
-    rows: dict[int, list[tuple[int, Scalar]]] = {}
-    for (k, l), c in x._entries().items():
-        rows.setdefault(k, []).append((l - 1, Scalar.rational(-c)))
-    acc: dict[tuple, dict[tuple, Scalar]] = {}
-    for k, row in rows.items():
-        for g, poly in f.derive(k).parts.items():
-            _add_into(acc.setdefault(g, {}), (
-                (mono[:l] + (mono[l] + 1,) + mono[l + 1 :], s * c)
-                for mono, s in poly.terms.items()
-                for l, c in row
-            ))
-    return PolyGauss(ctx.n, ((g, Poly(ctx.n, terms)) for g, terms in acc.items()))
+    return f.linear_field({kl: -c for kl, c in x._entries().items()})
 
 
 def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:

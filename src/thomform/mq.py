@@ -3,7 +3,7 @@
 `mq_phi0_at_e` and `mq_phi_at_e` build the form at the basepoint over the
 full signature context; the `fiber_*` functions work on a single fiber R^q
 (coframe dx_1..dx_q), optionally carrying the scaling parameter t as an
-extra polynomial variable whose square also scales the Gaussian exponents.
+extra polynomial variable (see `FiberCtx`).
 """
 
 from __future__ import annotations
@@ -116,47 +116,25 @@ def fiber_transgression(q: int) -> SuperForm:
     return fiber_euler_contract(fiber_umq(q))
 
 
-def _derive_x(ctx: FiberCtx, pg: PolyGauss, i: int) -> PolyGauss:
-    """d/dx_i, aware that with t the Gaussian entry c means c t^2 x_i^2."""
-    if not ctx.with_t:
-        return pg.derive(i)
-    n = t = ctx.nvars  # t is the last variable
-    x_t2 = Poly(n, {_unit(n, {i: 1, t: 2}): Scalar.one()})
-    return PolyGauss(n, (
-        (g, poly.derive(i) + poly * (x_t2 * Scalar.term(-2 * g[i - 1], epi=2)))
-        for g, poly in pg.parts.items()
-    ))
-
-
 def fiber_d(a: SuperForm) -> SuperForm:
     """Exterior derivative d = sum_i dx_i ^ d/dx_i on a fiber."""
     ctx = a.ctx
+    t = ctx.nvars if ctx.with_t else None
 
     def terms(i: int):
-        da = a.map_coeffs(lambda pg: _derive_x(ctx, pg, i))
+        da = a.map_coeffs(lambda pg: pg.derive(i, t))
         return SuperForm.generator(ctx, i).wedge(da).terms.items()
 
     return SuperForm(ctx, itertools.chain.from_iterable(map(terms, ctx.z0)))
 
 
 def fiber_ddt(a: SuperForm) -> SuperForm:
-    """d/dt on a form over a with_t context (Gaussian entry c means
-    c t^2 x_i^2, so each contributes -2 pi c t x_i^2)."""
-    ctx = a.ctx
-    if not ctx.with_t:
+    """d/dt on a form over a with_t context; `PolyGauss.derive` applies the
+    chain rule to the t-scaled Gaussian."""
+    if not a.ctx.with_t:
         raise ValueError("ddt requires a t-carrying context")
-    n = t = ctx.nvars
-
-    def part(g: tuple, poly: Poly) -> Poly:
-        # the t-derivative of the Gaussian exponent: sum_i -2 pi c_i x_i^2 t
-        chain = Poly(n, (
-            (_unit(n, {i: 2, t: 1}), Scalar.term(-2 * g[i - 1], epi=2)) for i in ctx.z0
-        ))
-        return poly.derive(t) + poly * chain
-
-    return a.map_coeffs(
-        lambda pg: PolyGauss(n, ((g, part(g, poly)) for g, poly in pg.parts.items()))
-    )
+    t = a.ctx.nvars
+    return a.map_coeffs(lambda pg: pg.derive(t, t))
 
 
 def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
@@ -171,15 +149,13 @@ def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
 
     def pull(pg: PolyGauss, slots: int) -> PolyGauss:
         # each monomial gains t^(degree), each dx-slot one more t
-        return PolyGauss(n, (
+        return PolyGauss.from_items(n, (
             (
                 gauss_exp([c * t * t for c in g]),
-                Poly(n, (
-                    (mono, c * Scalar.rational(t ** (sum(mono) + slots)))
-                    for mono, c in poly.terms.items()
-                )),
+                mono,
+                coeff * Scalar.rational(t ** (sum(mono) + slots)),
             )
-            for g, poly in pg.parts.items()
+            for g, mono, coeff in pg.items()
         ))
 
     return SuperForm(ctx, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
@@ -188,9 +164,12 @@ def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
 def fiber_scale_pullback_symbolic(a: SuperForm) -> SuperForm:
     """Pull back along x -> t x with t carried as an extra variable.
 
-    Input lives over FiberCtx(q); output over FiberCtx(q, with_t=True),
-    where a Gaussian entry c is read as c t^2 x_i^2, each monomial gains
-    t^(total degree), and each dx-slot contributes one more factor of t.
+    Input lives over FiberCtx(q); output over FiberCtx(q, with_t=True).
+    Each monomial gains t^(total degree) and each dx-slot one more factor
+    of t. The Gaussian keeps its entries c: `PolyGauss.derive` with ``t``
+    reads each as c t^2 x_i^2, but text and `eval` show it without t^2:
+    the text of ``fiber_scale_pullback_symbolic(fiber_umq(1))`` is
+    ``1*sqrt2*x2 * exp(-pi*(2*x1^2)) dx[1]``.
     """
     ctx = a.ctx
     if ctx.with_t:
@@ -199,12 +178,8 @@ def fiber_scale_pullback_symbolic(a: SuperForm) -> SuperForm:
     n = ctx_t.nvars
 
     def pull(pg: PolyGauss, slots: int) -> PolyGauss:
-        return PolyGauss(n, (
-            (
-                gauss_exp(list(g) + [0]),
-                Poly(n, ((mono + (sum(mono) + slots,), c) for mono, c in poly.terms.items())),
-            )
-            for g, poly in pg.parts.items()
+        return PolyGauss.from_items(n, (
+            (g + (0,), mono + (sum(mono) + slots,), coeff) for g, mono, coeff in pg.items()
         ))
 
     return SuperForm(ctx_t, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
@@ -213,25 +188,16 @@ def fiber_scale_pullback_symbolic(a: SuperForm) -> SuperForm:
 def fiber_divide_t(a: SuperForm) -> SuperForm:
     """Divide every polynomial coefficient by t; every monomial must carry
     a positive power of t."""
-    ctx = a.ctx
-    if not ctx.with_t:
+    if not a.ctx.with_t:
         raise ValueError("divide_t requires a t-carrying context")
-    n = ctx.nvars
-    t_idx = n - 1
 
-    def div(pg: PolyGauss) -> PolyGauss:
-        parts: dict = {}
-        for g, poly in pg.parts.items():
-            terms: dict = {}
-            for mono, coeff in poly.terms.items():
-                if mono[t_idx] < 1:
-                    raise ValueError("coefficient not divisible by t")
-                m2 = mono[:t_idx] + (mono[t_idx] - 1,) + mono[t_idx + 1 :]
-                terms[m2] = coeff
-            parts[g] = Poly(n, terms)
-        return PolyGauss(n, parts)
+    def lowered(pg: PolyGauss):
+        for g, mono, coeff in pg.items():
+            if mono[-1] < 1:
+                raise ValueError("coefficient not divisible by t")
+            yield g, mono[:-1] + (mono[-1] - 1,), coeff
 
-    return a.map_coeffs(div)
+    return a.map_coeffs(lambda pg: PolyGauss.from_items(pg.n, lowered(pg)))
 
 
 def fiber_integrate(a: SuperForm) -> Scalar:
@@ -247,11 +213,9 @@ def fiber_integrate(a: SuperForm) -> Scalar:
         for (i_set, j_set), pg in a.terms.items():
             if i_set != top or j_set:
                 continue
-            for g, poly in pg.parts.items():
-                for mono, coeff in poly.terms.items():
-                    val = coeff
-                    for i in range(q):
-                        val = val * gauss_moment(mono[i], g[i])
-                    yield from val.terms.items()
+            for g, mono, val in pg.items():
+                for i in range(q):
+                    val = val * gauss_moment(mono[i], g[i])
+                yield val
 
-    return Scalar(values())
+    return sum(values(), Scalar.zero())

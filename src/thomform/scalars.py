@@ -12,6 +12,9 @@ iterable of (key, value) pairs.
 Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
 so values, text and JSON do not depend on it; int keys are hashed in C.
+
+Only this module knows how a coefficient is stored; other modules use
+`PolyGauss.items`, `from_items` and `derive` (with or without a symbolic t).
 """
 
 from __future__ import annotations
@@ -140,6 +143,13 @@ class Scalar:
     def __bool__(self):
         return bool(self.terms)
 
+    def bit_height(self) -> int:
+        """The largest numerator or denominator bit length of the rationals."""
+        return max(
+            (max(abs(r.numerator), r.denominator).bit_length() for r in self.terms.values()),
+            default=0,
+        )
+
     # -- text ------------------------------------------------------------
     def __str__(self) -> str:
         if not self.terms:
@@ -243,18 +253,6 @@ class Poly:
             (m[:k] + (m[k] - 1,) + m[i:], c * m[k]) for m, c in self.terms.items() if m[k]
         )))
 
-    def map_vars(self, mapping: dict[int, int], new_n: int) -> "Poly":
-        """Relabel variables: old 1-based index -> new 1-based index."""
-
-        def relabel(m: Monomial) -> Monomial:
-            m2 = [0] * new_n
-            for i, e in enumerate(m, start=1):
-                if e:
-                    m2[mapping[i] - 1] = e
-            return tuple(m2)
-
-        return Poly(new_n, ((relabel(m), c) for m, c in self.terms.items()))
-
     def eval(self, v: Iterable[float]) -> float:
         vv = list(v)
         total = 0.0
@@ -352,6 +350,19 @@ class PolyGauss:
         n = len(g)
         return PolyGauss(n, {g: poly if poly is not None else Poly.one(n)})
 
+    @staticmethod
+    def from_items(n: int, items: Iterable[tuple[GaussExp, Monomial, Scalar]]) -> "PolyGauss":
+        """The sum of (Gaussian exponent, monomial, coefficient) triples, the
+        inverse of `items`; exponent keys must follow `gauss_exp`."""
+        parts: dict = {}
+        for g, mono, c in items:
+            parts.setdefault(g, []).append((mono, c))
+        return PolyGauss(n, ((g, Poly(n, terms)) for g, terms in parts.items()))
+
+    def items(self) -> Iterable[tuple[GaussExp, Monomial, Scalar]]:
+        """Every term c * x^mono * exp(-pi sum_i g_i x_i^2) as (g, mono, c)."""
+        return ((g, mono, c) for g, p in self.parts.items() for mono, c in p.terms.items())
+
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "PolyGauss"):
         if self.n != other.n:
@@ -383,25 +394,58 @@ class PolyGauss:
 
     __rmul__ = __mul__
 
-    def derive(self, i: int) -> "PolyGauss":
-        """Exact d/dx_i; the Gaussian contributes -2*pi*c_i*x_i times itself."""
+    def derive(self, i: int, t: int | None = None) -> "PolyGauss":
+        """Exact d/dx_i of P * exp(-pi E), where E = sum_j c_j x_j^2.
+
+        Given ``t``, the index of the scaling variable of a pullback along
+        x -> t x, E = x_t^2 sum_j c_j x_j^2 instead. The Gaussian adds
+        -pi (dE/dx_i) P: -2 pi c_i x_i P without t, -2 pi c_i x_i x_t^2 P for
+        i != t, and -2 pi sum_j c_j x_j^2 x_t P for i = t (when c_t = 0).
+        """
         _check_index(i, self.n)
-        x = Poly.var(self.n, i)
-        return PolyGauss._of(self.n, _add_into({}, (
-            (g, p.derive(i) + p * (x * Scalar.term(-2 * g[i - 1], epi=2)))
-            for g, p in self.parts.items()
+        if t is not None:
+            _check_index(t, self.n)
+        n, k = self.n, i - 1
+
+        def slope(g: GaussExp) -> Poly:
+            # E's term c_j x^m, m = 2 e_j (+ 2 e_t), adds -pi c_j m_i x^(m - e_i)
+            terms = []
+            for j in range(n) if i == t else (k,):
+                m = [2 * (a == j) + 2 * (a + 1 == t) for a in range(n)]
+                e, m[k] = m[k], m[k] - 1
+                terms.append((tuple(m), Scalar.term(-e * g[j], epi=2)))
+            return Poly(n, terms)
+
+        return PolyGauss._of(n, _add_into({}, (
+            (g, p.derive(i) + p * slope(g)) for g, p in self.parts.items()
         )))
 
-    def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
-        def relabel(g: GaussExp) -> GaussExp:
-            g2 = [0] * new_n
-            for i, c in enumerate(g, start=1):
-                if c:
-                    g2[mapping[i] - 1] = c
-            return tuple(g2)
+    def linear_field(self, entries: Mapping[tuple[int, int], Fraction]) -> "PolyGauss":
+        """sum_{k,l} c_kl x_l d/dx_k applied to self, for ``entries``
+        {(k, l): c_kl} (1-based): one derivative per non-zero row k, and
+        x_l shifts exponents."""
+        rows: dict[int, list[tuple[int, Scalar]]] = {}
+        for (k, l), c in entries.items():
+            rows.setdefault(k, []).append((l - 1, Scalar.rational(c)))
+        return PolyGauss.from_items(self.n, (
+            (g, mono[:l] + (mono[l] + 1,) + mono[l + 1 :], s * c)
+            for k, row in rows.items()
+            for g, mono, s in self.derive(k).items()
+            for l, c in row
+        ))
 
-        return PolyGauss(
-            new_n, ((relabel(g), p.map_vars(mapping, new_n)) for g, p in self.parts.items())
+    def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
+        """Relabel variables: old 1-based index -> new 1-based index."""
+
+        def relabel(m: tuple) -> tuple:
+            m2 = [0] * new_n
+            for i, e in enumerate(m, start=1):
+                if e:
+                    m2[mapping[i] - 1] = e
+            return tuple(m2)
+
+        return PolyGauss.from_items(
+            new_n, ((relabel(g), relabel(m), c) for g, m, c in self.items())
         )
 
     def eval(self, v: Iterable[float]) -> float:
@@ -463,7 +507,8 @@ def howe_shift(a: PolyGauss, i: int) -> PolyGauss:
 
 
 class NotRepresentable(ValueError):
-    """sqrt(c) is not in Q(sqrt2); caller should fall back to numerics."""
+    """sqrt(c) is not in Q(sqrt2), or a Gaussian moment diverges; nothing
+    falls back to numerics."""
 
 
 def _sqrt_fraction(f: Fraction) -> Fraction | None:
@@ -487,9 +532,7 @@ def sqrt_in_ring(c: Fraction) -> Scalar:
     r = _sqrt_fraction(c / 2)
     if r is not None:
         return Scalar.term(r, e2=1)
-    raise NotRepresentable(
-        f"sqrt({c}) is not in Q(sqrt2); use a numeric fallback for this Gaussian"
-    )
+    raise NotRepresentable(f"sqrt({c}) is not in Q(sqrt2)")
 
 
 def gauss_moment(n: int, c) -> Scalar:

@@ -49,7 +49,8 @@ class FiberCtx:
 
     With ``with_t`` the coefficient ring gains one extra polynomial variable
     (index q+1, the fiber-scaling parameter) and every Gaussian exponent
-    entry c is read as c * t^2 * x_i^2.
+    entry c is read as c * t^2 * x_i^2: `PolyGauss.derive` with ``t = q+1``
+    applies that reading. Text and `eval` show the Gaussian without t^2.
     """
 
     q: int
@@ -145,14 +146,8 @@ class SuperForm:
     def sizes(self) -> tuple[int, int, int]:
         """(exterior terms, monomials, largest numerator or denominator
         bit length over all coefficients)."""
-        monomials = bits = 0
-        for pg in self.terms.values():
-            for poly in pg.parts.values():
-                monomials += len(poly.terms)
-                for scalar in poly.terms.values():
-                    for r in scalar.terms.values():
-                        bits = max(bits, r.numerator.bit_length(), r.denominator.bit_length())
-        return len(self.terms), monomials, bits
+        coeffs = [c for pg in self.terms.values() for _g, _mono, c in pg.items()]
+        return len(self.terms), len(coeffs), max(map(Scalar.bit_height, coeffs), default=0)
 
     # -- products --------------------------------------------------------
     def wedge(self, other: "SuperForm") -> "SuperForm":
@@ -235,7 +230,7 @@ class SuperForm:
             ks = self._key_str(*key)
             cs = str(pg)
             if ks:
-                if len(pg.parts) > 1 or (pg.parts and len(next(iter(pg.parts.values())).terms) > 1):
+                if sum(1 for _ in pg.items()) > 1:
                     cs = f"({cs})"
                 parts.append(f"{cs} {ks}")
             else:

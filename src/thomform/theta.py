@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .checks import _is_int
 from .km import km_form_at_e
 from .liealg import SignatureCtx
 from .superforms import SuperForm
@@ -45,6 +46,9 @@ class LatticeSpec:
         gram = tuple(
             tuple(Fraction(entry) for entry in row) for row in data["gram"]
         )
+        for name in ("p", "q"):
+            if not _is_int(data[name]):
+                raise ValueError(f"lattice {name} = {data[name]!r} is not an integer")
         return LatticeSpec(
             label=str(data.get("label", "")), p=int(data["p"]), q=int(data["q"]),
             gram=gram,
@@ -189,10 +193,9 @@ def tail_estimate(dl: DiagonalizedLattice, km: SuperForm, y: float, bound: float
     cp = 0.0
     deg = 0
     for pg in km.terms.values():
-        for poly in pg.parts.values():
-            for mono, c in poly.terms.items():
-                cp += abs(float(c))
-                deg = max(deg, sum(mono))
+        for _g, mono, c in pg.items():
+            cp += abs(float(c))
+            deg = max(deg, sum(mono))
     a = majorant_matrix(dl)
     lmin = min(np.linalg.eigvalsh(a))
     n = a.shape[0]

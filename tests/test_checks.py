@@ -104,7 +104,7 @@ class TestWitnesses:
         assert res.status == "fail"
         assert res.witness.startswith("f=1: integral ")
 
-    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("t", [float("inf"), float("nan"), "100"])
     def test_delta_limit_rejects_non_finite_t(self, t):
         with pytest.raises(ValueError, match="delta_limit"):
             run_check("delta_limit", t=t)

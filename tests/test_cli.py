@@ -137,6 +137,16 @@ class TestTheta:
         assert "w[1,2]" in data["coefficients"]
         assert data["tail_estimate"] > 0
 
+    @pytest.mark.parametrize("field,value", [("p", 1.9), ("q", True), ("p", "1")])
+    def test_signature_must_be_an_integer(self, tmp_path, field, value):
+        data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], ["1", "0"]], field: value}
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(data))
+        res = run("theta", "--lattice", str(path), "--tau", "1i", "--bound", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"lattice {field} = " in res.stderr and "Traceback" not in res.stderr
+
     def test_missing_file(self):
         res = run("theta", "--lattice", "/no/such.json", "--tau", "1i", "--bound", "1")
         assert res.returncode == 2
@@ -186,7 +196,7 @@ LIMITS = {
     "howe_hermite": (
         {"nmax": 1}, {"nmax": 17}, {"nmax": 0}, {"p": 1}, {"nmax": 2.5}, {"nmax": True},
     ),
-    "delta_limit": ({}, None, {"t": 0}, {"p": 1}, None, None),
+    "delta_limit": ({}, None, {"t": 0}, {"p": 1}, None, {"t": True}),
     "example11": ({}, None, None, {"p": 1}, None, None),
     "splitting": (
         {"p1": 1, "q1": 1, "p2": 1, "q2": 1},

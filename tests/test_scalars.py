@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import thomform
 from thomform.scalars import (
     NotRepresentable,
     Poly,
@@ -198,6 +200,12 @@ class TestPolyGauss:
     def test_str_is_faithful(self, parts):
         assert_str_faithful(PolyGauss(2, parts), POLYGAUSS_ATOMS, PolyGauss.zero(2))
 
+    @given(st.dictionaries(st.tuples(fractions, fractions), polys, max_size=2))
+    def test_items_round_trip(self, parts):
+        pg = PolyGauss(2, parts)
+        assert PolyGauss.from_items(2, pg.items()) == pg
+        assert len(list(pg.items())) == sum(len(p.terms) for p in pg.parts.values())
+
     def test_map_vars(self):
         g = PolyGauss.gaussian([Fraction(1)], Poly.var(1, 1))
         h = g.map_vars({1: 3}, 3)
@@ -339,3 +347,13 @@ class TestKernelReferences:
         for form in (km_form_at_e(ctx), mq_phi_at_e(ctx), fiber_umq(3)):
             keys = [g for pg in form.terms.values() for g in pg.parts]
             assert keys and all(type(c) is int for g in keys for c in g)
+
+
+def test_only_scalars_knows_the_coefficient_format():
+    """Every other module walks a PolyGauss through items()/from_items()."""
+    package = pathlib.Path(thomform.__file__).parent
+    readers = sorted(
+        path.name for path in package.glob("*.py")
+        if path.name != "scalars.py" and ".parts" in path.read_text()
+    )
+    assert readers == []

@@ -69,6 +69,12 @@ class TestDiagonalize:
         )
         assert spec == HYPERBOLIC
 
+    @pytest.mark.parametrize("field,value", [("p", 1.9), ("q", True), ("p", "1"), ("q", 1.0)])
+    def test_from_json_rejects_a_non_integer_signature(self, field, value):
+        data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], ["1", "0"]], field: value}
+        with pytest.raises(ValueError, match=f"^lattice {field} = "):
+            LatticeSpec.from_json(data)
+
 
 class TestEnumerate:
     def test_bound_zero(self):
