@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 from .km import (
     _omega_key,
+    coefficient_gradients,
     exterior_derivative,
     hermite,
     hermite_scaled,
@@ -275,8 +276,9 @@ def check_closedness(p: int, q: int) -> CheckResult:
 def check_k_invariance(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
     phi = km_form_at_e(ctx)
+    grads = coefficient_gradients(phi)
     for pair in ctx.k_pairs():
-        res = lie_derivative(LieElement.basis(ctx, *pair), phi)
+        res = lie_derivative(LieElement.basis(ctx, *pair), phi, grads)
         if not res.is_zero():
             return CheckResult(
                 "k_invariance", {"p": p, "q": q}, "fail",

@@ -107,27 +107,36 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
 def exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
     """Invariant exterior derivative at the base point:
     d = sum over p-pairs of (omega_{alpha mu} ^ .) composed with the
-    infinitesimal action of X_{alpha mu} on coefficients.
+    infinitesimal action of X_{alpha mu} on coefficients. Each coefficient
+    is differentiated once, for all p-pairs.
     """
+    xs = [(pair, LieElement.basis(ctx, *pair)) for pair in ctx.p_pairs()]
 
     def terms():
-        for (alpha, mu) in ctx.p_pairs():
-            x = LieElement.basis(ctx, alpha, mu)
-            for (i_set, j_set), pg in a.terms.items():
-                new_i, sign = sort_with_sign(((alpha, mu),) + i_set)
+        for (i_set, j_set), pg in a.terms.items():
+            grad = pg.gradient()
+            for pair, x in xs:
+                new_i, sign = sort_with_sign((pair,) + i_set)
                 if sign:
-                    pg2 = schwartz_action(x, pg)
+                    pg2 = schwartz_action(x, grad)
                     yield (new_i, j_set), pg2 if sign > 0 else -pg2
 
     return SuperForm(ctx, terms())
 
 
-def lie_derivative(x: LieElement, a: SuperForm) -> SuperForm:
+def coefficient_gradients(a: SuperForm) -> dict[tuple, list[PolyGauss]]:
+    """The gradient of each coefficient of ``a``, by exterior key."""
+    return {key: pg.gradient() for key, pg in a.terms.items()}
+
+
+def lie_derivative(x: LieElement, a: SuperForm, grads: dict | None = None) -> SuperForm:
     """Action of X in k on a form with Schwartz coefficients: the coadjoint
     action on the exterior slots plus the infinitesimal action on the
-    coefficient functions. Invariance means this vanishes.
+    coefficient functions. Invariance means this vanishes. ``grads``, the
+    `coefficient_gradients` of ``a``, lets several X share one of them.
     """
+    grads = coefficient_gradients(a) if grads is None else grads
     return SuperForm(x.ctx, itertools.chain(
         coadjoint_action(x, a).terms.items(),
-        ((key, schwartz_action(x, pg)) for key, pg in a.terms.items()),
+        ((key, schwartz_action(x, grads[key])) for key in a.terms),
     ))

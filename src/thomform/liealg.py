@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import Poly, PolyGauss, Scalar, _add_into, _pairs
+from .scalars import Poly, PolyGauss, Scalar, _add_into, _pairs, linear_field
 from .superforms import SuperForm, sort_with_sign
 
 Pair = tuple[int, int]
@@ -231,14 +231,15 @@ def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
     return SuperForm(ctx, terms())
 
 
-def schwartz_action(x: LieElement, f: PolyGauss) -> PolyGauss:
-    """Infinitesimal left action (X f)(v) = d/dt f(exp(-tX) v)|_0 = -(Xv). grad f.
+def schwartz_action(x: LieElement, grad: list[PolyGauss]) -> PolyGauss:
+    """Infinitesimal left action (X f)(v) = d/dt f(exp(-tX) v)|_0 = -(Xv). grad f,
+    given ``grad`` = f.gradient(), so one differentiation of f serves every X.
 
     (Xv)_k = sum_l m_kl x_l, so this is the linear field -sum m_kl x_l d_k.
     """
-    if f.n != x.ctx.n:
+    if len(grad) != x.ctx.n:
         raise ValueError("dimension mismatch")
-    return f.linear_field({kl: -c for kl, c in x._entries().items()})
+    return linear_field(grad, {kl: -c for kl, c in x._entries().items()})
 
 
 def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:

@@ -9,6 +9,7 @@ extra polynomial variable (see `FiberCtx`).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .liealg import SignatureCtx, curvature_at_e
@@ -22,29 +23,43 @@ def mq_prefactor(q: int) -> Scalar:
     return Scalar.term(Fraction(sign), e2=-q, epi=-q)
 
 
-def _thom(arg: SuperForm, gauss: list) -> SuperForm:
-    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(arg)
-    for a nilpotent even ``arg``; the Gaussian commutes with everything, so
-    it multiplies the Berezin integral instead of entering the exponential."""
+def _thom(top: SuperForm, gauss: list) -> SuperForm:
+    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B top,
+    where ``top`` is exp of a nilpotent even form, or its top z0 component,
+    the only one the Berezin integral keeps. The Gaussian commutes with
+    everything, so it multiplies the integral instead of entering the
+    exponential."""
     weight = PolyGauss.gaussian(gauss)
-    pref = mq_prefactor(len(arg.ctx.z0))
-    return arg.exp_even().berezin().map_coeffs(lambda pg: pg * weight * pref)
+    pref = mq_prefactor(len(top.ctx.z0))
+    return top.berezin().map_coeffs(lambda pg: pg * weight * pref)
 
 
 def mq_phi0_at_e(ctx: SignatureCtx) -> SuperForm:
     """(-1)^{q(q+1)/2} (2 pi)^{-q/2} e^{2 pi Q|z0(v,v)}
     int^B exp(2 sqrt(pi) sum_alpha x_alpha eta_alpha + rho(R_e)).
+
+    A = 2 sqrt(pi) sum_alpha x_alpha eta_alpha and R = rho(R_e) are even, so
+    they commute, and the top z0 degree q of exp(A + R) is
+    sum_b A^(q-2b) ^ R^b / ((q-2b)! b!): only that sum is built.
     """
-    n = ctx.nvars
+    n, q = ctx.nvars, ctx.q
     two_sqrt_pi = Scalar.term(Fraction(2), epi=1)
     terms: dict = {}
     for alpha in range(1, ctx.p + 1):
         coeff = PolyGauss.from_poly(Poly.var(n, alpha) * two_sqrt_pi)
         for mu in ctx.z0:
             terms[(((alpha, mu),), (mu,))] = coeff
-    arg = SuperForm(ctx, terms) + curvature_at_e(ctx)
+    a, r = SuperForm(ctx, terms), curvature_at_e(ctx)
+    a_pow = list(itertools.accumulate([a] * q, SuperForm.wedge, initial=SuperForm.one(ctx)))
+    r_pow = list(itertools.accumulate([r] * (q // 2), SuperForm.wedge, initial=SuperForm.one(ctx)))
+    top = SuperForm(ctx, itertools.chain.from_iterable(
+        a_pow[q - 2 * b].wedge(r_pow[b]).scale(
+            Fraction(1, math.factorial(q - 2 * b) * math.factorial(b))
+        ).terms.items()
+        for b in range(q // 2 + 1)
+    ))
     # e^{2 pi Q|z0(v,v)} = exp(-2 pi sum_mu x_mu^2)
-    return _thom(arg, [0] * ctx.p + [2] * ctx.q)
+    return _thom(top, [0] * ctx.p + [2] * q)
 
 
 def mq_phi_at_e(ctx: SignatureCtx) -> SuperForm:
@@ -93,7 +108,7 @@ def fiber_umq(q: int) -> SuperForm:
     Equals 2^{q/2} e^{-2 pi |x|^2} dx_1 ^ ... ^ dx_q.
     """
     ctx = FiberCtx(q)
-    return _thom(fiber_ds(ctx).scale(Scalar.term(Fraction(-2), epi=1)), [2] * q)
+    return _thom(fiber_ds(ctx).scale(Scalar.term(Fraction(-2), epi=1)).exp_even(), [2] * q)
 
 
 def fiber_euler_contract(a: SuperForm) -> SuperForm:

@@ -14,7 +14,8 @@ as an int and any other entry as a Fraction. The two hash and compare equal,
 so values, text and JSON do not depend on it; int keys are hashed in C.
 
 Only this module knows how a coefficient is stored; other modules use
-`PolyGauss.items`, `from_items` and `derive` (with or without a symbolic t).
+`PolyGauss.items`, `from_items`, `derive` (with or without a symbolic t),
+`gradient` and `linear_field`.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ class Scalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Scalar.rational(other)
+        for unit, factor in ((other, self), (self, other)):
+            if len(unit.terms) == 1:  # a factor +-1 costs no product
+                r = unit.terms.get((0, 0))
+                if r == 1:
+                    return factor
+                if r == -1:
+                    return -factor
         return Scalar._of(_add_into({}, (
             _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
             for (a2, api), ra in self.terms.items()
@@ -420,19 +428,9 @@ class PolyGauss:
             (g, p.derive(i) + p * slope(g)) for g, p in self.parts.items()
         )))
 
-    def linear_field(self, entries: Mapping[tuple[int, int], Fraction]) -> "PolyGauss":
-        """sum_{k,l} c_kl x_l d/dx_k applied to self, for ``entries``
-        {(k, l): c_kl} (1-based): one derivative per non-zero row k, and
-        x_l shifts exponents."""
-        rows: dict[int, list[tuple[int, Scalar]]] = {}
-        for (k, l), c in entries.items():
-            rows.setdefault(k, []).append((l - 1, Scalar.rational(c)))
-        return PolyGauss.from_items(self.n, (
-            (g, mono[:l] + (mono[l] + 1,) + mono[l + 1 :], s * c)
-            for k, row in rows.items()
-            for g, mono, s in self.derive(k).items()
-            for l, c in row
-        ))
+    def gradient(self) -> list["PolyGauss"]:
+        """The partial derivatives [d/dx_1, ..., d/dx_n] of self."""
+        return [self.derive(i) for i in range(1, self.n + 1)]
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
         """Relabel variables: old 1-based index -> new 1-based index."""
@@ -497,6 +495,18 @@ class PolyGauss:
 
     def __repr__(self):
         return f"PolyGauss({self})"
+
+
+def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fraction]) -> PolyGauss:
+    """sum_{k,l} c_kl x_l d/dx_k f, for ``grad`` = f.gradient() and ``entries``
+    {(k, l): c_kl} (1-based): x_l shifts exponents, so one gradient serves
+    every field."""
+    field = [(k - 1, l - 1, Scalar.rational(c)) for (k, l), c in entries.items()]
+    return PolyGauss.from_items(len(grad), (
+        (g, mono[:l] + (mono[l] + 1,) + mono[l + 1 :], s * c)
+        for k, l, c in field
+        for g, mono, s in grad[k].items()
+    ))
 
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:

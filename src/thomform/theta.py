@@ -43,9 +43,12 @@ class LatticeSpec:
 
     @staticmethod
     def from_json(data: dict) -> "LatticeSpec":
-        gram = tuple(
-            tuple(Fraction(entry) for entry in row) for row in data["gram"]
-        )
+        # Fraction would read a bool as 0 or 1 and a float as its binary fraction
+        for i, row in enumerate(data["gram"]):
+            for j, entry in enumerate(row):
+                if not (_is_int(entry) or isinstance(entry, str)):
+                    raise ValueError(f"gram[{i}][{j}] = {entry!r} is not an int or rational string")
+        gram = tuple(tuple(map(Fraction, row)) for row in data["gram"])
         for name in ("p", "q"):
             if not _is_int(data[name]):
                 raise ValueError(f"lattice {name} = {data[name]!r} is not an integer")

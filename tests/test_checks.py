@@ -125,6 +125,31 @@ class TestSignLedger:
         assert res.witness == f"sign +1 violates the recorded {label} = -1"
 
 
+class TestLieLayerWork:
+    """The Lie layer differentiates each coefficient of phi once: at most n
+    `derive` calls per coefficient, however many Lie elements act."""
+
+    @pytest.mark.parametrize("cid", ["closedness", "k_invariance"])
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 2)])
+    def test_at_most_n_derivatives_per_coefficient(self, monkeypatch, cid, p, q):
+        import thomform.checks as checks
+        from thomform.liealg import SignatureCtx
+        from thomform.scalars import PolyGauss
+
+        phi = checks.km_form_at_e(SignatureCtx(p, q))
+        monkeypatch.setattr(checks, "km_form_at_e", lambda ctx: phi)
+        calls = []
+        real = PolyGauss.derive
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(PolyGauss, "derive", counting)
+        assert run_check(cid, p=p, q=q).passed
+        assert 0 < len(calls) <= (p + q) * len(phi.terms)
+
+
 class TestExample11:
     def test_default_points(self):
         assert check_example11().passed

@@ -147,6 +147,16 @@ class TestTheta:
         assert res.stdout == ""
         assert f"lattice {field} = " in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("value", [True, 0.1])
+    def test_gram_entry_must_be_exact(self, tmp_path, value):
+        data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], [value, "0"]]}
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(data))
+        res = run("theta", "--lattice", str(path), "--tau", "1i", "--bound", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "gram[1][0] = " in res.stderr and "Traceback" not in res.stderr
+
     def test_missing_file(self):
         res = run("theta", "--lattice", "/no/such.json", "--tau", "1i", "--bound", "1")
         assert res.returncode == 2

@@ -1,20 +1,22 @@
 """The basepoint q-form from Howe operators: values, closed form,
 closedness, invariance."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from thomform.km import (
+    coefficient_gradients,
     exterior_derivative,
     hermite,
     km_closed_form,
     km_form_at_e,
     lie_derivative,
 )
-from thomform.liealg import LieElement, SignatureCtx
+from thomform.liealg import LieElement, SignatureCtx, coadjoint_action
 from thomform.scalars import Poly, PolyGauss, Scalar
-from thomform.superforms import SuperForm
+from thomform.superforms import SuperForm, sort_with_sign
 
 SIGS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 2)]
 
@@ -88,6 +90,72 @@ class TestClosedness:
             ctx, {((), ()): PolyGauss.gaussian([Fraction(1), Fraction(1)])}
         )
         assert not exterior_derivative(ctx, a).is_zero()
+
+
+def rescaled_closed_form(ctx: SignatureCtx, seed: int) -> SuperForm:
+    """`km_closed_form` with a random rational scale on each exterior key:
+    neither closed nor K-invariant once p >= 2, so a dropped term shows."""
+    rng = random.Random(seed)
+    return SuperForm(ctx, (
+        (key, pg * Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+        for key, pg in km_closed_form(ctx).terms.items()
+    ))
+
+
+def per_row_action(x: LieElement, f: PolyGauss) -> PolyGauss:
+    """-sum_kl m_kl x_l d_k f with one `derive` per non-zero row k, for
+    each X anew: the reference for the shared-gradient Lie layer."""
+    rows: dict = {}
+    for (k, l), c in x._entries().items():
+        rows.setdefault(k, []).append((l, c))
+    out = PolyGauss.zero(f.n)
+    for k, row in rows.items():
+        dk = f.derive(k)
+        for l, c in row:
+            out = out + dk * PolyGauss.from_poly(Poly.var(f.n, l)) * Scalar.rational(-c)
+    return out
+
+
+def per_pair_exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
+    out = SuperForm.zero(ctx)
+    for pair in ctx.p_pairs():
+        x = LieElement.basis(ctx, *pair)
+        for (i_set, j_set), pg in a.terms.items():
+            new_i, sign = sort_with_sign((pair,) + i_set)
+            if sign:
+                out = out + SuperForm(ctx, {(new_i, j_set): per_row_action(x, pg) * sign})
+    return out
+
+
+def per_row_lie_derivative(x: LieElement, a: SuperForm) -> SuperForm:
+    acted = SuperForm(x.ctx, {key: per_row_action(x, pg) for key, pg in a.terms.items()})
+    return coadjoint_action(x, a) + acted
+
+
+SIGS_TO_5 = [(p, n - p) for n in range(2, 6) for p in range(1, n)]
+
+
+class TestAgainstPerRowReference:
+    @pytest.mark.parametrize("p,q", SIGS_TO_5)
+    def test_exterior_derivative(self, p, q):
+        ctx = SignatureCtx(p, q)
+        a = rescaled_closed_form(ctx, seed=10 * p + q)
+        res = exterior_derivative(ctx, a)
+        assert res == per_pair_exterior_derivative(ctx, a)
+        assert p == 1 or not res.is_zero()
+
+    @pytest.mark.parametrize("p,q", SIGS_TO_5)
+    def test_lie_derivative(self, p, q):
+        ctx = SignatureCtx(p, q)
+        a = rescaled_closed_form(ctx, seed=10 * p + q)
+        grads = coefficient_gradients(a)
+        results = []
+        for pair in ctx.k_pairs():
+            x = LieElement.basis(ctx, *pair)
+            res = lie_derivative(x, a, grads)
+            assert res == lie_derivative(x, a) == per_row_lie_derivative(x, a)
+            results.append(res)
+        assert p == 1 or any(not res.is_zero() for res in results)
 
 
 class TestInvariance:

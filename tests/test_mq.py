@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thomform.liealg import SignatureCtx
+from thomform.liealg import SignatureCtx, curvature_at_e, eta
 from thomform.km import km_form_at_e
 from thomform.mq import (
+    _thom,
     fiber_d,
     fiber_ddt,
     fiber_divide_t,
@@ -69,6 +70,44 @@ class TestBasepointForm:
             Scalar.term(Fraction(sigma), e2=-q)
         )  # sigma * 2^{-q/2}
         assert km_form_at_e(ctx) == rhs
+
+
+def full_exponential_phi0(ctx: SignatureCtx) -> SuperForm:
+    """phi^0 through the Berezin integral of the whole exp_even(A + R),
+    every z0 degree expanded: the reference for the top-degree build."""
+    two_sqrt_pi_x = [
+        PolyGauss.from_poly(Poly.var(ctx.nvars, alpha) * Scalar.term(2, epi=1))
+        for alpha in range(1, ctx.p + 1)
+    ]
+    a = SuperForm(ctx, (
+        (key, pg * x)
+        for alpha, x in enumerate(two_sqrt_pi_x, start=1)
+        for key, pg in eta(ctx, alpha).terms.items()
+    ))
+    return _thom((a + curvature_at_e(ctx)).exp_even(), [0] * ctx.p + [2] * ctx.q)
+
+
+class TestTopDegreeExponential:
+    @pytest.mark.parametrize(
+        "p,q", [(p, n - p) for n in range(2, 7) for p in range(1, n)] + [(2, 7), (3, 6)]
+    )
+    def test_equals_the_full_expansion(self, p, q):
+        ctx = SignatureCtx(p, q)
+        assert mq_phi0_at_e(ctx) == full_exponential_phi0(ctx)
+
+    def test_only_the_fiber_form_exponentiates(self, monkeypatch):
+        calls = []
+        real = SuperForm.exp_even
+
+        def counting(self):
+            calls.append(self.ctx)
+            return real(self)
+
+        monkeypatch.setattr(SuperForm, "exp_even", counting)
+        mq_phi0_at_e(SignatureCtx(2, 3))
+        assert calls == []
+        fiber_umq(3)
+        assert calls == [FiberCtx(3)]
 
 
 class TestFiberUmq:

@@ -86,6 +86,14 @@ class TestScalarRing:
         assert a * Scalar.one() == a
         assert a - a == Scalar.zero()
 
+    @given(scalars, scalars, st.sampled_from([1, -1]))
+    def test_unit_factor_equals_the_general_product(self, s, w, u):
+        # s * (u + w) - s * w goes through the general product whenever
+        # u + w is not +-1
+        unit = Scalar.rational(u)
+        general = s * (unit + w) - s * w
+        assert s * unit == unit * s == s * u == u * s == general
+
     @given(scalars, scalars)
     def test_float_is_a_homomorphism(self, a, b):
         assert math.isclose(

@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from thomform.km import hermite, hermite_scaled
-from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp
+from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp, linear_field
 
 N = 3  # variables; the last one plays the scaling variable t
 X = sympy.symbols(f"x1:{N + 1}")
@@ -87,7 +87,7 @@ def test_linear_field(seed):
     expected = sum(
         rational(c) * X[l - 1] * sympy.diff(f, X[k - 1]) for (k, l), c in entries.items()
     )
-    assert_same(to_sympy(pg.linear_field(entries)), expected)
+    assert_same(to_sympy(linear_field(pg.gradient(), entries)), expected)
 
 
 def poly_to_sympy(p: Poly):

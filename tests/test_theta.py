@@ -69,6 +69,18 @@ class TestDiagonalize:
         )
         assert spec == HYPERBOLIC
 
+    def test_from_json_takes_int_and_rational_string_entries(self):
+        spec = LatticeSpec.from_json(
+            {"label": "mixed", "p": 1, "q": 1, "gram": [[2, "1/2"], ["1/2", -3]]}
+        )
+        assert spec.gram == ((2, Fraction(1, 2)), (Fraction(1, 2), -3))
+
+    @pytest.mark.parametrize("value", [True, False, 0.1, 1.0, None, [1]])
+    def test_from_json_rejects_a_gram_entry_that_is_not_exact(self, value):
+        data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", value], ["1", "0"]]}
+        with pytest.raises(ValueError, match=r"^gram\[0\]\[1\] = "):
+            LatticeSpec.from_json(data)
+
     @pytest.mark.parametrize("field,value", [("p", 1.9), ("q", True), ("p", "1"), ("q", 1.0)])
     def test_from_json_rejects_a_non_integer_signature(self, field, value):
         data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], ["1", "0"]], field: value}
