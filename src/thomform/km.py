@@ -129,13 +129,12 @@ def coefficient_gradients(a: SuperForm) -> dict[tuple, list[PolyGauss]]:
     return {key: pg.gradient() for key, pg in a.terms.items()}
 
 
-def lie_derivative(x: LieElement, a: SuperForm, grads: dict | None = None) -> SuperForm:
+def lie_derivative(x: LieElement, a: SuperForm, grads: dict) -> SuperForm:
     """Action of X in k on a form with Schwartz coefficients: the coadjoint
     action on the exterior slots plus the infinitesimal action on the
-    coefficient functions. Invariance means this vanishes. ``grads``, the
-    `coefficient_gradients` of ``a``, lets several X share one of them.
+    coefficient functions. Invariance means this vanishes. ``grads`` is
+    `coefficient_gradients(a)`, so several X share one gradient.
     """
-    grads = coefficient_gradients(a) if grads is None else grads
     return SuperForm(x.ctx, itertools.chain(
         coadjoint_action(x, a).terms.items(),
         ((key, schwartz_action(x, grads[key])) for key in a.terms),

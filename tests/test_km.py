@@ -153,7 +153,7 @@ class TestAgainstPerRowReference:
         for pair in ctx.k_pairs():
             x = LieElement.basis(ctx, *pair)
             res = lie_derivative(x, a, grads)
-            assert res == lie_derivative(x, a) == per_row_lie_derivative(x, a)
+            assert res == per_row_lie_derivative(x, a)
             results.append(res)
         assert p == 1 or any(not res.is_zero() for res in results)
 
@@ -163,8 +163,9 @@ class TestInvariance:
     def test_k_basis_annihilates(self, p, q):
         ctx = SignatureCtx(p, q)
         phi = km_form_at_e(ctx)
+        grads = coefficient_gradients(phi)
         for pair in ctx.k_pairs():
-            assert lie_derivative(LieElement.basis(ctx, *pair), phi).is_zero()
+            assert lie_derivative(LieElement.basis(ctx, *pair), phi, grads).is_zero()
 
     def test_nonzero_on_noninvariant_form(self):
         ctx = SignatureCtx(2, 1)
@@ -172,4 +173,5 @@ class TestInvariance:
             ctx,
             {((), ()): PolyGauss.gaussian([Fraction(1)] * 3, Poly.var(3, 1))},
         )
-        assert not lie_derivative(LieElement.basis(ctx, 1, 2), a).is_zero()
+        x = LieElement.basis(ctx, 1, 2)
+        assert not lie_derivative(x, a, coefficient_gradients(a)).is_zero()

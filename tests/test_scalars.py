@@ -88,11 +88,11 @@ class TestScalarRing:
 
     @given(scalars, scalars, st.sampled_from([1, -1]))
     def test_unit_factor_equals_the_general_product(self, s, w, u):
-        # s * (u + w) - s * w goes through the general product whenever
-        # u + w is not +-1
+        # the expected value is built coefficient by coefficient, not by a product
         unit = Scalar.rational(u)
+        expected = Scalar._of({k: u * r for k, r in s.terms.items()})
         general = s * (unit + w) - s * w
-        assert s * unit == unit * s == s * u == u * s == general
+        assert s * unit == unit * s == s * u == u * s == expected == general
 
     @given(scalars, scalars)
     def test_float_is_a_homomorphism(self, a, b):
