@@ -139,7 +139,7 @@ def _example11(args, parser) -> int:
     print(f"machinery:   {lhs!r}")
     print(f"closed form: {rhs!r}")
     print(f"difference:  {abs(lhs - rhs)!r}")
-    return 0 if abs(lhs - rhs) <= 1e-12 else 1
+    return 0 if abs(lhs - rhs) <= checks.EXAMPLE11_TOL else 1
 
 
 def _theta(args, parser) -> int:

@@ -104,12 +104,13 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
     return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=q)))
 
 
-def exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
+def exterior_derivative(a: SuperForm) -> SuperForm:
     """Invariant exterior derivative at the base point:
     d = sum over p-pairs of (omega_{alpha mu} ^ .) composed with the
     infinitesimal action of X_{alpha mu} on coefficients. Each coefficient
     is differentiated once, for all p-pairs.
     """
+    ctx = a.ctx
     xs = [(pair, LieElement.basis(ctx, *pair)) for pair in ctx.p_pairs()]
 
     def terms():

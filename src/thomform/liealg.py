@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import Poly, PolyGauss, Scalar, _add_into, _pairs, linear_field
+from .scalars import PolyGauss, Scalar, _add_into, _pairs, linear_field
 from .superforms import SuperForm, sort_with_sign
 
 Pair = tuple[int, int]
@@ -100,9 +100,6 @@ class LieElement:
             and self.ctx == other.ctx
             and self.coords == other.coords
         )
-
-    def is_zero(self) -> bool:
-        return not self.coords
 
     def in_k(self) -> bool:
         p = self.ctx.p
@@ -225,7 +222,7 @@ def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
                     bracket(LieElement.basis(ctx, *pa), LieElement.basis(ctx, *pb))
                 )
                 for (nu, mu), c in so_z0_to_wedge(ctx, -k_part).items():
-                    pg = PolyGauss.from_poly(Poly.const(ctx.nvars, Scalar.rational(c)))
+                    pg = PolyGauss.const(ctx.nvars, Scalar.rational(c))
                     yield ((min(pa, pb), max(pa, pb)), (nu, mu)), pg
 
     return SuperForm(ctx, terms())

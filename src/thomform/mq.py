@@ -233,4 +233,4 @@ def fiber_integrate(a: SuperForm) -> Scalar:
                     val = val * gauss_moment(mono[i], g[i])
                 yield val
 
-    return sum(values(), Scalar.zero())
+    return sum(values(), Scalar())

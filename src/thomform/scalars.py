@@ -80,10 +80,6 @@ class Scalar:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero() -> "Scalar":
-        return Scalar()
-
-    @staticmethod
     def one() -> "Scalar":
         return Scalar({(0, 0): Fraction(1)})
 
@@ -94,14 +90,6 @@ class Scalar:
     @staticmethod
     def term(r, e2: int = 0, epi: int = 0) -> "Scalar":
         return Scalar({(e2, epi): Fraction(r)})
-
-    @staticmethod
-    def sqrt2(power: int = 1) -> "Scalar":
-        return Scalar.term(1, e2=power)
-
-    @staticmethod
-    def pi(power: int = 1) -> "Scalar":
-        return Scalar.term(1, epi=2 * power)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -138,9 +126,6 @@ class Scalar:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __float__(self) -> float:
         return sum(
@@ -216,11 +201,11 @@ class Poly:
         return Poly.const(n, ONE)
 
     @staticmethod
-    def var(n: int, i: int, power: int = 1) -> "Poly":
+    def var(n: int, i: int) -> "Poly":
         # i is 1-based
         _check_index(i, n)
         m = [0] * n
-        m[i - 1] = power
+        m[i - 1] = 1
         return Poly(n, {tuple(m): ONE})
 
     def _check(self, other: "Poly"):
@@ -271,9 +256,6 @@ class Poly:
                     prod *= x**e
             total += prod
         return total
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -336,10 +318,6 @@ class PolyGauss:
         return pg
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero(n: int) -> "PolyGauss":
-        return PolyGauss(n)
-
     @staticmethod
     def from_poly(p: Poly) -> "PolyGauss":
         return PolyGauss(p.n, {gauss_exp([0] * p.n): p})
@@ -456,9 +434,6 @@ class PolyGauss:
             total += p.eval(vv) * math.exp(expo)
         return total
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
     def __bool__(self):
         return bool(self.parts)
 
@@ -557,7 +532,7 @@ def gauss_moment(n: int, c) -> Scalar:
     if c <= 0:
         raise NotRepresentable(f"Gaussian exponent {c} is not positive; integral diverges")
     if n % 2 == 1:
-        return Scalar.zero()
+        return Scalar()
     inv_sqrt_c = sqrt_in_ring(1 / c)
     k = n // 2
     dfact = 1

@@ -1,8 +1,9 @@
 """Bigraded exterior algebra Lambda(p*) (x) Lambda(z0) with PolyGauss coefficients.
 
-Keys are pairs (I, J): I a sorted tuple of one-form generators, J a sorted
-tuple of z0 indices. The product follows the bigraded Koszul rule
-(w (x) s) ^ (e (x) t) = (-1)^(jk) (w ^ e) (x) (s ^ t).
+Keys are pairs (I, J): I a strictly increasing tuple of one-form
+generators, J one of z0 indices; the constructor rejects any other key. A
+form is falsy exactly when it is zero. The product follows the bigraded
+Koszul rule (w (x) s) ^ (e (x) t) = (-1)^(jk) (w ^ e) (x) (s ^ t).
 
 The same class serves both the symmetric-space algebra (generators are
 (alpha, mu) pairs for omega_{alpha mu}) and fiber forms (generators are
@@ -76,8 +77,11 @@ class SuperForm:
         self.terms = _add_into(
             {}, (((tuple(i_set), tuple(j_set)), pg) for (i_set, j_set), pg in _pairs(terms))
         )
-        if any(pg.n != ctx.nvars for pg in self.terms.values()):
-            raise ValueError("coefficient dimension mismatch")
+        for key, pg in self.terms.items():
+            if pg.n != ctx.nvars:
+                raise ValueError("coefficient dimension mismatch")
+            if key != (tuple(sorted(set(key[0]))), tuple(sorted(set(key[1])))):
+                raise ValueError(f"key {key}: I and J must be strictly increasing")
 
     @staticmethod
     def _of(ctx, terms: dict) -> "SuperForm":
@@ -87,28 +91,13 @@ class SuperForm:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero(ctx) -> "SuperForm":
-        return SuperForm(ctx)
-
-    @staticmethod
-    def const(ctx, pg: PolyGauss) -> "SuperForm":
-        return SuperForm(ctx, {((), ()): pg})
-
-    @staticmethod
     def one(ctx) -> "SuperForm":
-        return SuperForm.const(ctx, PolyGauss.one(ctx.nvars))
+        return SuperForm(ctx, {((), ()): PolyGauss.one(ctx.nvars)})
 
     @staticmethod
-    def generator(ctx, gen, coeff: PolyGauss | None = None) -> "SuperForm":
+    def generator(ctx, gen) -> "SuperForm":
         """A single one-form generator (bidegree (1,0))."""
-        pg = coeff if coeff is not None else PolyGauss.one(ctx.nvars)
-        return SuperForm(ctx, {((gen,), ()): pg})
-
-    @staticmethod
-    def section(ctx, j: int, coeff: PolyGauss | None = None) -> "SuperForm":
-        """A single z0 basis element (bidegree (0,1))."""
-        pg = coeff if coeff is not None else PolyGauss.one(ctx.nvars)
-        return SuperForm(ctx, {((), (j,)): pg})
+        return SuperForm(ctx, {((gen,), ()): PolyGauss.one(ctx.nvars)})
 
     # -- linear structure -----------------------------------------------
     def _check(self, other: "SuperForm"):
@@ -126,8 +115,6 @@ class SuperForm:
         return self + (-other)
 
     def scale(self, c) -> "SuperForm":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.rational(c)
         return SuperForm(self.ctx, ((k, pg * c) for k, pg in self.terms.items()))
 
     def map_coeffs(self, fn) -> "SuperForm":
@@ -140,8 +127,8 @@ class SuperForm:
             and self.terms == other.terms
         )
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def sizes(self) -> tuple[int, int, int]:
         """(exterior terms, monomials, largest numerator or denominator
@@ -206,7 +193,7 @@ class SuperForm:
         fact = 1
         for k in range(1, len(self.ctx.z0) + 1):
             power = power.wedge(self)
-            if power.is_zero():
+            if not power:
                 break
             fact *= k
             _add_into(terms, power.scale(Fraction(1, fact)).terms.items())

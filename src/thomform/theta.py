@@ -43,8 +43,12 @@ class LatticeSpec:
 
     @staticmethod
     def from_json(data: dict) -> "LatticeSpec":
-        # Fraction would read a bool as 0 or 1 and a float as its binary fraction
+        # Fraction reads a bool as 0 or 1, a float as its binary fraction, a string row by character
+        if not isinstance(data["gram"], list):
+            raise ValueError(f"gram = {data['gram']!r} is not an array of rows")
         for i, row in enumerate(data["gram"]):
+            if not isinstance(row, list):
+                raise ValueError(f"gram[{i}] = {row!r} is not an array")
             for j, entry in enumerate(row):
                 if not (_is_int(entry) or isinstance(entry, str)):
                     raise ValueError(f"gram[{i}][{j}] = {entry!r} is not an int or rational string")
@@ -192,6 +196,11 @@ def tail_estimate(dl: DiagonalizedLattice, km: SuperForm, y: float, bound: float
     (lmin = least eigenvalue of the majorant); each contributes at most
     Cp (1 + sqrt(y (k+1)))^deg e^{-pi y k} where Cp sums the absolute
     polynomial coefficients of the basepoint form and deg is its degree.
+
+    Shells are summed until a term is below 1e-30 of the total, at most
+    10,000 shells past the bound. The term ratio never rises with k (each
+    factor is log-concave in k, times e^{-pi y k}), so the rest is then at
+    most a geometric series; while the terms still grow, a ValueError names y.
     """
     cp = 0.0
     deg = 0
@@ -202,18 +211,24 @@ def tail_estimate(dl: DiagonalizedLattice, km: SuperForm, y: float, bound: float
     a = majorant_matrix(dl)
     lmin = min(np.linalg.eigvalsh(a))
     n = a.shape[0]
+
+    def shell_term(k: int) -> float:
+        shell = (2.0 * math.sqrt((k + 1) / lmin) + 3.0) ** n
+        return shell * cp * (1.0 + math.sqrt(y * (k + 1))) ** deg * math.exp(-math.pi * y * k)
+
     total = 0.0
     k = math.floor(bound)
     while True:
-        shell = (2.0 * math.sqrt((k + 1) / lmin) + 3.0) ** n
-        term = shell * cp * (1.0 + math.sqrt(y * (k + 1))) ** deg * math.exp(
-            -math.pi * y * k
-        )
+        term = shell_term(k)
         total += term
         k += 1
-        if term < 1e-30 * max(total, 1.0) or k > bound + 10_000:
-            break
-    return total
+        if term < 1e-30 * max(total, 1.0):
+            return total
+        if k > bound + 10_000:
+            ratio = shell_term(k) / term
+            if ratio >= 1:
+                raise ValueError(f"tail_estimate: terms still grow past 10000 shells at y = {y}")
+            return total + term * ratio / (1 - ratio)
 
 
 def theta_partial_sum(

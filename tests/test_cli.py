@@ -157,6 +157,15 @@ class TestTheta:
         assert res.stdout == ""
         assert "gram[1][0] = " in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("gram,name", [(["01", "10"], "gram[0] = "), ("0110", "gram = ")])
+    def test_gram_rows_must_be_arrays(self, tmp_path, gram, name):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"label": "hyp", "p": 1, "q": 1, "gram": gram}))
+        res = run("theta", "--lattice", str(path), "--tau", "1i", "--bound", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert name in res.stderr and "Traceback" not in res.stderr
+
     def test_missing_file(self):
         res = run("theta", "--lattice", "/no/such.json", "--tau", "1i", "--bound", "1")
         assert res.returncode == 2

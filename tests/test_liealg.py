@@ -54,7 +54,7 @@ class TestBrackets:
         ) == LieElement.basis(c, 1, 2)
         assert bracket(
             LieElement.basis(c, 1, 3), LieElement.basis(c, 2, 4)
-        ).is_zero()
+        ) == LieElement(c)
 
     def test_p_bracket_identity(self):
         # the closed form in the liealg docstring, with X_{ji} = -X_{ij}:
@@ -86,7 +86,7 @@ class TestBrackets:
             + bracket(y, bracket(z, x))
             + bracket(z, bracket(x, y))
         )
-        assert jac.is_zero()
+        assert jac == LieElement(ctx)
 
     @pytest.mark.parametrize("ctx", CTXS, ids=str)
     def test_cartan_relations(self, ctx):
@@ -98,7 +98,7 @@ class TestBrackets:
                 ).in_k()
             for b in ctx.p_pairs():
                 br = bracket(LieElement.basis(ctx, *a), LieElement.basis(ctx, *b))
-                assert project_k(br).is_zero()
+                assert project_k(br) == LieElement(ctx)
         for a in ctx.p_pairs():
             for b in ctx.p_pairs():
                 assert bracket(
@@ -118,13 +118,13 @@ class TestCanonicalCoords:
         ctx = SignatureCtx(2, 1)
         x = LieElement(ctx, [((1, 2), 1), ((1, 3), 2), ((1, 2), -1), ((2, 3), 0)])
         assert x.coords == {(1, 3): Fraction(2)}
-        assert (x - x).is_zero() and (x * 0).is_zero()
+        assert x - x == LieElement(ctx) and x * 0 == LieElement(ctx)
 
     def test_rejects_a_bad_pair_with_a_non_zero_coefficient(self):
         ctx = SignatureCtx(2, 1)
         with pytest.raises(ValueError, match="bad basis pair"):
             LieElement(ctx, {(2, 1): 1})
-        assert LieElement(ctx, {(2, 1): 0}).is_zero()
+        assert LieElement(ctx, {(2, 1): 0}) == LieElement(ctx)
 
 
 class TestCurvature:
@@ -133,7 +133,7 @@ class TestCurvature:
     )
     def test_equals_eta_squares(self, p, q):
         ctx = SignatureCtx(p, q)
-        rhs = SuperForm.zero(ctx)
+        rhs = SuperForm(ctx)
         for alpha in range(1, p + 1):
             e = eta(ctx, alpha)
             rhs = rhs + e.wedge(e)
@@ -154,7 +154,7 @@ class TestSchwartzAction:
         g = PolyGauss.gaussian([Fraction(1)] * 3)
         x12 = LieElement.basis(ctx, 1, 2)
         out = schwartz_action(x12, g.gradient())
-        assert out.is_zero()  # rotation in a positive 2-plane fixes |x|^2
+        assert not out  # rotation in a positive 2-plane fixes |x|^2
 
     def test_on_boost(self):
         ctx = SignatureCtx(1, 1)
@@ -252,7 +252,7 @@ def dense_schwartz_action(x, f):
     """-sum_k (Xv)_k d_k f, with (Xv)_k built as a polynomial."""
     n = x.ctx.n
     m = x.matrix()
-    out = PolyGauss.zero(n)
+    out = PolyGauss(n)
     for k in range(1, n + 1):
         lin = Poly(n)
         for l in range(1, n + 1):

@@ -1,0 +1,178 @@
+"""Mutation gate: every check can fail, and every planted fault is seen.
+
+Each entry of ``MUTATIONS`` plants one small fault in the library: it
+replaces one or two snippets in the source of one library function (of two
+for the Cartan split, which both encode it) and installs the result with
+``monkeypatch``. Under each fault every check runs at its smallest legal
+size and at the next sizes up (``SIZES``). The gate holds both ways:
+
+- every check id returns ``fail`` under at least one mutation at its
+  smallest legal size;
+- every mutation makes at least one check return ``fail``.
+
+A check that raises under a mutation has not caught it: only a ``fail``
+verdict counts. Without a mutation every run passes.
+"""
+
+import __future__
+import inspect
+import textwrap
+import warnings
+
+import pytest
+from scipy.integrate import IntegrationWarning
+
+import thomform
+from thomform import checks, cli, km, liealg, mq, scalars, superforms, theta
+from thomform.checks import CHECKS, FIBER, SIGNATURE, run_check
+from thomform.liealg import LieElement, SignatureCtx
+from thomform.scalars import PolyGauss
+from thomform.superforms import SuperForm
+
+MODULES = (thomform, scalars, superforms, liealg, km, mq, checks, theta, cli)
+
+# name -> [(owner, function name, {snippet: replacement}), ...]
+MUTATIONS = {
+    "wedge_drops_koszul_sign": [
+        (SuperForm, "wedge", {"(-1 if (len(ja) * len(ib)) % 2 else 1)": "1"}),
+    ],
+    "derive_drops_gaussian_slope": [
+        (PolyGauss, "derive", {"p.derive(i) + p * slope(g)": "p.derive(i)"}),
+    ],
+    # flipping the YX term alone gives XY + YX, which is not in so(p,q):
+    # bracket itself raises, in every check, so the whole commutator is flipped
+    "bracket_returns_yx_minus_xy": [
+        (liealg, "bracket", {
+            "yield (i, j), u * v": "yield (i, j), -u * v",
+            "yield (l, k), -v * u": "yield (l, k), v * u",
+        }),
+    ],
+    "mq_prefactor_sign_flipped": [
+        (mq, "mq_prefactor", {"sign = -1 if": "sign = 1 if"}),
+    ],
+    "exp_even_drops_factorials": [
+        (SuperForm, "exp_even", {"power.scale(Fraction(1, fact)).terms": "power.terms"}),
+    ],
+    "top_degree_drops_factorials": [
+        (mq, "mq_phi0_at_e", {
+            "Fraction(1, math.factorial(q - 2 * b) * math.factorial(b))": "1",
+        }),
+    ],
+    "gauss_moment_doubled": [
+        (scalars, "gauss_moment", {"epi=-2 * k) * inv_sqrt_c": "epi=-2 * k) * inv_sqrt_c * 2"}),
+    ],
+    "euler_contract_drops_slot_sign": [
+        (mq, "fiber_euler_contract", {"-pg2 if pos % 2 else pg2": "pg2"}),
+    ],
+    # at (1,1) both sides of curvature and of closedness vanish because
+    # w ^ w = 0: only a repeated generator that survives reaches them
+    "repeated_generator_absorbed": [
+        (superforms, "merge_sorted", {"return (), 0": "continue"}),
+    ],
+    # at (1,1) k = 0, so k_invariance has no generator to test unless the
+    # Cartan split, which two functions encode, is wrong
+    "cartan_split_puts_p_in_k": [
+        (SignatureCtx, "k_pairs", {"return pos + neg": "return pos + neg + self.p_pairs()"}),
+        (LieElement, "in_k", {
+            "return all(not (i <= p < j) for i, j in self.coords)": "return True",
+        }),
+    ],
+    "berezin_below_top_degree": [
+        (SuperForm, "berezin", {"top = tuple(self.ctx.z0)": "top = tuple(self.ctx.z0)[1:]"}),
+    ],
+    "contract_drops_sign": [
+        (SuperForm, "contract", {"pg2 = -pg2": "pass"}),
+    ],
+    "gaussian_product_keeps_left_weight": [
+        (PolyGauss, "__mul__", {"(tuple(map(add, ga, gb)), pa * pb)": "(ga, pa * pb)"}),
+    ],
+}
+
+
+def _sizes(cid: str) -> list[dict]:
+    """The smallest legal parameters of ``cid`` first, then the next sizes up."""
+    spec = CHECKS[cid]
+    if spec is SIGNATURE:
+        return [{"p": 1, "q": 1}, {"p": 1, "q": 2}, {"p": 2, "q": 1}]
+    if spec is FIBER:
+        return [{"q": 1}, {"q": 2}]
+    if cid == "howe_hermite":
+        return [{"nmax": 1}, {"nmax": 2}]
+    if cid == "splitting":
+        return [{"p1": 1, "q1": 1, "p2": 1, "q2": 1}]
+    return [{}]  # delta_limit and example11 are not sized
+
+
+SIZES = {cid: _sizes(cid) for cid in CHECKS}
+
+
+def _mutate(mp: pytest.MonkeyPatch, owner, name: str, replacements: dict) -> None:
+    """Install ``owner.name`` with each snippet of ``replacements`` replaced
+    in its source; a module-level function is rebound wherever the package
+    imported it."""
+    fn = getattr(owner, name)
+    module = inspect.getmodule(fn)
+    source = textwrap.dedent(inspect.getsource(fn))
+    for snippet, replacement in replacements.items():
+        assert source.count(snippet) == 1, f"{name}: {snippet!r} must occur once"
+        source = source.replace(snippet, replacement)
+    code = compile(
+        source, module.__file__, "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    namespace: dict = {}
+    exec(code, vars(module), namespace)
+    if inspect.isclass(owner):
+        mp.setattr(owner, name, namespace[name])
+        return
+    for mod in MODULES:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                mp.setattr(mod, attr, namespace[name])
+
+
+def _verdicts() -> dict:
+    """{(check id, sorted params): status}, where a raised exception is
+    recorded as ``raised`` and never as ``fail``."""
+    out = {}
+    for cid, sizes in SIZES.items():
+        for params in sizes:
+            try:
+                with warnings.catch_warnings():  # a planted fault may upset quad
+                    warnings.simplefilter("ignore", IntegrationWarning)
+                    status = run_check(cid, **params).status
+            except Exception as exc:  # a crash is not a catch
+                status = f"raised {type(exc).__name__}"
+            out[(cid, tuple(sorted(params.items())))] = status
+    return out
+
+
+@pytest.fixture(scope="module")
+def verdicts() -> dict:
+    """Verdicts of every run, by mutation (None: the unmutated library)."""
+    out = {None: _verdicts()}
+    for name, edits in MUTATIONS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for edit in edits:
+                _mutate(mp, *edit)
+            out[name] = _verdicts()
+    return out
+
+
+def test_every_run_passes_without_a_mutation(verdicts):
+    assert set(verdicts[None].values()) == {"pass"}, verdicts[None]
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_every_mutation_fails_a_check(verdicts, name):
+    assert "fail" in verdicts[name].values(), verdicts[name]
+
+
+@pytest.mark.parametrize("cid", CHECKS)
+def test_every_check_fails_under_a_mutation_at_its_smallest_size(verdicts, cid):
+    key = (cid, tuple(sorted(SIZES[cid][0].items())))
+    assert any(v[key] == "fail" for name, v in verdicts.items() if name is not None), key
+
+
+def test_every_mutation_is_undone(verdicts):
+    assert verdicts[None] == _verdicts()

@@ -23,6 +23,9 @@ from thomform.scalars import (
     sqrt_in_ring,
 )
 
+SQRT2 = Scalar.term(1, e2=1)
+PI = Scalar.term(1, epi=2)
+
 fractions = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=8
 )
@@ -55,7 +58,7 @@ SCALAR_ATOMS = [
 POLY_ATOMS = [
     Poly(2, {m: c})
     for m in [(0, 0), (1, 0), (2, 0), (0, 1)]
-    for c in [Scalar.one(), Scalar.sqrt2(), Scalar.one() + Scalar.sqrt2()]
+    for c in [Scalar.one(), SQRT2, Scalar.one() + SQRT2]
 ]
 POLYGAUSS_ATOMS = [
     PolyGauss.gaussian(g, p)
@@ -65,11 +68,11 @@ POLYGAUSS_ATOMS = [
 
 class TestScalarRing:
     def test_sqrt2_squares_to_two(self):
-        assert Scalar.sqrt2() * Scalar.sqrt2() == Scalar.rational(2)
+        assert SQRT2 * SQRT2 == Scalar.rational(2)
 
     def test_sqrt_pi_squares_to_pi(self):
-        assert Scalar.term(1, epi=1) * Scalar.term(1, epi=1) == Scalar.pi()
-        assert Scalar.pi() != Scalar.rational(3)  # pi is never folded
+        assert Scalar.term(1, epi=1) * Scalar.term(1, epi=1) == PI
+        assert PI != Scalar.rational(3)  # pi is never folded
 
     def test_float_value(self):
         s = Scalar.term(Fraction(3, 2), e2=1, epi=-2)
@@ -82,9 +85,9 @@ class TestScalarRing:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a + Scalar.zero() == a
+        assert a + Scalar() == a
         assert a * Scalar.one() == a
-        assert a - a == Scalar.zero()
+        assert a - a == Scalar()
 
     @given(scalars, scalars, st.sampled_from([1, -1]))
     def test_unit_factor_equals_the_general_product(self, s, w, u):
@@ -102,7 +105,7 @@ class TestScalarRing:
 
     @given(scalars)
     def test_str_is_faithful(self, c):
-        assert_str_faithful(c, SCALAR_ATOMS, Scalar.zero())
+        assert_str_faithful(c, SCALAR_ATOMS, Scalar())
 
     def test_power(self):
         s = Scalar.term(Fraction(1, 2), e2=1)
@@ -165,11 +168,11 @@ class TestCanonicalSums:
         x = (1, 0)
         p = Poly(2, [(x, Scalar.one()), ((0, 1), Scalar.one()), (x, -Scalar.one())])
         assert p == Poly.var(2, 2) and list(p.terms) == [(0, 1)]
-        assert Poly(2, iter([(x, Scalar.zero())])).terms == {}
+        assert Poly(2, iter([(x, Scalar())])).terms == {}
 
     def test_poly_checks_every_monomial(self):
         with pytest.raises(ValueError, match="monomial length"):
-            Poly(2, [((1,), Scalar.zero())])
+            Poly(2, [((1,), Scalar())])
 
     def test_polygauss_pairs(self):
         g = (Fraction(1), Fraction(0))
@@ -185,7 +188,7 @@ class TestCanonicalSums:
         for value in (a + b, a * b, a - a, a * 0):
             assert all(value.terms.values())
         p = Poly(2, {(1, 0): a, (0, 1): b})
-        for value in (p + p, p * p, p - p, p.derive(1), p * Scalar.zero()):
+        for value in (p + p, p * p, p - p, p.derive(1), p * Scalar()):
             assert all(value.terms.values())
         assert not p - p
 
@@ -206,7 +209,7 @@ class TestPolyGauss:
 
     @given(st.dictionaries(st.tuples(fractions, fractions), polys, max_size=2))
     def test_str_is_faithful(self, parts):
-        assert_str_faithful(PolyGauss(2, parts), POLYGAUSS_ATOMS, PolyGauss.zero(2))
+        assert_str_faithful(PolyGauss(2, parts), POLYGAUSS_ATOMS, PolyGauss(2))
 
     @given(st.dictionaries(st.tuples(fractions, fractions), polys, max_size=2))
     def test_items_round_trip(self, parts):
@@ -233,7 +236,7 @@ class TestGaussMoment:
         assert abs(exact - num) <= 1e-12 * max(1.0, abs(num))
 
     def test_odd_moments_vanish(self):
-        assert gauss_moment(3, Fraction(2)) == Scalar.zero()
+        assert gauss_moment(3, Fraction(2)) == Scalar()
 
     def test_normalization_examples(self):
         assert gauss_moment(0, Fraction(1)) == Scalar.one()
@@ -249,7 +252,7 @@ class TestGaussMoment:
 
     def test_sqrt_in_ring(self):
         assert sqrt_in_ring(Fraction(9, 4)) == Scalar.rational(Fraction(3, 2))
-        assert sqrt_in_ring(Fraction(2)) == Scalar.sqrt2()
+        assert sqrt_in_ring(Fraction(2)) == SQRT2
         with pytest.raises(NotRepresentable):
             sqrt_in_ring(Fraction(5))
 
@@ -289,14 +292,14 @@ class TestMixedTypeProducts:
     @pytest.mark.parametrize("n", [2, 3])
     def test_scalar_times_poly(self, n):
         x = Poly.var(n, 1)
-        expected = Poly(n, {(1,) + (0,) * (n - 1): Scalar.sqrt2()})
-        assert Scalar.sqrt2() * x == expected == x * Scalar.sqrt2()
+        expected = Poly(n, {(1,) + (0,) * (n - 1): SQRT2})
+        assert SQRT2 * x == expected == x * SQRT2
 
     def test_scalar_times_polygauss(self):
         g = PolyGauss.gaussian([1, 1])
         assert Scalar.one() * g == g
-        assert Scalar.sqrt2() * g == g * Scalar.sqrt2() == PolyGauss.gaussian(
-            [1, 1], Poly.const(2, Scalar.sqrt2())
+        assert SQRT2 * g == g * SQRT2 == PolyGauss.gaussian(
+            [1, 1], Poly.const(2, SQRT2)
         )
 
     def test_poly_times_polygauss_is_a_type_error(self):
@@ -307,7 +310,7 @@ class TestMixedTypeProducts:
             g * x
 
     @pytest.mark.parametrize(
-        "value", [Scalar.sqrt2(), Poly.var(2, 1), PolyGauss.gaussian([1, 1])]
+        "value", [SQRT2, Poly.var(2, 1), PolyGauss.gaussian([1, 1])]
     )
     def test_float_is_a_type_error(self, value):
         with pytest.raises(TypeError):

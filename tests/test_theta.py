@@ -16,6 +16,7 @@ from thomform.theta import (
     enumerate_vectors,
     gram_value,
     majorant_matrix,
+    tail_estimate,
     theta_partial_sum,
 )
 
@@ -80,6 +81,14 @@ class TestDiagonalize:
         data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", value], ["1", "0"]]}
         with pytest.raises(ValueError, match=r"^gram\[0\]\[1\] = "):
             LatticeSpec.from_json(data)
+
+    @pytest.mark.parametrize("gram,name", [
+        (["01", "10"], r"gram\[0\]"), ([["0", "1"], "10"], r"gram\[1\]"), ("0110", "gram"),
+    ])
+    def test_from_json_rejects_a_gram_row_that_is_not_an_array(self, gram, name):
+        # a string row would otherwise be read character by character
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            LatticeSpec.from_json({"label": "hyp", "p": 1, "q": 1, "gram": gram})
 
     @pytest.mark.parametrize("field,value", [("p", 1.9), ("q", True), ("p", "1"), ("q", 1.0)])
     def test_from_json_rejects_a_non_integer_signature(self, field, value):
@@ -214,6 +223,31 @@ class TestThetaSum:
             delta = max(abs(sums[k] - prev_sums[k]) for k in sums)
             assert delta <= prev_tail
             prev_sums, prev_tail = sums, tail
+
+    def test_tail_bounds_the_series_past_the_shell_cap(self):
+        # at y = 1e-4 the shell terms are still above 1e-30 of the total
+        # 10,000 shells past the bound; the estimate must still bound the
+        # whole series, here summed with no cap
+        dl = diagonalize_gram(HYPERBOLIC)
+        km = km_form_at_e(SignatureCtx(1, 1))
+        y, bound = 1e-4, 4.0
+        cp = sum(abs(float(c)) for pg in km.terms.values() for _g, _m, c in pg.items())
+        deg = max(sum(m) for pg in km.terms.values() for _g, m, _c in pg.items())
+        lmin = min(np.linalg.eigvalsh(majorant_matrix(dl)))
+        series, k, term = 0.0, math.floor(bound), 1.0
+        while term >= 1e-30 * max(series, 1.0):
+            term = ((2 * math.sqrt((k + 1) / lmin) + 3) ** 2 * cp
+                    * (1 + math.sqrt(y * (k + 1))) ** deg * math.exp(-math.pi * y * k))
+            series += term
+            k += 1
+        assert k > bound + 10_000
+        tail = tail_estimate(dl, km, y, bound)
+        assert series <= tail <= 1.1 * series
+
+    def test_tail_refuses_growing_terms_at_the_shell_cap(self):
+        km = km_form_at_e(SignatureCtx(1, 1))
+        with pytest.raises(ValueError, match=r"y = 1e-05$"):
+            tail_estimate(diagonalize_gram(HYPERBOLIC), km, 1e-5, 4.0)
 
     def test_tail_estimates_decrease(self):
         dl = diagonalize_gram(HYPERBOLIC)
