@@ -193,7 +193,7 @@ def check_hermite_lemma(p: int, q: int) -> CheckResult:
     return _zero_check("hermite_lemma", {"p": p, "q": q}, lhs - rhs)
 
 
-def check_howe_hermite(nmax: int = 10) -> CheckResult:
+def check_howe_hermite(nmax: int) -> CheckResult:
     """(x - (1/2pi) d/dx)^n e^{-pi x^2} = (2pi)^{-n/2} H_n(sqrt(2pi) x) e^{-pi x^2}."""
     params = {"nmax": nmax}
     gauss = PolyGauss.gaussian([Fraction(1)])
@@ -239,7 +239,7 @@ def check_transgression(q: int) -> CheckResult:
     return _signed_check("transgression", {"q": q}, lhs, rhs, "epsilon", EPSILON_TRANSGRESSION)
 
 
-def check_delta_limit(t: float = 100.0, tol: float = 1e-5) -> CheckResult:
+def check_delta_limit(t: float, tol: float) -> CheckResult:
     """For q=1, int (t*U) f -> f(0) as t -> infinity, tested at the given t.
 
     t*U is the library's `fiber_scale_pullback(fiber_umq(1), t)`; its dx_1

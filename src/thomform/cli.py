@@ -34,6 +34,14 @@ def _parse_tau(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"bad complex number: {text!r}")
 
 
+def _parse_real(text: str) -> float:
+    """An integer, decimal or p/q, as a float; an error if it does not fit one."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a real number that fits a float: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thomform",
@@ -65,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser(
         "example11", help="signature (1,1): machinery vs the closed form"
     )
-    p_ex.add_argument("--t", type=Fraction, required=True)
-    p_ex.add_argument("--x", type=Fraction, required=True)
-    p_ex.add_argument("--xp", type=Fraction, required=True)
+    p_ex.add_argument("--t", type=_parse_real, required=True)
+    p_ex.add_argument("--x", type=_parse_real, required=True)
+    p_ex.add_argument("--xp", type=_parse_real, required=True)
 
     p_theta = sub.add_parser("theta", help="theta partial sum over a lattice")
     p_theta.add_argument("--lattice", required=True, help="lattice JSON file")
@@ -131,11 +139,10 @@ def _fiber(args, parser) -> int:
 def _example11(args, parser) -> int:
     from .checks import example11_machinery, example11_paper
 
-    if args.t <= 0:
+    if args.t <= 0:  # a t that rounds to 0.0 included
         parser.error("t must be positive")
-    t, x, xp = float(args.t), float(args.x), float(args.xp)
-    lhs = example11_machinery(t, x, xp)
-    rhs = example11_paper(t, x, xp)
+    lhs = example11_machinery(args.t, args.x, args.xp)
+    rhs = example11_paper(args.t, args.x, args.xp)
     print(f"machinery:   {lhs!r}")
     print(f"closed form: {rhs!r}")
     print(f"difference:  {abs(lhs - rhs)!r}")

@@ -15,34 +15,28 @@ from .scalars import Poly, PolyGauss, Scalar, _add_into, howe_shift
 from .superforms import SuperForm, sort_with_sign
 
 
-def hermite(n: int, nvars: int = 1, var: int = 1) -> Poly:
-    """Physicists' Hermite polynomial H_n in the given variable.
-
-    Built from the raising recurrence H_{n+1} = 2 x H_n - H_n'.
+def _hermite(n: int, nvars: int, var: int, e2: int, epi: int) -> Poly:
+    """H_n(s x_var) for s = sqrt(2)^e2 sqrt(pi)^epi, from the raising recurrence
+    in y = s x, where d/dy = s^(-1) d/dx: h_{n+1} = 2 s x h_n - s^(-1) h_n'.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     h = Poly.one(nvars)
-    x2 = Poly.var(nvars, var) * Scalar.rational(2)
-    for _ in range(n):
-        h = x2 * h - h.derive(var)
-    return h
-
-
-def hermite_scaled(n: int, nvars: int, var: int) -> Poly:
-    """H_n(sqrt(2 pi) x_var) as a polynomial with coefficients in the ring.
-
-    The raising recurrence in y = sqrt(2 pi) x, where d/dy = (2 pi)^(-1/2) d/dx:
-    h_{n+1} = 2 sqrt(2 pi) x h_n - (2 pi)^(-1/2) h_n'.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    h = Poly.one(nvars)
-    y2 = Poly.var(nvars, var) * Scalar.term(2, e2=1, epi=1)
-    inv = Scalar.term(1, e2=-1, epi=-1)
+    y2 = Poly.var(nvars, var) * Scalar.term(2, e2=e2, epi=epi)
+    inv = Scalar.term(1, e2=-e2, epi=-epi)
     for _ in range(n):
         h = y2 * h - h.derive(var) * inv
     return h
+
+
+def hermite(n: int, nvars: int = 1, var: int = 1) -> Poly:
+    """Physicists' Hermite polynomial H_n in the given variable."""
+    return _hermite(n, nvars, var, 0, 0)
+
+
+def hermite_scaled(n: int, nvars: int, var: int) -> Poly:
+    """H_n(sqrt(2 pi) x_var) as a polynomial with coefficients in the ring."""
+    return _hermite(n, nvars, var, 1, 1)
 
 
 def gaussian_plus(ctx: SignatureCtx) -> PolyGauss:

@@ -10,8 +10,10 @@ With this realization, for p-pairs and the convention X_{ji} = -X_{ij},
 [X_{alpha mu}, X_{beta nu}] equals
 delta_{mu nu} X_{alpha beta} - delta_{alpha beta} X_{mu nu}.
 
-An element is held by its coordinates; its matrix has at most two non-zero
-entries per coordinate, so brackets and actions work on the sparse entries.
+`SignatureCtx` owns both conventions: `in_p` is the split and `x_entries`
+the sign table above. An element is held by its coordinates; its matrix has
+at most two non-zero entries per coordinate, so brackets and actions work on
+the sparse entries.
 """
 
 from __future__ import annotations
@@ -48,13 +50,28 @@ class SignatureCtx:
     def z0(self) -> tuple[int, ...]:
         return tuple(range(self.p + 1, self.n + 1))
 
+    def in_p(self, i: int, j: int) -> bool:
+        """The Cartan split: X_ij (i < j) is in p iff it joins the two blocks."""
+        return i <= self.p < j
+
+    def x_entries(self, i: int, j: int, c: Fraction) -> tuple[Fraction, Fraction]:
+        """Entries (i, j) and (j, i) of c X_ij, i < j: the sign table of the
+        module docstring. A sign -1 negates c; nothing is multiplied."""
+        if self.in_p(i, j):
+            return c, c
+        if j <= self.p:
+            return c, -c
+        return -c, c
+
+    def _pairs(self, in_p: bool) -> list[Pair]:
+        pairs = itertools.combinations(range(1, self.n + 1), 2)
+        return [(i, j) for i, j in pairs if self.in_p(i, j) == in_p]
+
     def p_pairs(self) -> list[Pair]:
-        return [(a, m) for a in range(1, self.p + 1) for m in self.z0]
+        return self._pairs(True)
 
     def k_pairs(self) -> list[Pair]:
-        pos = [(a, b) for a in range(1, self.p + 1) for b in range(a + 1, self.p + 1)]
-        neg = [(n, m) for n in self.z0 for m in self.z0 if n < m]
-        return pos + neg
+        return self._pairs(False)
 
     def gen_str(self, g) -> str:
         return f"w[{g[0]},{g[1]}]"
@@ -95,73 +112,43 @@ class LieElement:
             raise ValueError("context mismatch")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.ctx == other.ctx
-            and self.coords == other.coords
-        )
+        return isinstance(other, LieElement) and self.ctx == other.ctx and self.coords == other.coords
+
+    def __bool__(self):
+        return bool(self.coords)
 
     def in_k(self) -> bool:
-        p = self.ctx.p
-        return all(not (i <= p < j) for i, j in self.coords)
+        in_p = self.ctx.in_p
+        return not any(in_p(i, j) for i, j in self.coords)
 
     def _entries(self) -> dict[Pair, Fraction]:
         """Non-zero matrix entries {(row, col): value}, 1-based."""
-        p = self.ctx.p
+        x_entries = self.ctx.x_entries
         out: dict[Pair, Fraction] = {}
         for (i, j), c in self.coords.items():
-            if i <= p < j:  # X_ij = E_ij + E_ji
-                out[(i, j)], out[(j, i)] = c, c
-            elif j <= p:  # X_ij = E_ij - E_ji
-                out[(i, j)], out[(j, i)] = c, -c
-            else:  # X_ij = -E_ij + E_ji
-                out[(i, j)], out[(j, i)] = -c, c
+            out[(i, j)], out[(j, i)] = x_entries(i, j, c)
         return out
 
     @staticmethod
     def _from_entries(ctx: SignatureCtx, entries: Mapping[Pair, Fraction]) -> "LieElement":
         """Coordinates of the matrix with these entries (absent ones are
         zero); raises ValueError unless the matrix is in so(p,q)."""
-        p = ctx.p
 
         def coords():
             # a non-zero diagonal entry (i == j) fails the test below
             for i, j in sorted({(min(r, c), max(r, c)) for r, c in entries}):
                 upper, lower = entries.get((i, j), 0), entries.get((j, i), 0)
-                if i <= p < j:
-                    c, ok = upper, lower == upper
-                elif j <= p:
-                    c, ok = upper, lower == -upper
-                else:
-                    c, ok = lower, upper == -lower
-                if not ok:
+                c = ctx.x_entries(i, j, upper)[0]  # each sign is its own inverse
+                if ctx.x_entries(i, j, c) != (upper, lower):
                     raise ValueError("matrix is not in so(p,q)")
                 yield (i, j), c
 
         return LieElement(ctx, coords())
 
-    def matrix(self) -> list[list[Fraction]]:
-        n = self.ctx.n
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (r, c), v in self._entries().items():
-            m[r - 1][c - 1] = v
-        return m
-
-    @staticmethod
-    def from_matrix(ctx: SignatureCtx, m: list[list[Fraction]]) -> "LieElement":
-        entries = {
-            (r, c): v for r, row in enumerate(m, start=1) for c, v in enumerate(row, start=1)
-        }
-        return LieElement._from_entries(ctx, entries)
-
     def __str__(self) -> str:
-        if not self.coords:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coords):
-            c = self.coords[(i, j)]
-            parts.append(f"X[{i},{j}]" if c == 1 else f"{c}*X[{i},{j}]")
-        return " + ".join(parts)
+        items = sorted(self.coords.items())
+        parts = (f"X[{i},{j}]" if c == 1 else f"{c}*X[{i},{j}]" for (i, j), c in items)
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"LieElement({self})"
@@ -183,11 +170,6 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement._from_entries(x.ctx, _add_into({}, products()))
 
 
-def project_k(x: LieElement) -> LieElement:
-    p = x.ctx.p
-    return LieElement(x.ctx, {k: c for k, c in x.coords.items() if not (k[0] <= p < k[1])})
-
-
 def eta(ctx: SignatureCtx, alpha: int) -> SuperForm:
     """eta_alpha = sum_mu omega_{alpha mu} (x) e_mu, bidegree (1,1)."""
     if not 1 <= alpha <= ctx.p:
@@ -197,33 +179,22 @@ def eta(ctx: SignatureCtx, alpha: int) -> SuperForm:
     return SuperForm(ctx, terms)
 
 
-def so_z0_to_wedge(ctx: SignatureCtx, x: LieElement) -> dict[tuple[int, int], Fraction]:
-    """Identify the so(z0) block with Lambda^2 z0 via A -> sum <A e_i, e_j> e_i ^ e_j.
-
-    The inner product on z0 is -Q|z0, so <e_mu, e_nu> = delta. Returns
-    coefficients keyed by (nu, mu) with nu < mu in z0.
-    """
-    # column nu holds the image of e_nu; row mu picks <X e_nu, e_mu>
-    return {
-        (nu, mu): c
-        for (mu, nu), c in x._entries().items()
-        if ctx.p < nu < mu
-    }
-
-
 def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
-    """rho(R_e) in Lambda^2 p* (x) Lambda^2 z0, from brackets and projection."""
+    """rho(R_e) in Lambda^2 p* (x) Lambda^2 z0, from R_e(X, Y) = -[X, Y] in k.
+
+    The so(z0) block is read as Lambda^2 z0 via A -> sum <A e_nu, e_mu> e_nu ^ e_mu
+    (<e_mu, e_nu> = delta on z0): row mu, column nu gives e_nu ^ e_mu, nu < mu.
+    """
     pairs = ctx.p_pairs()
 
     def terms():
         for ia, pa in enumerate(pairs):
             for pb in pairs[ia + 1 :]:
-                k_part = project_k(
-                    bracket(LieElement.basis(ctx, *pa), LieElement.basis(ctx, *pb))
-                )
-                for (nu, mu), c in so_z0_to_wedge(ctx, -k_part).items():
-                    pg = PolyGauss.const(ctx.nvars, Scalar.rational(c))
-                    yield ((min(pa, pb), max(pa, pb)), (nu, mu)), pg
+                br = bracket(LieElement.basis(ctx, *pa), LieElement.basis(ctx, *pb))
+                for (mu, nu), c in br._entries().items():
+                    if ctx.p < nu < mu:
+                        pg = PolyGauss.const(ctx.nvars, Scalar.rational(-c))
+                        yield ((min(pa, pb), max(pa, pb)), (nu, mu)), pg
 
     return SuperForm(ctx, terms())
 

@@ -24,6 +24,17 @@ from .liealg import SignatureCtx
 from .superforms import SuperForm
 
 
+def _gram_entry(entry, i: int, j: int) -> Fraction:
+    """An int or rational string as a Fraction. Fraction itself would read a
+    bool as 0 or 1, a float as its binary fraction and a string row by character."""
+    try:
+        if _is_int(entry) or isinstance(entry, str):
+            return Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"gram[{i}][{j}] = {entry!r} is not an int or rational string")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     label: str
@@ -43,16 +54,17 @@ class LatticeSpec:
 
     @staticmethod
     def from_json(data: dict) -> "LatticeSpec":
-        # Fraction reads a bool as 0 or 1, a float as its binary fraction, a string row by character
+        if not isinstance(data, dict):
+            raise ValueError(f"lattice = {data!r} is not an object with label, p, q and gram")
         if not isinstance(data["gram"], list):
             raise ValueError(f"gram = {data['gram']!r} is not an array of rows")
         for i, row in enumerate(data["gram"]):
             if not isinstance(row, list):
                 raise ValueError(f"gram[{i}] = {row!r} is not an array")
-            for j, entry in enumerate(row):
-                if not (_is_int(entry) or isinstance(entry, str)):
-                    raise ValueError(f"gram[{i}][{j}] = {entry!r} is not an int or rational string")
-        gram = tuple(tuple(map(Fraction, row)) for row in data["gram"])
+        gram = tuple(
+            tuple(_gram_entry(entry, i, j) for j, entry in enumerate(row))
+            for i, row in enumerate(data["gram"])
+        )
         for name in ("p", "q"):
             if not _is_int(data[name]):
                 raise ValueError(f"lattice {name} = {data[name]!r} is not an integer")

@@ -117,6 +117,22 @@ class TestExample11:
         res = run("example11", "--t", "0", "--x", "1", "--xp", "1")
         assert res.returncode == 2
 
+    def test_takes_integers_decimals_and_fractions(self):
+        res = run("example11", "--t", "3/2", "--x", "0.25", "--xp=-1")
+        assert res.returncode == 0
+        assert "difference" in res.stdout
+
+    # 1e400 overflows a float; 1e-400 is positive but rounds to t = 0.0
+    @pytest.mark.parametrize("flag,value", [
+        ("--t", "1e400"), ("--x", "1e400"), ("--xp", "1e400"), ("--t", "1e-400"), ("--x", "1/0"),
+    ])
+    def test_value_must_fit_a_float(self, flag, value):
+        args = {"--t": "2", "--x": "1", "--xp": "1", flag: value}
+        res = run("example11", *(f"{k}={v}" for k, v in args.items()))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "usage:" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestTheta:
     @pytest.fixture()
@@ -165,6 +181,25 @@ class TestTheta:
         assert res.returncode == 2
         assert res.stdout == ""
         assert name in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("value", ["1/0", "1/2x"])
+    def test_gram_entry_must_be_a_rational(self, tmp_path, value):
+        data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", value], ["1", "0"]]}
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(data))
+        res = run("theta", "--lattice", str(path), "--tau", "1i", "--bound", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "gram[0][1] = " in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("data", [[1, 2], "gram", 3])
+    def test_lattice_must_be_an_object(self, tmp_path, data):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(data))
+        res = run("theta", "--lattice", str(path), "--tau", "1i", "--bound", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "lattice = " in res.stderr and "Traceback" not in res.stderr
 
     def test_missing_file(self):
         res = run("theta", "--lattice", "/no/such.json", "--tau", "1i", "--bound", "1")

@@ -14,7 +14,6 @@ from thomform.liealg import (
     coadjoint_action,
     curvature_at_e,
     eta,
-    project_k,
     schwartz_action,
 )
 from thomform.km import km_form_at_e
@@ -28,7 +27,7 @@ UP_TO_8 = [SignatureCtx(p, n - p) for n in range(2, 9) for p in range(1, n)]
 
 def all_pairs(ctx):
     """Every basis pair (i, j), i < j, in lexicographic order."""
-    return sorted(ctx.k_pairs() + ctx.p_pairs())
+    return list(itertools.combinations(range(1, ctx.n + 1), 2))
 
 
 def elements(ctx):
@@ -98,19 +97,12 @@ class TestBrackets:
                 ).in_k()
             for b in ctx.p_pairs():
                 br = bracket(LieElement.basis(ctx, *a), LieElement.basis(ctx, *b))
-                assert project_k(br) == LieElement(ctx)
+                assert set(br.coords) <= set(ctx.p_pairs())
         for a in ctx.p_pairs():
             for b in ctx.p_pairs():
                 assert bracket(
                     LieElement.basis(ctx, *a), LieElement.basis(ctx, *b)
                 ).in_k()
-
-    def test_matrix_round_trip(self):
-        ctx = SignatureCtx(2, 2)
-        x = LieElement(
-            ctx, {(1, 2): Fraction(3), (1, 3): Fraction(-1, 2), (3, 4): Fraction(5)}
-        )
-        assert LieElement.from_matrix(ctx, x.matrix()) == x
 
 
 class TestCanonicalCoords:
@@ -125,6 +117,12 @@ class TestCanonicalCoords:
         with pytest.raises(ValueError, match="bad basis pair"):
             LieElement(ctx, {(2, 1): 1})
         assert LieElement(ctx, {(2, 1): 0}) == LieElement(ctx)
+
+    def test_zero_test_is_bool(self):
+        ctx = SignatureCtx(1, 1)
+        x = LieElement.basis(ctx, 1, 2)
+        assert not LieElement(ctx) and not x - x and not bracket(x, x)
+        assert x and bool(x * Fraction(1, 2)) and not x * 0
 
 
 class TestCurvature:
@@ -217,15 +215,17 @@ class TestCoadjointAction:
         assert lhs == rhs
 
 
-class TestProjections:
-    def test_splitting_is_direct(self):
-        ctx = SignatureCtx(2, 2)
-        x = LieElement(
-            ctx, {(1, 2): Fraction(1), (1, 3): Fraction(2), (3, 4): Fraction(-1)}
-        )
-        k_part = project_k(x)
-        assert k_part.in_k() and project_k(k_part) == k_part
-        assert set((x - k_part).coords) == {(1, 3)} <= set(ctx.p_pairs())
+class TestCartanSplit:
+    @pytest.mark.parametrize("ctx", SMALL, ids=str)
+    def test_splitting_is_direct(self, ctx):
+        # p joins the two blocks {1..p} and z0; k stays inside one of them
+        p_part = [(i, j) for i in range(1, ctx.p + 1) for j in ctx.z0]
+        assert ctx.p_pairs() == p_part
+        assert sorted(ctx.k_pairs() + p_part) == all_pairs(ctx)
+        x = LieElement(ctx, {pair: n for n, pair in enumerate(all_pairs(ctx), start=1)})
+        k_part = LieElement(ctx, {pair: x.coords[pair] for pair in ctx.k_pairs()})
+        assert k_part.in_k() and not (x - k_part).in_k()
+        assert set((x - k_part).coords) == set(p_part)
 
 
 def realization(ctx, i, j):
@@ -238,20 +238,41 @@ def realization(ctx, i, j):
     return m
 
 
+def dense(x):
+    """sum c X_ij over the coordinates of x, from the realization alone."""
+    n = x.ctx.n
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in x.coords.items():
+        for r, row in enumerate(realization(x.ctx, i, j)):
+            for col, v in enumerate(row):
+                m[r][col] += c * v
+    return m
+
+
+def from_dense(ctx, m):
+    """The element whose realization is m, which must lie in so(p,q)."""
+    x = LieElement(ctx, {
+        (i, j): m[i - 1][j - 1] * realization(ctx, i, j)[i - 1][j - 1]
+        for i, j in all_pairs(ctx)
+    })
+    assert dense(x) == m, "not in so(p,q)"
+    return x
+
+
 def dense_bracket(x, y):
-    a, b = x.matrix(), y.matrix()
+    a, b = dense(x), dense(y)
     n = len(a)
     comm = [
         [sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    return LieElement.from_matrix(x.ctx, comm)
+    return from_dense(x.ctx, comm)
 
 
 def dense_schwartz_action(x, f):
     """-sum_k (Xv)_k d_k f, with (Xv)_k built as a polynomial."""
     n = x.ctx.n
-    m = x.matrix()
+    m = dense(x)
     out = PolyGauss(n)
     for k in range(1, n + 1):
         lin = Poly(n)
@@ -265,7 +286,12 @@ class TestSparseLayer:
     @pytest.mark.parametrize("ctx", SMALL, ids=str)
     def test_matrix_is_the_realization(self, ctx):
         for i, j in all_pairs(ctx):
-            assert LieElement.basis(ctx, i, j).matrix() == realization(ctx, i, j)
+            x = LieElement.basis(ctx, i, j)
+            assert x._entries() == {
+                (r + 1, c + 1): v
+                for r, row in enumerate(realization(ctx, i, j))
+                for c, v in enumerate(row) if v
+            }
 
     @pytest.mark.parametrize("ctx", SMALL, ids=str)
     def test_basis_brackets_match_dense(self, ctx):
@@ -286,13 +312,15 @@ class TestSparseLayer:
         y = LieElement(ctx, data.draw(draw))
         assert bracket(x, y) == dense_bracket(x, y)
 
-    def test_from_matrix_rejects_non_members(self):
+    def test_from_entries_rejects_non_members(self):
+        # the membership check that bracket keeps
         ctx = SignatureCtx(2, 2)
-        for i, j, v in [(0, 2, 1), (0, 1, 1), (2, 3, 1), (1, 1, 1)]:
-            m = [[Fraction(0)] * 4 for _ in range(4)]
-            m[i][j] = Fraction(v)  # a lone entry is never in so(2,2)
+        for entry in [(1, 3), (1, 2), (3, 4), (2, 2)]:
             with pytest.raises(ValueError, match="so\\(p,q\\)"):
-                LieElement.from_matrix(ctx, m)
+                LieElement._from_entries(ctx, {entry: Fraction(1)})  # a lone entry
+        for i, j in all_pairs(ctx):  # and both entries of an element pass
+            x = LieElement.basis(ctx, i, j) * 3
+            assert LieElement._from_entries(ctx, x._entries()) == x
 
     @pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
     @settings(max_examples=8, deadline=None)

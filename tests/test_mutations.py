@@ -1,9 +1,8 @@
 """Mutation gate: every check can fail, and every planted fault is seen.
 
 Each entry of ``MUTATIONS`` plants one small fault in the library: it
-replaces one or two snippets in the source of one library function (of two
-for the Cartan split, which both encode it) and installs the result with
-``monkeypatch``. Under each fault every check runs at its smallest legal
+replaces one or two snippets in the source of one library function and
+installs the result with ``monkeypatch``. Under each fault every check runs at its smallest legal
 size and at the next sizes up (``SIZES``). The gate holds both ways:
 
 - every check id returns ``fail`` under at least one mutation at its
@@ -25,7 +24,7 @@ from scipy.integrate import IntegrationWarning
 import thomform
 from thomform import checks, cli, km, liealg, mq, scalars, superforms, theta
 from thomform.checks import CHECKS, FIBER, SIGNATURE, run_check
-from thomform.liealg import LieElement, SignatureCtx
+from thomform.liealg import SignatureCtx
 from thomform.scalars import PolyGauss
 from thomform.superforms import SuperForm
 
@@ -70,12 +69,9 @@ MUTATIONS = {
         (superforms, "merge_sorted", {"return (), 0": "continue"}),
     ],
     # at (1,1) k = 0, so k_invariance has no generator to test unless the
-    # Cartan split, which two functions encode, is wrong
+    # Cartan split is wrong
     "cartan_split_puts_p_in_k": [
-        (SignatureCtx, "k_pairs", {"return pos + neg": "return pos + neg + self.p_pairs()"}),
-        (LieElement, "in_k", {
-            "return all(not (i <= p < j) for i, j in self.coords)": "return True",
-        }),
+        (SignatureCtx, "in_p", {"return i <= self.p < j": "return False"}),
     ],
     "berezin_below_top_degree": [
         (SuperForm, "berezin", {"top = tuple(self.ctx.z0)": "top = tuple(self.ctx.z0)[1:]"}),
