@@ -30,7 +30,6 @@ from .liealg import LieElement, SignatureCtx, curvature_at_e, eta
 from .mq import (
     fiber_d,
     fiber_ddt,
-    fiber_divide_t,
     fiber_integrate,
     fiber_omega,
     fiber_scale_pullback,
@@ -50,7 +49,7 @@ MAX_PQ = 8
 # they are the *only* signs that make the identities hold, uniformly.
 SIGMA_EVEN = 1     # main-theorem sign for even q (forced by the (1,2) value)
 SIGMA_ODD = -1     # main-theorem sign for odd q
-EPSILON_TRANSGRESSION = 1   # d/dt (t*U) = eps * (1/t) d(t*psi)
+EPSILON_TRANSGRESSION = 1   # t d/dt (t*U) = eps * d(t*psi)
 SIGMA_SPLITTING = 1  # restricted form = sign * (block-1 form ^ block-2 form)
 
 
@@ -234,8 +233,11 @@ def check_annihilation(q: int) -> CheckResult:
 
 
 def check_transgression(q: int) -> CheckResult:
-    lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q)))
-    rhs = fiber_divide_t(fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q))))
+    """t d/dt (t*U) = epsilon d(t*psi): d/dt (t*U) = epsilon (1/t) d(t*psi)
+    multiplied through by t, so no side is divided."""
+    t = PolyGauss.from_poly(Poly.var(q + 1, q + 1))
+    lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q))).map_coeffs(lambda pg: pg * t)
+    rhs = fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q)))
     return _signed_check("transgression", {"q": q}, lhs, rhs, "epsilon", EPSILON_TRANSGRESSION)
 
 

@@ -111,24 +111,14 @@ def fiber_umq(q: int) -> SuperForm:
     return _thom(fiber_ds(ctx).scale(Scalar.term(Fraction(-2), epi=1)).exp_even(), [2] * q)
 
 
-def fiber_euler_contract(a: SuperForm) -> SuperForm:
-    """Interior product with the Euler field sum_i x_i d/dx_i: remove each
-    dx_i in turn, multiplying by x_i, with the alternating slot sign.
-    """
-    ctx = a.ctx
-
-    def terms():
-        for (i_set, j_set), pg in a.terms.items():
-            for pos, i in enumerate(i_set):
-                pg2 = pg * PolyGauss.from_poly(Poly.var(ctx.nvars, i))
-                yield (i_set[:pos] + i_set[pos + 1 :], j_set), -pg2 if pos % 2 else pg2
-
-    return SuperForm(ctx, terms())
-
-
 def fiber_transgression(q: int) -> SuperForm:
-    """psi = i_X U with X the Euler (fiber-scaling) vector field."""
-    return fiber_euler_contract(fiber_umq(q))
+    """psi = i_E U with E = sum_i x_i d/dx_i the Euler (fiber-scaling) field,
+    passed to `contract` as sum_i x_i dx_i: each term names the slot it removes."""
+    ctx = FiberCtx(q)
+    euler = SuperForm(
+        ctx, {((i,), ()): PolyGauss.from_poly(Poly.var(ctx.nvars, i)) for i in ctx.z0}
+    )
+    return fiber_umq(q).contract(euler)
 
 
 def fiber_d(a: SuperForm) -> SuperForm:
@@ -198,21 +188,6 @@ def fiber_scale_pullback_symbolic(a: SuperForm) -> SuperForm:
         ))
 
     return SuperForm(ctx_t, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
-
-
-def fiber_divide_t(a: SuperForm) -> SuperForm:
-    """Divide every polynomial coefficient by t; every monomial must carry
-    a positive power of t."""
-    if not a.ctx.with_t:
-        raise ValueError("divide_t requires a t-carrying context")
-
-    def lowered(pg: PolyGauss):
-        for g, mono, coeff in pg.items():
-            if mono[-1] < 1:
-                raise ValueError("coefficient not divisible by t")
-            yield g, mono[:-1] + (mono[-1] - 1,), coeff
-
-    return a.map_coeffs(lambda pg: PolyGauss.from_items(pg.n, lowered(pg)))
 
 
 def fiber_integrate(a: SuperForm) -> Scalar:

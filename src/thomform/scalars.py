@@ -124,9 +124,6 @@ class Scalar:
     def __eq__(self, other) -> bool:
         return isinstance(other, Scalar) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __float__(self) -> float:
         return sum(
             (float(r) * SQRT2**e2 * SQRTPI**epi for (e2, epi), r in self.terms.items()),
@@ -262,9 +259,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -441,9 +435,6 @@ class PolyGauss:
         return (
             isinstance(other, PolyGauss) and self.n == other.n and self.parts == other.parts
         )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.parts.items())))
 
     def __str__(self) -> str:
         if not self.parts:

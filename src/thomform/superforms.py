@@ -162,23 +162,29 @@ class SuperForm:
         out = {(i, ()): pg for (i, j), pg in self.terms.items() if j == top}
         return SuperForm(self.ctx, out)
 
-    def contract(self, s: "SuperForm") -> "SuperForm":
-        """Contraction i(s) for s of bidegree (0,1); zero on z0-degree 0."""
-        self._check(s)
-        coeffs: dict[int, PolyGauss] = {}
-        for (i_set, j_set), pg in s.terms.items():
-            if i_set or len(j_set) != 1:
-                raise ValueError("contraction argument must have bidegree (0,1)")
-            coeffs[j_set[0]] = pg
+    def contract(self, v: "SuperForm") -> "SuperForm":
+        """Interior product i(v) for a vector v on either factor: each term
+        of v holds one generator, bidegree (1,0) or (0,1). A slot holding
+        that generator is removed, times its coefficient in v, with the sign
+        (-1)^(slots before it), the I slots counted before the J slots."""
+        self._check(v)
+        coeffs: dict[tuple[int, object], PolyGauss] = {}
+        for (i_set, j_set), pg in v.terms.items():
+            if len(i_set) + len(j_set) != 1:
+                raise ValueError("contraction argument must have bidegree (1,0) or (0,1)")
+            coeffs[(0, i_set[0]) if i_set else (1, j_set[0])] = pg
 
         def terms():
             for (i_set, j_set), pg in self.terms.items():
-                for pos, j in enumerate(j_set, start=1):
-                    if j in coeffs:
-                        pg2 = pg * coeffs[j]
-                        if (len(i_set) + pos - 1) % 2:  # (-1)^(i+k-1)
+                for factor, gens, before in ((0, i_set, 0), (1, j_set, len(i_set))):
+                    for pos, g in enumerate(gens):
+                        if (factor, g) not in coeffs:
+                            continue
+                        pg2 = pg * coeffs[(factor, g)]
+                        if (before + pos) % 2:
                             pg2 = -pg2
-                        yield (i_set, j_set[: pos - 1] + j_set[pos:]), pg2
+                        rest = gens[:pos] + gens[pos + 1 :]
+                        yield ((rest, j_set) if factor == 0 else (i_set, rest)), pg2
 
         return SuperForm._of(self.ctx, _add_into({}, terms()))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,11 +176,13 @@ def enumerate_vectors(dl: DiagonalizedLattice, bound: float) -> list[tuple[int, 
     n = a.shape[0]
     ainv = np.linalg.inv(a)
     out = []
-    ranges = [
-        range(-int(math.isqrt(int(bound * ainv[i, i] + 1e-9))),
-              int(math.isqrt(int(bound * ainv[i, i] + 1e-9))) + 1)
-        for i in range(n)
-    ]
+    ranges = []
+    for i in range(n):
+        reach = bound * float(ainv[i, i]) + 1e-9
+        radius = math.isqrt(int(reach)) if math.isfinite(reach) else math.inf
+        if 2 * radius + 1 > sys.maxsize:
+            raise ValueError(f"bound = {bound} needs a box side longer than {sys.maxsize}")
+        ranges.append(range(-radius, radius + 1))
     for u in itertools.product(*ranges):
         v = np.array(u, dtype=float)
         if v @ a @ v <= bound + 1e-9:

@@ -101,6 +101,17 @@ class TestWitnesses:
         assert res.status == "fail"
         assert res.witness.startswith("f=1: integral ")
 
+    def test_transgression_fails_when_d_psi_is_not_divisible_by_t(self, monkeypatch):
+        # the check multiplies by t and never divides, so a t-free term on
+        # the right side is a failure with a witness
+        import thomform.checks as checks
+        from thomform.superforms import SuperForm
+
+        real = checks.fiber_d
+        monkeypatch.setattr(checks, "fiber_d", lambda a: real(a) + SuperForm.one(a.ctx))
+        res = run_check("transgression", q=1)
+        assert res.status == "fail" and res.witness == "-1"
+
     @pytest.mark.parametrize("t", [float("inf"), float("nan"), "100"])
     def test_delta_limit_rejects_non_finite_t(self, t):
         with pytest.raises(ValueError, match="delta_limit"):

@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from thomform.checks import CHECK_IDS, run_check
 
 CMD = [sys.executable, "-m", "thomform"]
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def run(*args):
@@ -200,6 +202,21 @@ class TestTheta:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "lattice = " in res.stderr and "Traceback" not in res.stderr
+
+    def test_bound_past_the_box_limit_exits_2(self, lattice_file):
+        res = run("theta", "--lattice", lattice_file, "--tau", "1i", "--bound", "1e300")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: bound = 1e+300 ") and res.stderr.count("\n") == 1
+
+    def test_committed_example_runs(self):
+        res = run(
+            "theta", "--lattice", str(EXAMPLES / "hyp_hyp.json"),
+            "--tau", "0.25+1i", "--bound", "8",
+        )
+        assert res.returncode == 0
+        data = json.loads(res.stdout)
+        assert data["label"] == "hyp+hyp" and "w[1,3]^w[1,4]" in data["coefficients"]
 
     def test_missing_file(self):
         res = run("theta", "--lattice", "/no/such.json", "--tau", "1i", "--bound", "1")

@@ -13,7 +13,6 @@ from thomform.mq import (
     _thom,
     fiber_d,
     fiber_ddt,
-    fiber_divide_t,
     fiber_integrate,
     fiber_omega,
     fiber_scale_pullback,
@@ -150,13 +149,23 @@ class TestTransgression:
             for pg in psi.terms.values():
                 assert abs(pg.eval([0.0] * q)) == 0.0
 
+    def test_psi_q2_has_the_slot_signs(self):
+        # i_E (2 G dx1^dx2) = 2 G (x1 dx2 - x2 dx1), G = e^{-2 pi |x|^2}
+        ctx = FiberCtx(2)
+        two_g = PolyGauss.gaussian([Fraction(2)] * 2) * Scalar.rational(2)
+        expected = SuperForm(ctx, {
+            ((2,), ()): two_g * PolyGauss.from_poly(Poly.var(2, 1)),
+            ((1,), ()): -two_g * PolyGauss.from_poly(Poly.var(2, 2)),
+        })
+        assert fiber_transgression(2) == expected
+
     @pytest.mark.parametrize("q", range(1, 5))
     def test_identity_in_t_and_x(self, q):
+        # t d/dt (t*U) = d(t*psi), the identity times t
+        t = PolyGauss.from_poly(Poly.var(q + 1, q + 1))
         lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q)))
-        rhs = fiber_divide_t(
-            fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q)))
-        )
-        assert lhs == rhs  # recorded sign epsilon = +1
+        rhs = fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q)))
+        assert lhs.map_coeffs(lambda pg: pg * t) == rhs  # recorded sign epsilon = +1
 
 
 class TestScalePullback:
@@ -235,12 +244,6 @@ class TestFiberCalculus:
             {((1,), ()): PolyGauss.gaussian([Fraction(2)], poly) * SQRT2},
         )
         assert out == expected
-
-    def test_divide_t_requires_divisibility(self):
-        ctx = FiberCtx(1, with_t=True)
-        a = SuperForm(ctx, {((), ()): PolyGauss.one(2)})
-        with pytest.raises(ValueError):
-            fiber_divide_t(a)
 
 
 class TestAnnihilation:

@@ -60,9 +60,6 @@ MUTATIONS = {
     "gauss_moment_doubled": [
         (scalars, "gauss_moment", {"epi=-2 * k) * inv_sqrt_c": "epi=-2 * k) * inv_sqrt_c * 2"}),
     ],
-    "euler_contract_drops_slot_sign": [
-        (mq, "fiber_euler_contract", {"-pg2 if pos % 2 else pg2": "pg2"}),
-    ],
     # at (1,1) both sides of curvature and of closedness vanish because
     # w ^ w = 0: only a repeated generator that survives reaches them
     "repeated_generator_absorbed": [

@@ -144,6 +144,41 @@ class TestContract:
         a = SuperForm(ctx, {((), (2,)): PolyGauss.one(2)})
         assert not a.contract(s)
 
+    def test_removes_a_one_form_slot_with_its_sign(self):
+        ctx = FiberCtx(2)
+        one = PolyGauss.one(2)
+        dx1_dx2 = SuperForm(ctx, {((1, 2), ()): one})
+        assert dx1_dx2.contract(SuperForm.generator(ctx, 1)) == SuperForm.generator(ctx, 2)
+        assert dx1_dx2.contract(SuperForm.generator(ctx, 2)) == -SuperForm.generator(ctx, 1)
+
+    def test_counts_the_one_form_slots_before_the_fiber_slots(self):
+        # dx1 ^ e1: removing e1 passes one slot, removing dx1 none
+        ctx = FiberCtx(2)
+        one = PolyGauss.one(2)
+        a = SuperForm(ctx, {((1,), (1,)): one})
+        e1 = SuperForm(ctx, {((), (1,)): one})
+        assert a.contract(e1) == -SuperForm.generator(ctx, 1)
+        assert a.contract(SuperForm.generator(ctx, 1)) == e1
+        assert a.contract(e1 + SuperForm.generator(ctx, 1)) == e1 - SuperForm.generator(ctx, 1)
+
+    def test_is_an_odd_derivation_on_the_one_form_factor(self):
+        ctx = FiberCtx(2)
+        v = SuperForm(ctx, {((i,), ()): PolyGauss.from_poly(Poly.var(2, i)) for i in ctx.z0})
+        one = PolyGauss.one(2)
+        b = SuperForm(ctx, {((1, 2), (1,)): one, ((2,), ()): one})
+        odd = SuperForm(ctx, {((2,), ()): one})
+        even = SuperForm(ctx, {((1,), (2,)): one})
+        for part, sign in ((odd, -1), (even, 1)):  # (-1)^(total degree)
+            lhs = part.wedge(b).contract(v)
+            rhs = part.contract(v).wedge(b) + part.wedge(b.contract(v)).scale(sign)
+            assert lhs == rhs
+
+    @pytest.mark.parametrize("key", [((), ()), ((1, 2), ()), ((1,), (1,)), ((), (1, 2))])
+    def test_rejects_an_argument_that_is_not_a_vector(self, key):
+        ctx = FiberCtx(2)
+        with pytest.raises(ValueError, match="bidegree"):
+            SuperForm.one(ctx).contract(SuperForm(ctx, {key: PolyGauss.one(2)}))
+
 
 class TestExpEven:
     def test_addition_rule_on_diagonal(self):

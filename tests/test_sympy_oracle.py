@@ -1,8 +1,10 @@
-"""The Gaussian derivative rule and the Hermite recurrences against sympy.
+"""The Gaussian derivative rule, the Hermite recurrences and the Gaussian
+moments against sympy.
 
 Each value is rebuilt as a sympy expression, with sqrt2 and sqrt(pi) as
-free symbols, and compared exactly with sympy's own derivative or Hermite
-polynomial. No library arithmetic enters the reference side.
+free symbols (or, for the moments, as sympy's own sqrt(2) and sqrt(pi)),
+and compared exactly with sympy's own derivative, Hermite polynomial or
+integral. No library arithmetic enters the reference side.
 """
 
 import random
@@ -12,7 +14,7 @@ import pytest
 import sympy
 
 from thomform.km import hermite, hermite_scaled
-from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp, linear_field
+from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp, gauss_moment, linear_field
 
 N = 3  # variables; the last one plays the scaling variable t
 X = sympy.symbols(f"x1:{N + 1}")
@@ -109,3 +111,17 @@ def test_hermite_scaled(n):
         lambda e: 2 ** (e.exp // 2) * S2 ** (e.exp % 2),
     )
     assert_same(ours, theirs)
+
+
+@pytest.mark.parametrize("c", [1, 2, Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("n", range(0, 13))
+def test_gauss_moment(n, c):
+    x = sympy.Symbol("x", real=True)
+    theirs = sympy.integrate(
+        x**n * sympy.exp(-rational(c) * sympy.pi * x**2), (x, -sympy.oo, sympy.oo)
+    )
+    ours = sum(
+        rational(r) * sympy.sqrt(2) ** e2 * sympy.sqrt(sympy.pi) ** epi
+        for (e2, epi), r in gauss_moment(n, c).terms.items()
+    )
+    assert sympy.simplify(ours - theirs) == 0

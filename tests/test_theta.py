@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ HYPERBOLIC = LatticeSpec("hyp", 1, 1, frac_gram([[0, 1], [1, 0]]))
 DIAG_11 = LatticeSpec("std", 1, 1, frac_gram([[1, 0], [0, -1]]))
 DIAG_2 = LatticeSpec("scaled", 1, 1, frac_gram([[2, 0], [0, -2]]))
 SIG_21 = LatticeSpec("sig21", 2, 1, frac_gram([[2, 1, 0], [1, 2, 0], [0, 0, -1]]))
+HYP_HYP_FILE = Path(__file__).resolve().parent.parent / "examples" / "hyp_hyp.json"
 
 
 def residual(dl: DiagonalizedLattice) -> float:
@@ -181,6 +185,11 @@ class TestThetaSum:
         with pytest.raises(ValueError, match="bound"):
             enumerate_vectors(diagonalize_gram(HYPERBOLIC), bound)
 
+    @pytest.mark.parametrize("bound", [1e300, sys.float_info.max])
+    def test_enumerate_refuses_a_box_side_past_maxsize(self, bound):
+        with pytest.raises(ValueError, match=rf"^bound = {re.escape(str(bound))} .*{sys.maxsize}$"):
+            enumerate_vectors(diagonalize_gram(HYPERBOLIC), bound)
+
     def test_builds_the_form_once_and_q_once_per_vector(self, monkeypatch):
         import thomform.theta as theta
 
@@ -253,3 +262,33 @@ class TestThetaSum:
         dl = diagonalize_gram(HYPERBOLIC)
         tails = [theta_partial_sum(dl, 1j, float(b))[1] for b in range(0, 7)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
+
+
+class TestModularity:
+    """hyp+hyp is even unimodular of signature (2,2), so the theta series of
+    the basepoint form has weight (p+q)/2 = 2: S(-1/tau) = tau^2 S(tau) for
+    every exterior basis key, up to the two tail estimates."""
+
+    TAU = 0.3 + 1.1j
+    BOUND = 14.0
+
+    @pytest.fixture(scope="class")
+    def sums(self):
+        dl = diagonalize_gram(LatticeSpec.load(str(HYP_HYP_FILE)))
+        return [theta_partial_sum(dl, tau, self.BOUND) for tau in (self.TAU, -1 / self.TAU)]
+
+    def test_committed_lattice_is_hyp_plus_hyp(self):
+        spec = LatticeSpec.load(str(HYP_HYP_FILE))
+        assert (spec.p, spec.q) == (2, 2)
+        assert spec.gram == frac_gram([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+    def test_weight_two(self, sums):
+        (s, tail), (s_inv, tail_inv) = sums
+        assert max(abs(v) for v in s.values()) > 1e-2
+        allowed = abs(self.TAU) ** 2 * tail + tail_inv + 1e-12
+        for key in s:
+            assert abs(s_inv[key] - self.TAU**2 * s[key]) <= allowed, key
+
+    def test_weight_one_misses(self, sums):
+        (s, _tail), (s_inv, _tail_inv) = sums
+        assert max(abs(s_inv[key] - self.TAU * s[key]) for key in s) > 1e-3
