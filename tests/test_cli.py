@@ -165,6 +165,17 @@ class TestTheta:
         assert res.stdout == ""
         assert f"lattice {field} = " in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("field", ["gram", "p", "q"])
+    def test_missing_field_is_named(self, tmp_path, field):
+        data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], ["1", "0"]]}
+        del data[field]
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(data))
+        res = run("theta", "--lattice", str(path), "--tau", "1i", "--bound", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: lattice has no '{field}' field\n"
+
     @pytest.mark.parametrize("value", [True, 0.1])
     def test_gram_entry_must_be_exact(self, tmp_path, value):
         data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], [value, "0"]]}

@@ -1,19 +1,22 @@
-"""The Gaussian derivative rule, the Hermite recurrences and the Gaussian
-moments against sympy.
+"""The Gaussian derivative rule, the Hermite recurrences, the Gaussian
+moments and the Howe-operator form against sympy.
 
 Each value is rebuilt as a sympy expression, with sqrt2 and sqrt(pi) as
 free symbols (or, for the moments, as sympy's own sqrt(2) and sqrt(pi)),
 and compared exactly with sympy's own derivative, Hermite polynomial or
-integral. No library arithmetic enters the reference side.
+integral, or (for the Howe-operator form) built by sympy's own
+differentiation. No library arithmetic enters the reference side.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from thomform.km import hermite, hermite_scaled
+from thomform.km import hermite, hermite_scaled, km_closed_form, km_form_at_e
+from thomform.liealg import SignatureCtx
 from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp, gauss_moment, linear_field
 
 N = 3  # variables; the last one plays the scaling variable t
@@ -125,3 +128,49 @@ def test_gauss_moment(n, c):
         for (e2, epi), r in gauss_moment(n, c).terms.items()
     )
     assert sympy.simplify(ours - theirs) == 0
+
+
+def howe_form_reference(p: int, q: int) -> tuple[tuple, dict]:
+    """2^(-q) prod_mu sum_alpha omega_{alpha mu} (x_alpha - (1/2pi) d_alpha) e^(-pi |x|^2),
+    by sympy alone: for each choice (alpha_1..alpha_q), the operators
+    applied with sympy.diff, keyed by the sorted generators and signed by
+    the parity of the permutation that sorts omega_{alpha_1,p+1} ^ ... ^
+    omega_{alpha_q,p+q}. Returns the variables and the coefficients."""
+    xs = sympy.symbols(f"x1:{p + q + 1}")
+    gauss = sympy.exp(-sympy.pi * sum(x**2 for x in xs))
+    out = {}
+    for alphas in itertools.product(range(1, p + 1), repeat=q):
+        f = gauss
+        for a in alphas:
+            f = xs[a - 1] * f - sympy.diff(f, xs[a - 1]) / (2 * sympy.pi)
+        gens = [(a, p + 1 + k) for k, a in enumerate(alphas)]
+        inversions = sum(gens[i] > gens[j] for i in range(q) for j in range(i + 1, q))
+        out[tuple(sorted(gens))] = (-1) ** inversions * f / 2**q
+    return xs, out
+
+
+def exact_to_sympy(pg: PolyGauss, xs):
+    """sum c x^mono exp(-pi sum g x^2) with sympy's own sqrt(2) and sqrt(pi)."""
+    total = 0
+    for g, mono, c in pg.items():
+        coeff = sum(
+            rational(r) * sympy.sqrt(2) ** e2 * sympy.sqrt(sympy.pi) ** epi
+            for (e2, epi), r in c.terms.items()
+        )
+        weight = sympy.exp(-sympy.pi * sum(rational(cj) * x**2 for cj, x in zip(g, xs)))
+        total += coeff * sympy.Mul(*(x**e for x, e in zip(xs, mono))) * weight
+    return total
+
+
+@pytest.mark.parametrize("build", [km_form_at_e, km_closed_form], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 5) for p in range(1, n)])
+def test_howe_operator_form(build, p, q):
+    xs, reference = howe_form_reference(p, q)
+    form = build(SignatureCtx(p, q))
+    assert {i_set for i_set, _j in form.terms} == set(reference)
+    assert all(j_set == () for _i, j_set in form.terms)
+    for (i_set, _j), pg in form.terms.items():
+        diff = (exact_to_sympy(pg, xs) - reference[i_set]) * sympy.exp(
+            sympy.pi * sum(x**2 for x in xs)
+        )
+        assert sympy.expand(sympy.powsimp(sympy.expand(diff))) == 0, i_set

@@ -18,6 +18,7 @@ from thomform.theta import (
     diagonalize_gram,
     enumerate_vectors,
     gram_value,
+    gram_values,
     majorant_matrix,
     tail_estimate,
     theta_partial_sum,
@@ -32,6 +33,13 @@ HYPERBOLIC = LatticeSpec("hyp", 1, 1, frac_gram([[0, 1], [1, 0]]))
 DIAG_11 = LatticeSpec("std", 1, 1, frac_gram([[1, 0], [0, -1]]))
 DIAG_2 = LatticeSpec("scaled", 1, 1, frac_gram([[2, 0], [0, -2]]))
 SIG_21 = LatticeSpec("sig21", 2, 1, frac_gram([[2, 1, 0], [1, 2, 0], [0, 0, -1]]))
+HYP_HYP = LatticeSpec("hyp+hyp", 2, 2, frac_gram(
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+))
+# non-integral entries (denominators 2 and 3, lcm 6); signature (2,1)
+THIRDS = LatticeSpec("thirds", 2, 1, frac_gram(
+    [["3/2", "1/3", 0], ["1/3", 1, "1/2"], [0, "1/2", "-2/3"]]
+))
 HYP_HYP_FILE = Path(__file__).resolve().parent.parent / "examples" / "hyp_hyp.json"
 
 
@@ -94,6 +102,13 @@ class TestDiagonalize:
         with pytest.raises(ValueError, match=f"^{name} = "):
             LatticeSpec.from_json({"label": "hyp", "p": 1, "q": 1, "gram": gram})
 
+    @pytest.mark.parametrize("field", ["gram", "p", "q"])
+    def test_from_json_names_a_missing_field(self, field):
+        data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], ["1", "0"]]}
+        del data[field]
+        with pytest.raises(ValueError, match=f"^lattice has no '{field}' field$"):
+            LatticeSpec.from_json(data)
+
     @pytest.mark.parametrize("field,value", [("p", 1.9), ("q", True), ("p", "1"), ("q", 1.0)])
     def test_from_json_rejects_a_non_integer_signature(self, field, value):
         data = {"label": "hyp", "p": 1, "q": 1, "gram": [["0", "1"], ["1", "0"]], field: value}
@@ -130,7 +145,7 @@ class TestEnumerate:
 
 
 class TestThetaSum:
-    def brute(self, spec, tau, bound, radius=12):
+    def brute(self, spec, tau, bound, radius):
         dl = diagonalize_gram(spec)
         ctx = SignatureCtx(spec.p, spec.q)
         km = km_form_at_e(ctx)
@@ -146,12 +161,21 @@ class TestThetaSum:
                     out[i_set] += pg.eval(list(math.sqrt(y) * v)) * phase
         return out
 
-    @pytest.mark.parametrize("spec", [HYPERBOLIC, DIAG_11, DIAG_2], ids=lambda s: s.label)
+    @pytest.mark.parametrize("spec,radius", [
+        pytest.param(spec, radius, id=spec.label)
+        for spec, radius in [(HYPERBOLIC, 12), (DIAG_11, 12), (DIAG_2, 12), (SIG_21, 4), (HYP_HYP, 3)]
+    ])
     @pytest.mark.parametrize("bound", [0.0, 2.0, 4.0, 6.0])
-    def test_matches_brute_force(self, spec, bound):
+    def test_matches_brute_force(self, spec, radius, bound):
+        # the brute cube must hold enumerate_vectors' box, whose half side in
+        # coordinate i is floor(sqrt(bound * (A^-1)_ii)) for the majorant A
+        dl = diagonalize_gram(spec)
+        box = np.sqrt(bound * np.diag(np.linalg.inv(majorant_matrix(dl))) + 1e-9)
+        assert radius >= np.floor(box).max()
         tau = 0.7 + 0.9j
-        sums, _tail = theta_partial_sum(diagonalize_gram(spec), tau, bound)
-        oracle = self.brute(spec, tau, bound)
+        sums, _tail = theta_partial_sum(dl, tau, bound)
+        oracle = self.brute(spec, tau, bound, radius)
+        assert set(sums) == set(oracle)
         for key in sums:
             assert abs(sums[key] - oracle[key]) <= 1e-10
 
@@ -190,31 +214,45 @@ class TestThetaSum:
         with pytest.raises(ValueError, match=rf"^bound = {re.escape(str(bound))} .*{sys.maxsize}$"):
             enumerate_vectors(diagonalize_gram(HYPERBOLIC), bound)
 
-    def test_builds_the_form_once_and_q_once_per_vector(self, monkeypatch):
+    @pytest.mark.parametrize("spec", [SIG_21, HYP_HYP, THIRDS], ids=lambda s: s.label)
+    def test_builds_the_form_once_and_q_exactly(self, spec, monkeypatch):
         import thomform.theta as theta
 
-        calls = {"km": 0, "gram": 0}
+        calls = {"km": 0}
+        batches = []
 
-        def counting(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
+        def counting_km(ctx):
+            calls["km"] += 1
+            return km_form_at_e(ctx)
 
-        monkeypatch.setattr(theta, "km_form_at_e", counting("km", theta.km_form_at_e))
-        monkeypatch.setattr(theta, "gram_value", counting("gram", theta.gram_value))
-        dl = diagonalize_gram(SIG_21)
+        def recording_gram_values(spec, vecs):
+            out = gram_values(spec, vecs)
+            batches.append((list(vecs), out))
+            return out
+
+        monkeypatch.setattr(theta, "km_form_at_e", counting_km)
+        monkeypatch.setattr(theta, "gram_values", recording_gram_values)
+        dl = diagonalize_gram(spec)
         sums, tail = theta_partial_sum(dl, 0.3 + 1.1j, 3.0)
-        assert calls == {"km": 1, "gram": len(enumerate_vectors(dl, 3.0))}
-        assert tail == theta.tail_estimate(dl, km_form_at_e(SignatureCtx(2, 1)), 1.1, 3.0)
+        assert calls == {"km": 1}
+        [(vecs, qs)] = batches
+        assert vecs == enumerate_vectors(dl, 3.0) and len(vecs) > 1
+        assert qs.dtype == np.float64
+        exact = np.array([float(gram_value(spec, u)) for u in vecs])
+        assert qs.tobytes() == exact.tobytes()
+        km = km_form_at_e(SignatureCtx(spec.p, spec.q))
+        assert tail == theta.tail_estimate(dl, km, 1.1, 3.0)
+
+    def test_thirds_exercises_the_lcm_denominator(self):
+        # Q(v,v) of the enumerated vectors has denominators 2, 3 and 6, so
+        # the bit-for-bit test above sees numerators over D = 6
+        vecs = enumerate_vectors(diagonalize_gram(THIRDS), 3.0)
+        assert {gram_value(THIRDS, u).denominator for u in vecs} == {1, 2, 3, 6}
 
     def test_tail_bounds_the_omitted_terms(self):
         # hyp + hyp, signature (2,2): even q, so the sums do not vanish by
         # v -> -v and the omitted terms are seen
-        spec = LatticeSpec("hyp+hyp", 2, 2, frac_gram(
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-        ))
-        dl = diagonalize_gram(spec)
+        dl = diagonalize_gram(HYP_HYP)
         tau = 0.3 + 0.6j
         ref, _ = theta_partial_sum(dl, tau, 30.0)
         assert max(abs(v) for v in ref.values()) > 1e-3
@@ -280,7 +318,7 @@ class TestModularity:
     def test_committed_lattice_is_hyp_plus_hyp(self):
         spec = LatticeSpec.load(str(HYP_HYP_FILE))
         assert (spec.p, spec.q) == (2, 2)
-        assert spec.gram == frac_gram([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        assert spec.gram == HYP_HYP.gram
 
     def test_weight_two(self, sums):
         (s, tail), (s_inv, tail_inv) = sums
