@@ -12,6 +12,7 @@ import itertools
 import math
 import numbers
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -83,6 +84,34 @@ class CheckResult:
         }
 
 
+# While `run_all` checks one signature: its context and what its checks have
+# built for it so far, so that they share one form and one set of gradients.
+# None otherwise, so every other call builds afresh.
+_shared: ContextVar[tuple[SignatureCtx, dict[str, Any]] | None] = ContextVar(
+    "_shared", default=None
+)
+
+
+def _built(ctx: SignatureCtx, name: str, build: Callable[[], Any]) -> Any:
+    """``build()``, made once per signature while `run_all` checks ``ctx``."""
+    shared = _shared.get()
+    if shared is None or shared[0] != ctx:
+        return build()
+    values = shared[1]
+    if name not in values:
+        values[name] = build()
+    return values[name]
+
+
+def _phi(ctx: SignatureCtx) -> SuperForm:
+    return _built(ctx, "phi", lambda: km_form_at_e(ctx))
+
+
+def _phi_and_gradients(ctx: SignatureCtx) -> tuple[SuperForm, dict]:
+    phi = _phi(ctx)
+    return phi, _built(ctx, "grads", lambda: coefficient_gradients(phi))
+
+
 def _witness(diff: SuperForm) -> str:
     """Canonical text of the first discrepant term of a nonzero form."""
     key = sorted(diff.terms)[0]
@@ -119,7 +148,7 @@ def _signed_check(check_id, params, lhs: SuperForm, rhs: SuperForm, label: str, 
 
 def check_theorem(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
-    lhs = km_form_at_e(ctx)
+    lhs = _phi(ctx)
     rhs = mq_phi_at_e(ctx).scale(Scalar.term(Fraction(1), e2=-q))  # 2^{-q/2}
     expected = SIGMA_EVEN if q % 2 == 0 else SIGMA_ODD
     return _signed_check("theorem", {"p": p, "q": q}, lhs, rhs, f"sigma({q})", expected)
@@ -127,7 +156,7 @@ def check_theorem(p: int, q: int) -> CheckResult:
 
 def check_km_closed_form(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
-    return _zero_check("km_closed_form", {"p": p, "q": q}, km_form_at_e(ctx) - km_closed_form(ctx))
+    return _zero_check("km_closed_form", {"p": p, "q": q}, _phi(ctx) - km_closed_form(ctx))
 
 
 def check_curvature(p: int, q: int) -> CheckResult:
@@ -270,15 +299,13 @@ def check_delta_limit(t: float, tol: float) -> CheckResult:
 
 
 def check_closedness(p: int, q: int) -> CheckResult:
-    ctx = SignatureCtx(p, q)
-    res = exterior_derivative(km_form_at_e(ctx))
+    res = exterior_derivative(*_phi_and_gradients(SignatureCtx(p, q)))
     return _zero_check("closedness", {"p": p, "q": q}, res)
 
 
 def check_k_invariance(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
-    phi = km_form_at_e(ctx)
-    grads = coefficient_gradients(phi)
+    phi, grads = _phi_and_gradients(ctx)
     for pair in ctx.k_pairs():
         res = lie_derivative(LieElement.basis(ctx, *pair), phi, grads)
         if res:
@@ -289,18 +316,25 @@ def check_k_invariance(p: int, q: int) -> CheckResult:
     return CheckResult("k_invariance", {"p": p, "q": q}, "pass")
 
 
-def example11_machinery(t: float, x: float, xp: float) -> float:
-    """Coefficient of dt/t of the signature-(1,1) form at the point t,
-    via equivariance: evaluate the basepoint form at g_t^{-1} v in the
-    orthonormal coordinates x1 = (x/t + t x')/sqrt(2), x2 = (x/t - t x')/sqrt(2).
+def _example11_coefficient() -> PolyGauss:
+    """The omega_12 coefficient of the signature-(1,1) basepoint form."""
+    return km_form_at_e(SignatureCtx(1, 1)).terms[(((1, 2),), ())]
+
+
+def _example11_at(coeff: PolyGauss, t: float, x: float, xp: float) -> float:
+    """`example11_machinery` for the basepoint coefficient ``coeff``, via
+    equivariance: evaluate it at g_t^{-1} v in the orthonormal coordinates
+    x1 = (x/t + t x')/sqrt(2), x2 = (x/t - t x')/sqrt(2).
     """
-    ctx = SignatureCtx(1, 1)
-    phi = km_form_at_e(ctx)
-    coeff = phi.terms[(((1, 2),), ())]
     root2 = math.sqrt(2.0)
     x1 = (x / t + t * xp) / root2
     x2 = (x / t - t * xp) / root2
     return coeff.eval([x1, x2])
+
+
+def example11_machinery(t: float, x: float, xp: float) -> float:
+    """Coefficient of dt/t of the signature-(1,1) form at the point t."""
+    return _example11_at(_example11_coefficient(), t, x, xp)
 
 
 def example11_paper(t: float, x: float, xp: float) -> float:
@@ -321,8 +355,9 @@ EXAMPLE11_TOL = 1e-12
 
 def check_example11() -> CheckResult:
     params = {"points": len(EXAMPLE11_POINTS), "tol": EXAMPLE11_TOL}
+    coeff = _example11_coefficient()
     for (t, x, xp) in EXAMPLE11_POINTS:
-        lhs = example11_machinery(t, x, xp)
+        lhs = _example11_at(coeff, t, x, xp)
         rhs = example11_paper(t, x, xp)
         if abs(lhs - rhs) > EXAMPLE11_TOL:
             return CheckResult(
@@ -376,8 +411,10 @@ def check_splitting(p1: int, q1: int, p2: int, q2: int) -> CheckResult:
         },
     )
 
-    f1 = _relabel(km_form_at_e(SignatureCtx(p1, q1)), ctx, map1)
-    f2 = _relabel(km_form_at_e(SignatureCtx(p2, q2)), ctx, map2)
+    # one build per distinct block signature
+    blocks = {sig: km_form_at_e(SignatureCtx(*sig)) for sig in dict.fromkeys([(p1, q1), (p2, q2)])}
+    f1 = _relabel(blocks[p1, q1], ctx, map1)
+    f2 = _relabel(blocks[p2, q2], ctx, map2)
     return _signed_check(
         "splitting", params, restricted, f1.wedge(f2), "splitting sign", SIGMA_SPLITTING
     )
@@ -478,7 +515,12 @@ def run_check(check_id: str, **params) -> CheckResult:
 
 def run_all(max_pq: int) -> list[CheckResult]:
     """Every applicable check over all signatures with p, q >= 1 and
-    p + q <= max_pq, in deterministic order."""
+    p + q <= max_pq, in deterministic order.
+
+    The checks of one signature share one `km_form_at_e` and one
+    `coefficient_gradients` of it, built on first use and dropped when the
+    signature is done; every other check builds its own.
+    """
     if not (_is_int(max_pq) and 2 <= max_pq <= MAX_PQ):
         raise ValueError(f"max_pq = {max_pq!r} is out of range; require 2 <= max_pq <= {MAX_PQ}")
 
@@ -490,9 +532,13 @@ def run_all(max_pq: int) -> list[CheckResult]:
     ]
     results: list[CheckResult] = []
     for (p, q) in sigs:
-        for cid, spec in CHECKS.items():
-            if spec is SIGNATURE:
-                results.append(run_check(cid, p=p, q=q))
+        token = _shared.set((SignatureCtx(p, q), {}))
+        try:
+            for cid, spec in CHECKS.items():
+                if spec is SIGNATURE:
+                    results.append(run_check(cid, p=p, q=q))
+        finally:
+            _shared.reset(token)
     for q in range(1, max_pq):
         for cid, spec in CHECKS.items():
             # transgression is exercised up to q = 4 only

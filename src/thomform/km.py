@@ -98,22 +98,22 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
     return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=q)))
 
 
-def exterior_derivative(a: SuperForm) -> SuperForm:
+def exterior_derivative(a: SuperForm, grads: dict) -> SuperForm:
     """Invariant exterior derivative at the base point:
     d = sum over p-pairs of (omega_{alpha mu} ^ .) composed with the
-    infinitesimal action of X_{alpha mu} on coefficients. Each coefficient
-    is differentiated once, for all p-pairs.
+    infinitesimal action of X_{alpha mu} on coefficients. ``grads`` is
+    `coefficient_gradients(a)`, so every p-pair shares one gradient.
     """
     ctx = a.ctx
     xs = [(pair, LieElement.basis(ctx, *pair)) for pair in ctx.p_pairs()]
 
     def terms():
-        for (i_set, j_set), pg in a.terms.items():
-            grad = pg.gradient()
+        for key in a.terms:
+            i_set, j_set = key
             for pair, x in xs:
                 new_i, sign = sort_with_sign((pair,) + i_set)
                 if sign:
-                    pg2 = schwartz_action(x, grad)
+                    pg2 = schwartz_action(x, grads[key])
                     yield (new_i, j_set), pg2 if sign > 0 else -pg2
 
     return SuperForm(ctx, terms())

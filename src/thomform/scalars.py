@@ -93,7 +93,14 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar._of(_add_into(dict(self.terms), other.terms.items()))
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1:  # one term each, as in every constructed form
+            (ka, ra), = a.items()
+            (kb, rb), = b.items()
+            if ka == kb:
+                r = ra + rb
+                return Scalar._of({ka: r} if r else {})
+        return Scalar._of(_add_into(dict(a), b.items()))
 
     def __neg__(self) -> "Scalar":
         return Scalar._of({k: -r for k, r in self.terms.items()})
@@ -113,10 +120,16 @@ class Scalar:
                     return factor
                 if r == -1:
                     return -factor
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1:  # one term each: one product, nothing to merge
+            ((a2, api), ra), = a.items()
+            ((b2, bpi), rb), = b.items()
+            key, r = _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
+            return Scalar._of({key: r})
         return Scalar._of(_add_into({}, (
             _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
-            for (a2, api), ra in self.terms.items()
-            for (b2, bpi), rb in other.terms.items()
+            for (a2, api), ra in a.items()
+            for (b2, bpi), rb in b.items()
         )))
 
     __rmul__ = __mul__
@@ -467,12 +480,17 @@ def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fracti
     """sum_{k,l} c_kl x_l d/dx_k f, for ``grad`` = f.gradient() and ``entries``
     {(k, l): c_kl} (1-based): x_l shifts exponents, so one gradient serves
     every field."""
-    field = [(k - 1, l - 1, Scalar.rational(c)) for (k, l), c in entries.items()]
-    return PolyGauss.from_items(len(grad), (
-        (g, mono[:l] + (mono[l] + 1,) + mono[l + 1 :], s * c)
-        for k, l, c in field
-        for g, mono, s in grad[k].items()
-    ))
+    def terms():
+        for (k, l), c in entries.items():
+            l -= 1
+            if c == 1 or c == -1:  # so(p,q) basis entries: s or -s, no product
+                scaled = (lambda s: s) if c == 1 else Scalar.__neg__
+            else:
+                scaled = Scalar.rational(c).__mul__
+            for g, mono, s in grad[k - 1].items():
+                yield g, mono[:l] + (mono[l] + 1,) + mono[l + 1 :], scaled(s)
+
+    return PolyGauss.from_items(len(grad), terms())
 
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:

@@ -9,10 +9,10 @@ Gaussian factor e^{-pi y Q+(v,v)} is part of the evaluation).
 
 A sum builds the form once and evaluates it key by key over all vectors
 at once, in float64. Q(v,v) is exact: integer numerators over the lcm of
-the gram denominators. Enumeration is still a box scan; Fincke-Pohst
-enumeration waits on a benchmark change, since the benchmark counts box
-points through this module's `itertools`. `gram_value` and
-`PolyGauss.eval` stay the exact and per-vector references.
+the gram denominators. Enumeration is still a box scan: Fincke-Pohst
+enumeration returns the same vectors but makes the benchmark's theta body
+shorter than its speed-sampling interval, which it cannot yet time.
+`gram_value` and `PolyGauss.eval` stay the exact and per-vector references.
 """
 
 from __future__ import annotations

@@ -157,6 +157,109 @@ class TestLieLayerWork:
         assert run_check(cid, p=p, q=q).passed
         assert 0 < len(calls) <= (p + q) * len(phi.terms)
 
+    def test_closedness_and_k_invariance_share_one_gradient(self, monkeypatch):
+        """Within one `run_all`, both checks of a signature together take at
+        most n `derive` calls per coefficient of phi."""
+        from collections import Counter
+
+        import thomform.checks as checks
+        from thomform.liealg import SignatureCtx
+        from thomform.scalars import PolyGauss
+
+        derives = Counter()
+        running = []
+        real_derive = PolyGauss.derive
+
+        def counting(self, *args):
+            if running:
+                derives[running[-1]] += 1
+            return real_derive(self, *args)
+
+        def tracked(check):
+            def run(p, q):
+                running.append((p, q))
+                try:
+                    return check(p, q)
+                finally:
+                    running.pop()
+            return run
+
+        monkeypatch.setattr(PolyGauss, "derive", counting)
+        for name in ("check_closedness", "check_k_invariance"):
+            monkeypatch.setattr(checks, name, tracked(getattr(checks, name)))
+        assert all(r.passed for r in run_all(5))
+        sigs = [(p, n - p) for n in range(2, 6) for p in range(1, n)]
+        assert set(derives) == set(sigs)
+        for p, q in sigs:
+            terms = len(checks.km_form_at_e(SignatureCtx(p, q)).terms)
+            assert derives[p, q] <= (p + q) * terms, (p, q)
+
+
+class TestSharedForm:
+    """`run_all` builds each signature's form and gradients once, for that
+    signature only; `run_check` always builds afresh."""
+
+    def test_one_build_per_signature(self, monkeypatch):
+        from collections import Counter
+
+        import thomform.checks as checks
+
+        builds = Counter()
+        real = checks.km_form_at_e
+
+        def counting(ctx):
+            builds[ctx.p, ctx.q] += 1
+            return real(ctx)
+
+        monkeypatch.setattr(checks, "km_form_at_e", counting)
+        assert all(r.passed for r in run_all(5))
+        expected = Counter((p, n - p) for n in range(2, 6) for p in range(1, n))
+        expected[1, 1] += 1  # example11, for all its points
+        # splitting: the combined signature, then each distinct block signature
+        expected.update([(2, 2), (1, 1)])
+        expected.update([(2, 3), (1, 1), (1, 2)])
+        assert builds == expected
+
+    @pytest.mark.parametrize("fault,caught", [
+        ("form_doubles_a_term", ["theorem", "km_closed_form", "closedness", "k_invariance"]),
+        ("gradient_drops_d1", ["closedness", "k_invariance"]),
+    ])
+    def test_fault_after_run_all_is_seen(self, monkeypatch, fault, caught):
+        import thomform.checks as checks
+        from thomform.scalars import PolyGauss
+        from thomform.superforms import SuperForm
+
+        assert all(r.passed for r in run_all(3))
+        assert checks._shared.get() is None
+        if fault == "form_doubles_a_term":
+            real_form = checks.km_form_at_e
+
+            def faulty(ctx):
+                (key, pg), *rest = real_form(ctx).terms.items()
+                return SuperForm(ctx, [(key, pg * 2), *rest])
+
+            monkeypatch.setattr(checks, "km_form_at_e", faulty)
+        else:
+            real_gradient = PolyGauss.gradient
+            monkeypatch.setattr(
+                PolyGauss, "gradient", lambda f: [PolyGauss(f.n)] + real_gradient(f)[1:]
+            )
+        for cid in caught:
+            assert not run_check(cid, p=2, q=1).passed, cid
+        failed = {r.check_id for r in run_all(3) if r.params.get("p") == 2 and not r.passed}
+        assert failed == set(caught)
+
+    def test_shared_form_is_dropped_when_a_check_raises(self, monkeypatch):
+        import thomform.checks as checks
+
+        def boom(p, q):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(checks, "check_curvature", boom)
+        with pytest.raises(RuntimeError, match="planted"):
+            run_all(2)
+        assert checks._shared.get() is None
+
 
 class TestExample11:
     def test_default_points(self):

@@ -16,10 +16,12 @@ from thomform.scalars import (
     Poly,
     PolyGauss,
     Scalar,
+    _add_into,
     _fold_sqrt2,
     gauss_exp,
     gauss_moment,
     howe_shift,
+    linear_field,
     sqrt_in_ring,
 )
 
@@ -358,6 +360,71 @@ class TestKernelReferences:
         for form in (km_form_at_e(ctx), mq_phi_at_e(ctx), fiber_umq(3)):
             keys = [g for pg in form.terms.values() for g in pg.parts]
             assert keys and all(type(c) is int for g in keys for c in g)
+
+
+def general_sum(a: Scalar, b: Scalar) -> Scalar:
+    return Scalar._of(_add_into(dict(a.terms), b.terms.items()))
+
+
+def general_product(a: Scalar, b: Scalar) -> Scalar:
+    return Scalar._of(_add_into({}, (
+        _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
+        for (a2, api), ra in a.terms.items()
+        for (b2, bpi), rb in b.terms.items()
+    )))
+
+
+# One non-zero term; few keys, so that two draws often share one, and any
+# sqrt2 power, so that odd e2 on both sides carries a factor 2.
+single_terms = st.builds(
+    lambda r, e2, epi: Scalar.term(r, e2=e2, epi=epi),
+    fractions.filter(bool), st.integers(-3, 3), st.integers(-1, 1),
+)
+
+
+class TestSingleTermFastPaths:
+    """The one-term sum, the one-term product and the +-1 linear field agree
+    with the general `_add_into` results."""
+
+    @given(single_terms, single_terms)
+    def test_sum(self, a, b):
+        assert (a + b).terms == general_sum(a, b).terms
+        assert (a + -a).terms == general_sum(a, -a).terms == {}
+
+    @given(single_terms, single_terms)
+    def test_product(self, a, b):
+        assert (a * b).terms == general_product(a, b).terms
+
+    @pytest.mark.parametrize("a2,b2", [(1, 1), (1, -1), (-1, -1), (3, 1)])
+    def test_odd_sqrt2_powers_carry(self, a2, b2):
+        a = Scalar.term(Fraction(3, 5), e2=a2, epi=1)
+        b = Scalar.term(Fraction(-7, 2), e2=b2, epi=-1)
+        carry = Fraction(2) ** ((a2 + b2) // 2)
+        expected = Scalar.rational(Fraction(3, 5) * Fraction(-7, 2) * carry)
+        assert (a * b).terms == general_product(a, b).terms == expected.terms
+
+    def test_cancelling_sum_is_zero(self):
+        a = Scalar.term(Fraction(5, 3), e2=1, epi=-2)
+        b = Scalar.term(Fraction(-5, 3), e2=1, epi=-2)
+        assert (a + b).terms == {} and not a + b
+
+    @given(
+        st.dictionaries(st.tuples(gauss_entries, gauss_entries), polys, max_size=2),
+        st.dictionaries(
+            st.tuples(st.integers(1, 2), st.integers(1, 2)),
+            st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]),
+            max_size=3,
+        ),
+    )
+    def test_linear_field(self, parts, entries):
+        grad = PolyGauss(2, parts).gradient()
+        expected = PolyGauss.from_items(2, (
+            (g, tuple(e + (i == l - 1) for i, e in enumerate(mono)),
+             general_product(s, Scalar.rational(c)))
+            for (k, l), c in entries.items()
+            for g, mono, s in grad[k - 1].items()
+        ))
+        assert linear_field(grad, entries) == expected
 
 
 def test_only_scalars_knows_the_coefficient_format():
