@@ -40,7 +40,7 @@ from .mq import (
     fiber_umq,
     mq_phi_at_e,
 )
-from .scalars import Poly, PolyGauss, Scalar, howe_shift
+from .scalars import PolyGauss, Scalar, howe_shift
 from .superforms import FiberCtx, SuperForm
 
 MAX_PQ = 8
@@ -205,14 +205,14 @@ def check_hermite_lemma(p: int, q: int) -> CheckResult:
     as an identity in the super algebra with a polynomial parameter x."""
     ctx = SignatureCtx(p, q)
     e1 = eta(ctx, 1)
-    x = PolyGauss.from_poly(Poly.var(ctx.nvars, 1))
+    x = PolyGauss.var(ctx.nvars, 1)
     arg = e1.map_coeffs(lambda pg: pg * x * Scalar.rational(2)) - e1.wedge(e1)
     lhs = arg.exp_even()
     power = SuperForm.one(ctx)
     pairs = list(power.terms.items())
     for n in range(1, q + 1):
         power = power.wedge(e1)
-        hn = PolyGauss.from_poly(hermite(n, ctx.nvars, 1))
+        hn = hermite(n, ctx.nvars, 1)
         pairs += (
             (k, pg * hn * Scalar.rational(Fraction(1, math.factorial(n))))
             for k, pg in power.terms.items()
@@ -229,7 +229,7 @@ def check_howe_hermite(nmax: int) -> CheckResult:
     for n in range(1, nmax + 1):
         lhs = howe_shift(lhs, 1)
         scale = Scalar.term(Fraction(1), e2=-n, epi=-n)  # (2 pi)^{-n/2}
-        rhs = PolyGauss.from_poly(hermite_scaled(n, 1, 1)) * gauss * scale
+        rhs = hermite_scaled(n, 1, 1) * gauss * scale
         if lhs != rhs:
             return CheckResult(
                 "howe_hermite", params, "fail", witness=f"n={n}: {lhs} != {rhs}"
@@ -264,7 +264,7 @@ def check_annihilation(q: int) -> CheckResult:
 def check_transgression(q: int) -> CheckResult:
     """t d/dt (t*U) = epsilon d(t*psi): d/dt (t*U) = epsilon (1/t) d(t*psi)
     multiplied through by t, so no side is divided."""
-    t = PolyGauss.from_poly(Poly.var(q + 1, q + 1))
+    t = PolyGauss.var(q + 1, q + 1)
     lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q))).map_coeffs(lambda pg: pg * t)
     rhs = fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q)))
     return _signed_check("transgression", {"q": q}, lhs, rhs, "epsilon", EPSILON_TRANSGRESSION)

@@ -11,31 +11,29 @@ import itertools
 from fractions import Fraction
 
 from .liealg import SignatureCtx, schwartz_action, coadjoint_action, LieElement
-from .scalars import Poly, PolyGauss, Scalar, _add_into, howe_shift
+from .scalars import PolyGauss, Scalar, _add_into, howe_shift
 from .superforms import SuperForm, sort_with_sign
 
 
-def _hermite(n: int, nvars: int, var: int, e2: int, epi: int) -> Poly:
-    """H_n(s x_var) for s = sqrt(2)^e2 sqrt(pi)^epi, from the raising recurrence
-    in y = s x, where d/dy = s^(-1) d/dx: h_{n+1} = 2 s x h_n - s^(-1) h_n'.
-    """
+def _hermite(n: int, nvars: int, var: int, e2: int, epi: int) -> PolyGauss:
+    """H_n(s x_var) for s = sqrt(2)^e2 sqrt(pi)^epi, from the three-term
+    recurrence in y = s x: H_{k+1} = 2 y H_k - 2k H_{k-1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    h = Poly.one(nvars)
-    y2 = Poly.var(nvars, var) * Scalar.term(2, e2=e2, epi=epi)
-    inv = Scalar.term(1, e2=-e2, epi=-epi)
-    for _ in range(n):
-        h = y2 * h - h.derive(var) * inv
+    prev, h = PolyGauss(nvars), PolyGauss.one(nvars)
+    y2 = PolyGauss.var(nvars, var) * Scalar.term(2, e2=e2, epi=epi)
+    for k in range(n):
+        prev, h = h, y2 * h - prev * (2 * k)
     return h
 
 
-def hermite(n: int, nvars: int = 1, var: int = 1) -> Poly:
+def hermite(n: int, nvars: int = 1, var: int = 1) -> PolyGauss:
     """Physicists' Hermite polynomial H_n in the given variable."""
     return _hermite(n, nvars, var, 0, 0)
 
 
-def hermite_scaled(n: int, nvars: int, var: int) -> Poly:
-    """H_n(sqrt(2 pi) x_var) as a polynomial with coefficients in the ring."""
+def hermite_scaled(n: int, nvars: int, var: int) -> PolyGauss:
+    """H_n(sqrt(2 pi) x_var), with coefficients in the ring."""
     return _hermite(n, nvars, var, 1, 1)
 
 
@@ -80,20 +78,25 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
         omega_{alpha_1, p+1} ^ ... ^ omega_{alpha_q, p+q}
           (x) prod_alpha H_{n_alpha}(sqrt(2 pi) x_alpha) exp(-pi |x|^2)
 
-    where n_alpha counts occurrences of alpha in the tuple.
+    where n_alpha counts occurrences of alpha in the tuple. The coefficient
+    depends on the tuple only through (n_alpha), so it is built once per count vector.
     """
     p, q = ctx.p, ctx.q
     pref = Scalar.term(Fraction(1), e2=-3 * q, epi=-q)  # 2^{-q} (2pi)^{-q/2}
-    gauss = gaussian_plus(ctx)
+    weight = gaussian_plus(ctx) * pref
+    by_counts: dict[tuple[int, ...], PolyGauss] = {}
 
     def term(alphas: tuple[int, ...]):
+        counts = tuple(map(alphas.count, range(1, p + 1)))
+        if counts not in by_counts:
+            pg = weight
+            for alpha, n in enumerate(counts, start=1):
+                if n:
+                    pg = pg * hermite_scaled(n, ctx.nvars, alpha)
+            by_counts[counts] = pg
         sorted_i, sign = _omega_key(p, alphas)
-        poly = Poly.one(ctx.nvars)
-        for alpha in range(1, p + 1):
-            if alpha in alphas:
-                poly = poly * hermite_scaled(alphas.count(alpha), ctx.nvars, alpha)
-        pg = PolyGauss.from_poly(poly) * gauss * (pref * Scalar.rational(sign))
-        return (sorted_i, ()), pg
+        pg = by_counts[counts]
+        return (sorted_i, ()), pg if sign > 0 else -pg
 
     return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=q)))
 

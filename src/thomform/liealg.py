@@ -211,39 +211,37 @@ def schwartz_action(x: LieElement, grad: list[PolyGauss]) -> PolyGauss:
 
 
 def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
-    """Derivation action of X in k on Lambda(p*) (x) Lambda(z0).
+    """Derivation action of X in k on Lambda(p*) (x) Lambda(z0), by the
+    columns of X's matrix: e_j -> sum_r m_rj e_r on each z0 slot and on
+    both indices of each omega_{alpha mu} slot. Coefficients are untouched.
 
-    On p*: (X . omega)(Y) = -omega([X, Y]); on z0: e_j -> rho(X) e_j.
-    Coefficients are untouched.
+    This is (X . omega)(Y) = -omega([X, Y]) on p*: p is R^p (x) R^q, where X
+    acts by its two diagonal blocks, and each block is antisymmetric, so
+    minus the transpose is the matrix itself.
     """
     if not x.in_k():
         raise ValueError("coadjoint action requires an element of k")
-    ctx = x.ctx
-    # X . omega_P = sum_{P'} (-(coeff of X_P in [X, X_{P'}])) omega_{P'}
-    dual: dict[Pair, dict[Pair, Fraction]] = {}
-    for pprime in ctx.p_pairs():
-        br = bracket(x, LieElement.basis(ctx, *pprime))
-        for p_key, c in br.coords.items():
-            dual.setdefault(p_key, {})[pprime] = -c
-    # rho(X) e_j = sum_{j2} m_{j2 j} e_{j2}: column j of the z0 block
-    rho: dict[int, list[tuple[int, Fraction]]] = {}
-    for (j2, j), c in x._entries().items():
-        if min(j2, j) > ctx.p:
-            rho.setdefault(j, []).append((j2, c))
+    cols: dict[int, list[tuple[int, Fraction]]] = {}
+    for (r, j), c in x._entries().items():
+        cols.setdefault(j, []).append((r, c))
+
+    def images(gen):
+        """(image, c) for each index of a z0 slot j or a p* slot (alpha, mu)."""
+        if not isinstance(gen, tuple):
+            return cols.get(gen, [])
+        alpha, mu = gen
+        return [((r, mu), c) for r, c in cols.get(alpha, ())] + [
+            ((alpha, r), c) for r, c in cols.get(mu, ())
+        ]
 
     def terms():
-        for (i_set, j_set), pg in a.terms.items():
-            # act on each p* slot
-            for pos, gen in enumerate(i_set):
-                for gen2, c in dual.get(gen, {}).items():
-                    sorted_i, sign = sort_with_sign(i_set[:pos] + (gen2,) + i_set[pos + 1 :])
-                    if sign:
-                        yield (sorted_i, j_set), pg * Fraction(sign * c)
-            # act on each z0 slot
-            for pos, j in enumerate(j_set):
-                for j2, c in rho.get(j, ()):
-                    sorted_j, sign = sort_with_sign(j_set[:pos] + (j2,) + j_set[pos + 1 :])
-                    if sign:
-                        yield (i_set, sorted_j), pg * Fraction(sign * c)
+        for key, pg in a.terms.items():
+            for side, slots in enumerate(key):
+                for pos, gen in enumerate(slots):
+                    for gen2, c in images(gen):
+                        moved, sign = sort_with_sign(slots[:pos] + (gen2,) + slots[pos + 1 :])
+                        if sign:
+                            new_key = (moved, key[1]) if side == 0 else (key[0], moved)
+                            yield new_key, pg * Fraction(sign * c)
 
-    return SuperForm(ctx, terms())
+    return SuperForm(x.ctx, terms())

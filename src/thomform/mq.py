@@ -3,7 +3,8 @@
 `mq_phi0_at_e` and `mq_phi_at_e` build the form at the basepoint over the
 full signature context; the `fiber_*` functions work on a single fiber R^q
 (coframe dx_1..dx_q), optionally carrying the scaling parameter t as an
-extra polynomial variable (see `FiberCtx`).
+extra polynomial variable (see `FiberCtx`). The basepoint forms and
+`fiber_umq` are all built by `_thom`, the one Berezin-exponential builder.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .liealg import SignatureCtx, curvature_at_e
-from .scalars import Poly, PolyGauss, Scalar, gauss_exp, gauss_moment
+from .scalars import PolyGauss, Scalar, gauss_exp, gauss_moment
 from .superforms import FiberCtx, SuperForm
 
 
@@ -23,33 +24,15 @@ def mq_prefactor(q: int) -> Scalar:
     return Scalar.term(Fraction(sign), e2=-q, epi=-q)
 
 
-def _thom(top: SuperForm, gauss: list) -> SuperForm:
-    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B top,
-    where ``top`` is exp of a nilpotent even form, or its top z0 component,
-    the only one the Berezin integral keeps. The Gaussian commutes with
-    everything, so it multiplies the integral instead of entering the
-    exponential."""
-    weight = PolyGauss.gaussian(gauss)
-    pref = mq_prefactor(len(top.ctx.z0))
-    return top.berezin().map_coeffs(lambda pg: pg * weight * pref)
-
-
-def mq_phi0_at_e(ctx: SignatureCtx) -> SuperForm:
-    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} e^{2 pi Q|z0(v,v)}
-    int^B exp(2 sqrt(pi) sum_alpha x_alpha eta_alpha + rho(R_e)).
-
-    A = 2 sqrt(pi) sum_alpha x_alpha eta_alpha and R = rho(R_e) are even, so
-    they commute, and the top z0 degree q of exp(A + R) is
-    sum_b A^(q-2b) ^ R^b / ((q-2b)! b!): only that sum is built.
+def _thom(a: SuperForm, r: SuperForm, gauss: list) -> SuperForm:
+    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(a + r)
+    for a of bidegree (1,1) and r of bidegree (2,2). Both are even, so they
+    commute, and the top z0 degree q of exp(a + r), the only one the
+    Berezin integral keeps, is sum_b a^(q-2b) ^ r^b / ((q-2b)! b!): only that
+    sum is built. The Gaussian commutes with everything, so it multiplies
+    the integral instead of entering the exponential.
     """
-    n, q = ctx.nvars, ctx.q
-    two_sqrt_pi = Scalar.term(Fraction(2), epi=1)
-    terms: dict = {}
-    for alpha in range(1, ctx.p + 1):
-        coeff = PolyGauss.from_poly(Poly.var(n, alpha) * two_sqrt_pi)
-        for mu in ctx.z0:
-            terms[(((alpha, mu),), (mu,))] = coeff
-    a, r = SuperForm(ctx, terms), curvature_at_e(ctx)
+    ctx, q = a.ctx, len(a.ctx.z0)
     a_pow = list(itertools.accumulate([a] * q, SuperForm.wedge, initial=SuperForm.one(ctx)))
     r_pow = list(itertools.accumulate([r] * (q // 2), SuperForm.wedge, initial=SuperForm.one(ctx)))
     top = SuperForm(ctx, itertools.chain.from_iterable(
@@ -58,32 +41,41 @@ def mq_phi0_at_e(ctx: SignatureCtx) -> SuperForm:
         ).terms.items()
         for b in range(q // 2 + 1)
     ))
+    weight = PolyGauss.gaussian(gauss) * mq_prefactor(q)
+    return top.berezin().map_coeffs(lambda pg: pg * weight)
+
+
+def _basepoint_thom(ctx: SignatureCtx, gauss: list) -> SuperForm:
+    """`_thom` of A = 2 sqrt(pi) sum_alpha x_alpha eta_alpha and R = rho(R_e)."""
+    two_sqrt_pi = Scalar.term(Fraction(2), epi=1)
+    a = SuperForm(ctx, (
+        ((((alpha, mu),), (mu,)), PolyGauss.var(ctx.nvars, alpha) * two_sqrt_pi)
+        for alpha in range(1, ctx.p + 1)
+        for mu in ctx.z0
+    ))
+    return _thom(a, curvature_at_e(ctx), gauss)
+
+
+def mq_phi0_at_e(ctx: SignatureCtx) -> SuperForm:
+    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} e^{2 pi Q|z0(v,v)}
+    int^B exp(2 sqrt(pi) sum_alpha x_alpha eta_alpha + rho(R_e)).
+    """
     # e^{2 pi Q|z0(v,v)} = exp(-2 pi sum_mu x_mu^2)
-    return _thom(top, [0] * ctx.p + [2] * q)
+    return _basepoint_thom(ctx, [0] * ctx.p + [2] * ctx.q)
 
 
 def mq_phi_at_e(ctx: SignatureCtx) -> SuperForm:
-    """e^{-pi Q(v,v)} phi^0(v); all Gaussian exponents become the majorant."""
-    coeffs = [Fraction(1)] * ctx.p + [Fraction(-1)] * ctx.q
-    gauss = PolyGauss.gaussian(coeffs)
-    return mq_phi0_at_e(ctx).map_coeffs(lambda pg: pg * gauss)
+    """e^{-pi Q(v,v)} phi^0(v): with phi^0's Gaussian this is the majorant,
+    the one Gaussian the Berezin integral is multiplied by."""
+    return _basepoint_thom(ctx, [1] * ctx.nvars)
 
 
 # -- fiber-level forms -------------------------------------------------
 
 
-def _unit(n: int, exps: dict[int, int]) -> tuple[int, ...]:
-    """The exponent tuple of prod x_i^exps[i] (1-based) in n variables."""
-    return tuple(exps.get(i, 0) for i in range(1, n + 1))
-
-
 def fiber_section(ctx: FiberCtx) -> SuperForm:
     """The tautological section s = sum_i x_i (x) e_i, bidegree (0,1)."""
-    terms = {
-        ((), (i,)): PolyGauss.from_poly(Poly.var(ctx.nvars, i))
-        for i in ctx.z0
-    }
-    return SuperForm(ctx, terms)
+    return SuperForm(ctx, {((), (i,)): PolyGauss.var(ctx.nvars, i) for i in ctx.z0})
 
 
 def fiber_ds(ctx: FiberCtx) -> SuperForm:
@@ -95,29 +87,28 @@ def fiber_ds(ctx: FiberCtx) -> SuperForm:
 def fiber_omega(ctx: FiberCtx) -> SuperForm:
     """2 pi |s|^2 + 2 sqrt(pi) ds, the exponent kernel on a fiber (curvature
     vanishes there)."""
-    n = ctx.nvars
-    two_pi = Scalar.term(Fraction(2), epi=2)
-    quad = Poly(n, ((_unit(n, {i: 2}), two_pi) for i in ctx.z0))
-    out = SuperForm(ctx, {((), ()): PolyGauss.from_poly(quad)})
+    xs = [PolyGauss.var(ctx.nvars, i) for i in ctx.z0]
+    quad = sum((x * x for x in xs), PolyGauss(ctx.nvars)) * Scalar.term(Fraction(2), epi=2)
+    out = SuperForm(ctx, {((), ()): quad})
     return out + fiber_ds(ctx).scale(Scalar.term(Fraction(2), epi=1))
 
 
 def fiber_umq(q: int) -> SuperForm:
     """Thom-form restriction to a fiber: the standard prefactor times
-    e^{-2 pi |x|^2} times the Berezin integral of exp(-2 sqrt(pi) ds).
+    e^{-2 pi |x|^2} times the Berezin integral of exp(-2 sqrt(pi) ds), built
+    by `_thom` with no curvature term (it vanishes on a fiber).
     Equals 2^{q/2} e^{-2 pi |x|^2} dx_1 ^ ... ^ dx_q.
     """
     ctx = FiberCtx(q)
-    return _thom(fiber_ds(ctx).scale(Scalar.term(Fraction(-2), epi=1)).exp_even(), [2] * q)
+    a = fiber_ds(ctx).scale(Scalar.term(Fraction(-2), epi=1))
+    return _thom(a, SuperForm(ctx), [2] * q)
 
 
 def fiber_transgression(q: int) -> SuperForm:
     """psi = i_E U with E = sum_i x_i d/dx_i the Euler (fiber-scaling) field,
     passed to `contract` as sum_i x_i dx_i: each term names the slot it removes."""
     ctx = FiberCtx(q)
-    euler = SuperForm(
-        ctx, {((i,), ()): PolyGauss.from_poly(Poly.var(ctx.nvars, i)) for i in ctx.z0}
-    )
+    euler = SuperForm(ctx, {((i,), ()): PolyGauss.var(ctx.nvars, i) for i in ctx.z0})
     return fiber_umq(q).contract(euler)
 
 

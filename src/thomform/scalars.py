@@ -13,9 +13,10 @@ Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
 so values, text and JSON do not depend on it; int keys are hashed in C.
 
-Only this module knows how a coefficient is stored; other modules use
-`PolyGauss.items`, `from_items`, `derive` (with or without a symbolic t),
-`gradient` and `linear_field`.
+Only this module knows how a coefficient is stored, and only it names
+`Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
+`gaussian` and `from_items`, and use `items`, `derive` (with or without a
+symbolic t), `gradient` and `linear_field`.
 """
 
 from __future__ import annotations
@@ -338,10 +339,15 @@ class PolyGauss:
         return PolyGauss.const(n, ONE)
 
     @staticmethod
-    def gaussian(coeffs: Iterable, poly: Poly | None = None) -> "PolyGauss":
+    def var(n: int, i: int) -> "PolyGauss":
+        """The coordinate x_i (1-based) in n variables."""
+        return PolyGauss.from_poly(Poly.var(n, i))
+
+    @staticmethod
+    def gaussian(coeffs: Iterable) -> "PolyGauss":
+        """exp(-pi sum_i coeffs[i] x_i^2)."""
         g = gauss_exp(coeffs)
-        n = len(g)
-        return PolyGauss(n, {g: poly if poly is not None else Poly.one(n)})
+        return PolyGauss(len(g), {g: Poly.one(len(g))})
 
     @staticmethod
     def from_items(n: int, items: Iterable[tuple[GaussExp, Monomial, Scalar]]) -> "PolyGauss":
@@ -495,8 +501,7 @@ def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fracti
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:
     """Apply x_i - (1/(2 pi)) d/dx_i."""
-    _check_index(i, a.n)
-    shift = a * PolyGauss.from_poly(Poly.var(a.n, i))
+    shift = a * PolyGauss.var(a.n, i)
     return shift - a.derive(i) * Scalar.term(Fraction(1, 2), epi=-2)
 
 

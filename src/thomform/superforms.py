@@ -191,7 +191,7 @@ class SuperForm:
     def exp_even(self) -> "SuperForm":
         """Exponential of a nilpotent even element: every term must have
         bidegree (k,k) with k >= 1, so the series is the finite sum up to
-        z0-degree q. A Gaussian factor is multiplied in by the caller."""
+        z0-degree q. Its library caller is the hermite_lemma check."""
         if any(len(i_set) != len(j_set) or not j_set for i_set, j_set in self.terms):
             raise ValueError("exp argument must be nilpotent: bidegree (k,k) with k >= 1")
         power = SuperForm.one(self.ctx)

@@ -32,33 +32,39 @@ from .liealg import SignatureCtx
 from .superforms import SuperForm
 
 
-def _gram_entry(entry, i: int, j: int) -> Fraction:
-    """An int or rational string as a Fraction. Fraction itself would read a
-    bool as 0 or 1, a float as its binary fraction and a string row by character."""
+def _gram_entry(entry, i: int, j: int):
+    """A rational string as a Fraction; `LatticeSpec` checks any other entry."""
+    if not isinstance(entry, str):
+        return entry
     try:
-        if _is_int(entry) or isinstance(entry, str):
-            return Fraction(entry)
+        return Fraction(entry)
     except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"gram[{i}][{j}] = {entry!r} is not an int or rational string")
+        raise ValueError(f"gram[{i}][{j}] = {entry!r} is not an int or rational string") from None
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
+    """p and q are ints and each gram entry an int or a Fraction, never a
+    bool or a float, so Q(v,v) is exact; a ValueError names any other value."""
+
     label: str
     p: int
     q: int
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"lattice {name} = {getattr(self, name)!r} is not an integer")
         n = self.p + self.q
         g = self.gram
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("gram matrix must be (p+q) x (p+q)")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        for i, j in itertools.product(range(n), repeat=2):
+            if not (_is_int(g[i][j]) or isinstance(g[i][j], Fraction)):
+                raise ValueError(f"gram[{i}][{j}] = {g[i][j]!r} is not an int or Fraction")
+        if any(g[i][j] != g[j][i] for i, j in itertools.product(range(n), repeat=2)):
+            raise ValueError("gram matrix must be symmetric")
 
     @staticmethod
     def from_json(data: dict) -> "LatticeSpec":
@@ -76,13 +82,7 @@ class LatticeSpec:
             tuple(_gram_entry(entry, i, j) for j, entry in enumerate(row))
             for i, row in enumerate(data["gram"])
         )
-        for name in ("p", "q"):
-            if not _is_int(data[name]):
-                raise ValueError(f"lattice {name} = {data[name]!r} is not an integer")
-        return LatticeSpec(
-            label=str(data.get("label", "")), p=int(data["p"]), q=int(data["q"]),
-            gram=gram,
-        )
+        return LatticeSpec(label=str(data.get("label", "")), p=data["p"], q=data["q"], gram=gram)
 
     @staticmethod
     def load(path: str) -> "LatticeSpec":
@@ -147,7 +147,7 @@ def _congruence_diagonalize(g: list[list[Fraction]]) -> tuple[list[list[Fraction
 def diagonalize_gram(spec: LatticeSpec) -> DiagonalizedLattice:
     """Transform T with T^T diag(+1^p, -1^q) T = gram (to 1e-10)."""
     n = spec.p + spec.q
-    g = [list(row) for row in spec.gram]
+    g = [[Fraction(e) for e in row] for row in spec.gram]  # int / int would divide in floats
     s, d = _congruence_diagonalize(g)
     pos = [i for i in range(n) if d[i] > 0]
     neg = [i for i in range(n) if d[i] < 0]

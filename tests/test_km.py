@@ -23,17 +23,17 @@ SIGS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 2)]
 
 class TestHermite:
     def test_first_three(self):
-        x = Poly.var(1, 1)
-        assert hermite(0) == Poly.one(1)
+        x = PolyGauss.var(1, 1)
+        assert hermite(0) == PolyGauss.one(1)
         assert hermite(1) == x * Scalar.rational(2)
-        assert hermite(2) == x * x * Scalar.rational(4) - Poly.const(
+        assert hermite(2) == x * x * Scalar.rational(4) - PolyGauss.const(
             1, Scalar.rational(2)
         )
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_three_term_recurrence(self, n):
         # H_{n+1} = 2x H_n - 2n H_{n-1}
-        x2 = Poly.var(1, 1) * Scalar.rational(2)
+        x2 = PolyGauss.var(1, 1) * Scalar.rational(2)
         assert hermite(n + 1) == x2 * hermite(n) - hermite(n - 1) * Scalar.rational(
             2 * n
         )
@@ -45,9 +45,8 @@ class TestValueExamples:
         expected = SuperForm(
             ctx,
             {
-                (((1, 2),), ()): PolyGauss.gaussian(
-                    [Fraction(1), Fraction(1)], Poly.var(2, 1)
-                )
+                (((1, 2),), ()): PolyGauss.gaussian([Fraction(1), Fraction(1)])
+                * PolyGauss.var(2, 1)
             },
         )
         assert km_form_at_e(ctx) == expected
@@ -171,7 +170,7 @@ class TestInvariance:
         ctx = SignatureCtx(2, 1)
         a = SuperForm(
             ctx,
-            {((), ()): PolyGauss.gaussian([Fraction(1)] * 3, Poly.var(3, 1))},
+            {((), ()): PolyGauss.gaussian([Fraction(1)] * 3) * PolyGauss.var(3, 1)},
         )
         x = LieElement.basis(ctx, 1, 2)
         assert lie_derivative(x, a, coefficient_gradients(a))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thomform import liealg
 from thomform.liealg import (
     LieElement,
     SignatureCtx,
@@ -18,7 +19,7 @@ from thomform.liealg import (
 )
 from thomform.km import km_form_at_e
 from thomform.scalars import Poly, PolyGauss, Scalar
-from thomform.superforms import SuperForm
+from thomform.superforms import SuperForm, sort_with_sign
 
 CTXS = [SignatureCtx(p, q) for p, q in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]]
 SMALL = [SignatureCtx(p, n - p) for n in range(2, 7) for p in range(1, n)]
@@ -167,8 +168,8 @@ class TestSchwartzAction:
 
     def test_bracket_compatibility(self):
         ctx = SignatureCtx(2, 1)
-        f = PolyGauss.gaussian(
-            [Fraction(1)] * 3, Poly.var(3, 1) * Poly.var(3, 3)
+        f = PolyGauss.gaussian([Fraction(1)] * 3) * PolyGauss.from_poly(
+            Poly.var(3, 1) * Poly.var(3, 3)
         )
         def act(x, g):
             return schwartz_action(x, g.gradient())
@@ -213,6 +214,78 @@ class TestCoadjointAction:
         lhs = coadjoint_action(x, a.wedge(b))
         rhs = coadjoint_action(x, a).wedge(b) + a.wedge(coadjoint_action(x, b))
         assert lhs == rhs
+
+
+def bracket_dual_coadjoint_action(x, a):
+    """The coadjoint action from its definition: -omega([X, .]) on each p*
+    slot, through one bracket per p-pair, and column j of the z0 block of X
+    on each z0 slot e_j."""
+    ctx = x.ctx
+    dual = {}  # omega_P -> {P': coefficient of omega_P' in X . omega_P}
+    for pprime in ctx.p_pairs():
+        for p_key, c in bracket(x, LieElement.basis(ctx, *pprime)).coords.items():
+            dual.setdefault(p_key, {})[pprime] = -c
+    rho = {}
+    for (j2, j), c in x._entries().items():
+        if min(j2, j) > ctx.p:
+            rho.setdefault(j, []).append((j2, c))
+
+    def terms():
+        for (i_set, j_set), pg in a.terms.items():
+            for pos, gen in enumerate(i_set):
+                for gen2, c in dual.get(gen, {}).items():
+                    new_i, sign = sort_with_sign(i_set[:pos] + (gen2,) + i_set[pos + 1 :])
+                    if sign:
+                        yield (new_i, j_set), pg * Fraction(sign * c)
+            for pos, j in enumerate(j_set):
+                for j2, c in rho.get(j, ()):
+                    new_j, sign = sort_with_sign(j_set[:pos] + (j2,) + j_set[pos + 1 :])
+                    if sign:
+                        yield (i_set, new_j), pg * Fraction(sign * c)
+
+    return SuperForm(ctx, terms())
+
+
+def k_elements(ctx):
+    coeff = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3)
+    return st.dictionaries(
+        st.sampled_from(ctx.k_pairs()), coeff, min_size=1, max_size=4
+    ).map(lambda c: LieElement(ctx, c))
+
+
+def monomial_forms(ctx):
+    """Sums of omega_I (x) e_J with |I|, |J| <= 2: no invariance hides a slot."""
+    slots = st.sets(st.sampled_from(ctx.p_pairs()), max_size=2)
+    z0 = st.sets(st.sampled_from(ctx.z0), max_size=2)
+    keys = st.lists(st.tuples(slots, z0), min_size=1, max_size=4)
+    one = PolyGauss.one(ctx.nvars)
+    return keys.map(lambda ks: SuperForm(
+        ctx, {(tuple(sorted(i)), tuple(sorted(j))): one for i, j in ks}
+    ))
+
+
+class TestColumnRule:
+    """`coadjoint_action` reads columns of X; the reference brackets."""
+
+    @pytest.mark.parametrize("ctx", [c for c in SMALL if c.k_pairs()], ids=str)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_bracket_dual_action(self, ctx, data):
+        x = data.draw(k_elements(ctx))
+        etas = [eta(ctx, alpha) for alpha in range(1, ctx.p + 1)]
+        eta_eta = etas[0].wedge(etas[-1]) + etas[0].wedge(etas[0])
+        drawn = data.draw(monomial_forms(ctx))
+        for form in [curvature_at_e(ctx), eta_eta, km_form_at_e(ctx), drawn]:
+            assert coadjoint_action(x, form) == bracket_dual_coadjoint_action(x, form)
+
+    def test_calls_no_bracket(self, monkeypatch):
+        def no_bracket(x, y):
+            raise AssertionError("coadjoint_action called bracket")
+
+        monkeypatch.setattr(liealg, "bracket", no_bracket)
+        ctx = SignatureCtx(3, 2)
+        x = LieElement.basis(ctx, 1, 2) + LieElement.basis(ctx, 4, 5)
+        assert coadjoint_action(x, eta(ctx, 1).wedge(eta(ctx, 2)))
 
 
 class TestCartanSplit:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from thomform.liealg import SignatureCtx, curvature_at_e, eta
 from thomform.km import km_form_at_e
 from thomform.mq import (
-    _thom,
     fiber_d,
     fiber_ddt,
     fiber_integrate,
@@ -35,10 +34,8 @@ class TestBasepointForm:
         expected = SuperForm(
             ctx,
             {
-                (((1, 2),), ()): PolyGauss.gaussian(
-                    [Fraction(0), Fraction(2)],
-                    Poly.var(2, 1) * SQRT2 * Scalar.rational(-1),
-                )
+                (((1, 2),), ()): PolyGauss.gaussian([Fraction(0), Fraction(2)])
+                * PolyGauss.var(2, 1) * SQRT2 * Scalar.rational(-1)
             },
         )
         assert mq_phi0_at_e(ctx) == expected
@@ -48,10 +45,8 @@ class TestBasepointForm:
         expected = SuperForm(
             ctx,
             {
-                (((1, 2),), ()): PolyGauss.gaussian(
-                    [Fraction(1), Fraction(1)],
-                    Poly.var(2, 1) * SQRT2 * Scalar.rational(-1),
-                )
+                (((1, 2),), ()): PolyGauss.gaussian([Fraction(1), Fraction(1)])
+                * PolyGauss.var(2, 1) * SQRT2 * Scalar.rational(-1)
             },
         )
         assert mq_phi_at_e(ctx) == expected
@@ -73,19 +68,24 @@ class TestBasepointForm:
         assert km_form_at_e(ctx) == rhs
 
 
-def full_exponential_phi0(ctx: SignatureCtx) -> SuperForm:
-    """phi^0 through the Berezin integral of the whole exp_even(A + R),
-    every z0 degree expanded: the reference for the top-degree build."""
-    two_sqrt_pi_x = [
-        PolyGauss.from_poly(Poly.var(ctx.nvars, alpha) * Scalar.term(2, epi=1))
-        for alpha in range(1, ctx.p + 1)
-    ]
+def berezin_exponential(a: SuperForm, gauss: list) -> SuperForm:
+    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(a),
+    through the whole exp_even(a), every z0 degree expanded: the reference
+    for the top-degree builder."""
+    q = len(a.ctx.z0)
+    sign = -1 if (q * (q + 1) // 2) % 2 else 1
+    weight = PolyGauss.gaussian(gauss) * Scalar.term(sign, e2=-q, epi=-q)
+    return a.exp_even().berezin().map_coeffs(lambda pg: pg * weight)
+
+
+def basepoint_exponent(ctx: SignatureCtx) -> SuperForm:
+    """2 sqrt(pi) sum_alpha x_alpha eta_alpha + rho(R_e)."""
     a = SuperForm(ctx, (
-        (key, pg * x)
-        for alpha, x in enumerate(two_sqrt_pi_x, start=1)
+        (key, pg * PolyGauss.var(ctx.nvars, alpha) * Scalar.term(2, epi=1))
+        for alpha in range(1, ctx.p + 1)
         for key, pg in eta(ctx, alpha).terms.items()
     ))
-    return _thom((a + curvature_at_e(ctx)).exp_even(), [0] * ctx.p + [2] * ctx.q)
+    return a + curvature_at_e(ctx)
 
 
 class TestTopDegreeExponential:
@@ -94,9 +94,18 @@ class TestTopDegreeExponential:
     )
     def test_equals_the_full_expansion(self, p, q):
         ctx = SignatureCtx(p, q)
-        assert mq_phi0_at_e(ctx) == full_exponential_phi0(ctx)
+        a = basepoint_exponent(ctx)
+        assert mq_phi0_at_e(ctx) == berezin_exponential(a, [0] * p + [2] * q)
+        assert mq_phi_at_e(ctx) == berezin_exponential(a, [1] * (p + q))
 
-    def test_only_the_fiber_form_exponentiates(self, monkeypatch):
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_fiber_form_equals_the_full_expansion(self, q):
+        ctx = FiberCtx(q)
+        minus_two_sqrt_pi = PolyGauss.const(q, Scalar.term(-2, epi=1))
+        a = SuperForm(ctx, {((i,), (i,)): minus_two_sqrt_pi for i in ctx.z0})
+        assert fiber_umq(q) == berezin_exponential(a, [2] * q)
+
+    def test_no_thom_form_calls_exp_even(self, monkeypatch):
         calls = []
         real = SuperForm.exp_even
 
@@ -106,9 +115,9 @@ class TestTopDegreeExponential:
 
         monkeypatch.setattr(SuperForm, "exp_even", counting)
         mq_phi0_at_e(SignatureCtx(2, 3))
-        assert calls == []
+        mq_phi_at_e(SignatureCtx(2, 3))
         fiber_umq(3)
-        assert calls == [FiberCtx(3)]
+        assert calls == []
 
 
 class TestFiberUmq:
@@ -138,7 +147,7 @@ class TestTransgression:
         ctx = FiberCtx(1)
         expected = SuperForm(
             ctx,
-            {((), ()): PolyGauss.gaussian([Fraction(2)], Poly.var(1, 1))
+            {((), ()): PolyGauss.gaussian([Fraction(2)]) * PolyGauss.var(1, 1)
              * SQRT2},
         )
         assert fiber_transgression(1) == expected
@@ -241,7 +250,7 @@ class TestFiberCalculus:
         poly = Poly.one(1) + x2 * Scalar.term(Fraction(-4), epi=2)
         expected = SuperForm(
             ctx,
-            {((1,), ()): PolyGauss.gaussian([Fraction(2)], poly) * SQRT2},
+            {((1,), ()): PolyGauss.gaussian([Fraction(2)]) * PolyGauss.from_poly(poly) * SQRT2},
         )
         assert out == expected
 
@@ -274,9 +283,8 @@ class TestFiberIntegrate:
         ctx = FiberCtx(2)
         a = SuperForm(
             ctx,
-            {((1, 2), ()): PolyGauss.gaussian(
-                [Fraction(1), Fraction(1)], Poly.var(2, 1)
-            )},
+            {((1, 2), ()): PolyGauss.gaussian([Fraction(1), Fraction(1)])
+                * PolyGauss.var(2, 1)},
         )
         assert fiber_integrate(a) == Scalar()
 

@@ -52,9 +52,16 @@ MUTATIONS = {
     "exp_even_drops_factorials": [
         (SuperForm, "exp_even", {"power.scale(Fraction(1, fact)).terms": "power.terms"}),
     ],
+    # the one Berezin-exponential builder of the basepoint and fiber forms
     "top_degree_drops_factorials": [
-        (mq, "mq_phi0_at_e", {
+        (mq, "_thom", {
             "Fraction(1, math.factorial(q - 2 * b) * math.factorial(b))": "1",
+        }),
+    ],
+    # the transpose acts as -X: k_invariance at (2,1) sees it
+    "coadjoint_takes_rows_for_columns": [
+        (liealg, "coadjoint_action", {
+            "cols.setdefault(j, []).append((r, c))": "cols.setdefault(r, []).append((j, c))",
         }),
     ],
     "gauss_moment_doubled": [
@@ -72,6 +79,10 @@ MUTATIONS = {
     ],
     "berezin_below_top_degree": [
         (SuperForm, "berezin", {"top = tuple(self.ctx.z0)": "top = tuple(self.ctx.z0)[1:]"}),
+    ],
+    # at q = 1 only transgression reads the t a dx-slot gains
+    "symbolic_pullback_drops_slot_factor": [
+        (mq, "fiber_scale_pullback_symbolic", {"sum(mono) + slots": "sum(mono)"}),
     ],
     "contract_drops_sign": [
         (SuperForm, "contract", {"pg2 = -pg2": "pass"}),
@@ -165,6 +176,12 @@ def test_every_mutation_fails_a_check(verdicts, name):
 def test_every_check_fails_under_a_mutation_at_its_smallest_size(verdicts, cid):
     key = (cid, tuple(sorted(SIZES[cid][0].items())))
     assert any(v[key] == "fail" for name, v in verdicts.items() if name is not None), key
+
+
+def test_the_top_degree_fault_reaches_the_basepoint_and_fiber_forms(verdicts):
+    failed = {cid for (cid, _), v in verdicts["top_degree_drops_factorials"].items() if v == "fail"}
+    assert "theorem" in failed
+    assert failed & {"fiber_integral", "fiber_restriction"}, failed
 
 
 def test_every_mutation_is_undone(verdicts):

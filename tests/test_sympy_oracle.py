@@ -17,7 +17,7 @@ import sympy
 
 from thomform.km import hermite, hermite_scaled, km_closed_form, km_form_at_e
 from thomform.liealg import SignatureCtx
-from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp, gauss_moment, linear_field
+from thomform.scalars import PolyGauss, Scalar, gauss_exp, gauss_moment, linear_field
 
 N = 3  # variables; the last one plays the scaling variable t
 X = sympy.symbols(f"x1:{N + 1}")
@@ -95,19 +95,15 @@ def test_linear_field(seed):
     assert_same(to_sympy(linear_field(pg.gradient(), entries)), expected)
 
 
-def poly_to_sympy(p: Poly):
-    return to_sympy(PolyGauss.from_poly(p))
-
-
 @pytest.mark.parametrize("n", range(0, 11))
 def test_hermite(n):
-    assert_same(poly_to_sympy(hermite(n, N, 2)), sympy.hermite(n, X[1]))
+    assert_same(to_sympy(hermite(n, N, 2)), sympy.hermite(n, X[1]))
 
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_hermite_scaled(n):
     y = S2 * SPI * X[1]  # sqrt(2 pi) x2
-    ours = poly_to_sympy(hermite_scaled(n, N, 2))
+    ours = to_sympy(hermite_scaled(n, N, 2))
     theirs = sympy.expand(sympy.hermite(n, y)).replace(
         # fold sqrt2^e into 2^(e//2) sqrt2^(e%2), as the library stores it
         lambda e: e.is_Pow and e.base == S2,

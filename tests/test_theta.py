@@ -116,6 +116,27 @@ class TestDiagonalize:
             LatticeSpec.from_json(data)
 
 
+    @pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+    def test_constructor_rejects_a_gram_entry_that_is_not_exact(self, entry):
+        # a float has no exact Q(v,v); a bool is not an integer entry
+        gram = ((Fraction(0), entry), (entry, Fraction(0)))
+        with pytest.raises(ValueError, match=rf"^gram\[0\]\[1\] = {entry!r} "):
+            LatticeSpec("x", 1, 1, gram)
+
+    def test_constructor_rejects_a_float_signature(self):
+        with pytest.raises(ValueError, match=r"^lattice p = 1\.0 is not an integer$"):
+            LatticeSpec("x", 1.0, 1, frac_gram([[0, 1], [1, 0]]))
+
+    def test_int_entries_diagonalize_as_exactly_as_fractions(self):
+        # int / int would be a float division, inexact for the pivot 3
+        gram = [[3, 1, 0], [1, 2, 1], [0, 1, -2]]
+        ints = LatticeSpec("ints", 2, 1, tuple(map(tuple, gram)))
+        assert ints.gram == frac_gram(gram)
+        assert diagonalize_gram(ints).transform.tolist() == (
+            diagonalize_gram(LatticeSpec("fractions", 2, 1, frac_gram(gram))).transform.tolist()
+        )
+
+
 class TestEnumerate:
     def test_bound_zero(self):
         dl = diagonalize_gram(HYPERBOLIC)
