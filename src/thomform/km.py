@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .liealg import SignatureCtx, schwartz_action, coadjoint_action, LieElement
-from .scalars import PolyGauss, Scalar, _add_into, howe_shift
+from .liealg import LieElement, SignatureCtx, _action_field, _slot_moves
+from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, howe_shift
 from .superforms import SuperForm, sort_with_sign
 
 
@@ -79,12 +79,14 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
           (x) prod_alpha H_{n_alpha}(sqrt(2 pi) x_alpha) exp(-pi |x|^2)
 
     where n_alpha counts occurrences of alpha in the tuple. The coefficient
-    depends on the tuple only through (n_alpha), so it is built once per count vector.
+    depends on the tuple only through (n_alpha), so it is built once per
+    count vector, and each Hermite factor once per (n, alpha).
     """
     p, q = ctx.p, ctx.q
     pref = Scalar.term(Fraction(1), e2=-3 * q, epi=-q)  # 2^{-q} (2pi)^{-q/2}
     weight = gaussian_plus(ctx) * pref
     by_counts: dict[tuple[int, ...], PolyGauss] = {}
+    hermites: dict[tuple[int, int], PolyGauss] = {}
 
     def term(alphas: tuple[int, ...]):
         counts = tuple(map(alphas.count, range(1, p + 1)))
@@ -92,7 +94,9 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
             pg = weight
             for alpha, n in enumerate(counts, start=1):
                 if n:
-                    pg = pg * hermite_scaled(n, ctx.nvars, alpha)
+                    if (n, alpha) not in hermites:
+                        hermites[n, alpha] = hermite_scaled(n, ctx.nvars, alpha)
+                    pg = pg * hermites[n, alpha]
             by_counts[counts] = pg
         sorted_i, sign = _omega_key(p, alphas)
         pg = by_counts[counts]
@@ -108,18 +112,15 @@ def exterior_derivative(a: SuperForm, grads: dict) -> SuperForm:
     `coefficient_gradients(a)`, so every p-pair shares one gradient.
     """
     ctx = a.ctx
-    xs = [(pair, LieElement.basis(ctx, *pair)) for pair in ctx.p_pairs()]
-
-    def terms():
-        for key in a.terms:
-            i_set, j_set = key
-            for pair, x in xs:
-                new_i, sign = sort_with_sign((pair,) + i_set)
-                if sign:
-                    pg2 = schwartz_action(x, grads[key])
-                    yield (new_i, j_set), pg2 if sign > 0 else -pg2
-
-    return SuperForm(ctx, terms())
+    fields = [(pair, _action_field(LieElement.basis(ctx, *pair))) for pair in ctx.p_pairs()]
+    signed = [(pair, {1: f, -1: {kl: -c for kl, c in f.items()}}) for pair, f in fields]
+    acc = _FlatSum(ctx.nvars)
+    for i_set, j_set in a.terms:
+        for pair, field in signed:
+            new_i, sign = sort_with_sign((pair,) + i_set)
+            if sign:
+                acc.add_field((new_i, j_set), grads[i_set, j_set], field[sign])
+    return SuperForm._of(ctx, acc.result())
 
 
 def coefficient_gradients(a: SuperForm) -> dict[tuple, list[PolyGauss]]:
@@ -133,7 +134,10 @@ def lie_derivative(x: LieElement, a: SuperForm, grads: dict) -> SuperForm:
     coefficient functions. Invariance means this vanishes. ``grads`` is
     `coefficient_gradients(a)`, so several X share one gradient.
     """
-    return SuperForm(x.ctx, itertools.chain(
-        coadjoint_action(x, a).terms.items(),
-        ((key, schwartz_action(x, grads[key])) for key in a.terms),
-    ))
+    acc = _FlatSum(x.ctx.nvars)
+    for key, pg, c in _slot_moves(x, a):
+        acc.add(key, pg, c)
+    field = _action_field(x)
+    for key in a.terms:
+        acc.add_field(key, grads[key], field)
+    return SuperForm._of(x.ctx, acc.result())

@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .scalars import PolyGauss, Scalar, _add_into, _pairs, linear_field
-from .superforms import SuperForm, sort_with_sign
+from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs, linear_field
+from .superforms import Key, SuperForm, sort_with_sign
 
 Pair = tuple[int, int]
 
@@ -199,6 +199,11 @@ def curvature_at_e(ctx: SignatureCtx) -> SuperForm:
     return SuperForm(ctx, terms())
 
 
+def _action_field(x: LieElement) -> dict[Pair, Fraction]:
+    """{(k, l): -m_kl}: the linear field of `schwartz_action`."""
+    return {kl: -c for kl, c in x._entries().items()}
+
+
 def schwartz_action(x: LieElement, grad: list[PolyGauss]) -> PolyGauss:
     """Infinitesimal left action (X f)(v) = d/dt f(exp(-tX) v)|_0 = -(Xv). grad f,
     given ``grad`` = f.gradient(), so one differentiation of f serves every X.
@@ -207,13 +212,14 @@ def schwartz_action(x: LieElement, grad: list[PolyGauss]) -> PolyGauss:
     """
     if len(grad) != x.ctx.n:
         raise ValueError("dimension mismatch")
-    return linear_field(grad, {kl: -c for kl, c in x._entries().items()})
+    return linear_field(grad, _action_field(x))
 
 
-def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
-    """Derivation action of X in k on Lambda(p*) (x) Lambda(z0), by the
-    columns of X's matrix: e_j -> sum_r m_rj e_r on each z0 slot and on
-    both indices of each omega_{alpha mu} slot. Coefficients are untouched.
+def _slot_moves(x: LieElement, a: SuperForm) -> Iterator[tuple[Key, PolyGauss, Fraction]]:
+    """(key, coefficient, c) for each term of the coadjoint action of X in k
+    on ``a``, by the columns of X's matrix: e_j -> sum_r m_rj e_r on each z0
+    slot and on both indices of each omega_{alpha mu} slot. Coefficients
+    are untouched.
 
     This is (X . omega)(Y) = -omega([X, Y]) on p*: p is R^p (x) R^q, where X
     acts by its two diagonal blocks, and each block is antisymmetric, so
@@ -234,14 +240,19 @@ def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
             ((alpha, r), c) for r, c in cols.get(mu, ())
         ]
 
-    def terms():
-        for key, pg in a.terms.items():
-            for side, slots in enumerate(key):
-                for pos, gen in enumerate(slots):
-                    for gen2, c in images(gen):
-                        moved, sign = sort_with_sign(slots[:pos] + (gen2,) + slots[pos + 1 :])
-                        if sign:
-                            new_key = (moved, key[1]) if side == 0 else (key[0], moved)
-                            yield new_key, pg * Fraction(sign * c)
+    for key, pg in a.terms.items():
+        for side, slots in enumerate(key):
+            for pos, gen in enumerate(slots):
+                for gen2, c in images(gen):
+                    moved, sign = sort_with_sign(slots[:pos] + (gen2,) + slots[pos + 1 :])
+                    if sign:
+                        new_key = (moved, key[1]) if side == 0 else (key[0], moved)
+                        yield new_key, pg, sign * c
 
-    return SuperForm(x.ctx, terms())
+
+def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
+    """Derivation action of X in k on Lambda(p*) (x) Lambda(z0); see `_slot_moves`."""
+    acc = _FlatSum(x.ctx.nvars)
+    for key, pg, c in _slot_moves(x, a):
+        acc.add(key, pg, c)
+    return SuperForm._of(x.ctx, acc.result())

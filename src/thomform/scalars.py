@@ -7,7 +7,8 @@ That holds because every sparse sum is canonical: equal keys are merged and
 zero coefficients dropped. One function, `_add_into`, applies that rule for
 the whole package; `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and
 `LieElement` build their terms through it, from a mapping or from any
-iterable of (key, value) pairs.
+iterable of (key, value) pairs, and so does `_FlatSum`, the one flat sum
+that the hot operators (products, partials, fields, wedge, d, L_X) share.
 
 Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
@@ -94,14 +95,7 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1:  # one term each, as in every constructed form
-            (ka, ra), = a.items()
-            (kb, rb), = b.items()
-            if ka == kb:
-                r = ra + rb
-                return Scalar._of({ka: r} if r else {})
-        return Scalar._of(_add_into(dict(a), b.items()))
+        return Scalar._of(_add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Scalar":
         return Scalar._of({k: -r for k, r in self.terms.items()})
@@ -114,23 +108,10 @@ class Scalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Scalar.rational(other)
-        for unit, factor in ((other, self), (self, other)):
-            if len(unit.terms) == 1:  # a factor +-1 costs no product
-                r = unit.terms.get((0, 0))
-                if r == 1:
-                    return factor
-                if r == -1:
-                    return -factor
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1:  # one term each: one product, nothing to merge
-            ((a2, api), ra), = a.items()
-            ((b2, bpi), rb), = b.items()
-            key, r = _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
-            return Scalar._of({key: r})
         return Scalar._of(_add_into({}, (
             _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
-            for (a2, api), ra in a.items()
-            for (b2, bpi), rb in b.items()
+            for (a2, api), ra in self.terms.items()
+            for (b2, bpi), rb in other.terms.items()
         )))
 
     __rmul__ = __mul__
@@ -380,11 +361,9 @@ class PolyGauss:
     def __mul__(self, other):
         if type(other) is PolyGauss:
             self._check(other)
-            return PolyGauss._of(self.n, _add_into({}, (
-                (tuple(map(add, ga, gb)), pa * pb)
-                for ga, pa in self.parts.items()
-                for gb, pb in other.parts.items()
-            )))
+            return _FlatSum(self.n).add_product(None, self, other).result().get(
+                None, PolyGauss(self.n)
+            )
         if type(other) is not Scalar and not isinstance(other, (int, Fraction)):
             return NotImplemented
         return PolyGauss._of(
@@ -394,34 +373,48 @@ class PolyGauss:
     __rmul__ = __mul__
 
     def derive(self, i: int, t: int | None = None) -> "PolyGauss":
-        """Exact d/dx_i of P * exp(-pi E), where E = sum_j c_j x_j^2.
-
-        Given ``t``, the index of the scaling variable of a pullback along
-        x -> t x, E = x_t^2 sum_j c_j x_j^2 instead. The Gaussian adds
-        -pi (dE/dx_i) P: -2 pi c_i x_i P without t, -2 pi c_i x_i x_t^2 P for
-        i != t, and -2 pi sum_j c_j x_j^2 x_t P for i = t (when c_t = 0).
-        """
-        _check_index(i, self.n)
-        if t is not None:
-            _check_index(t, self.n)
-        n, k = self.n, i - 1
-
-        def slope(g: GaussExp) -> Poly:
-            # E's term c_j x^m, m = 2 e_j (+ 2 e_t), adds -pi c_j m_i x^(m - e_i)
-            terms = []
-            for j in range(n) if i == t else (k,):
-                m = [2 * (a == j) + 2 * (a + 1 == t) for a in range(n)]
-                e, m[k] = m[k], m[k] - 1
-                terms.append((tuple(m), Scalar.term(-e * g[j], epi=2)))
-            return Poly(n, terms)
-
-        return PolyGauss._of(n, _add_into({}, (
-            (g, p.derive(i) + p * slope(g)) for g, p in self.parts.items()
-        )))
+        """Exact d/dx_i of P * exp(-pi E), where E = sum_j c_j x_j^2, or
+        E = x_t^2 sum_j c_j x_j^2 given ``t``, the index of the scaling
+        variable of a pullback along x -> t x (see `_partials`)."""
+        return self._partials((i,), t)[0]
 
     def gradient(self) -> list["PolyGauss"]:
         """The partial derivatives [d/dx_1, ..., d/dx_n] of self."""
-        return [self.derive(i) for i in range(1, self.n + 1)]
+        return self._partials(range(1, self.n + 1))
+
+    def _partials(self, indices: Iterable[int], t: int | None = None) -> list["PolyGauss"]:
+        """[d/dx_i self for i in indices], in one walk over the atoms. The
+        Gaussian adds -pi (dE/dx_i) P: -2 pi c_i x_i P without t,
+        -2 pi c_i x_i x_t^2 P for i != t, and -2 pi sum_j c_j x_j^2 x_t P
+        for i = t (when c_t = 0)."""
+        n, indices = self.n, tuple(indices)
+        for i in indices if t is None else indices + (t,):
+            _check_index(i, n)
+
+        def slope(g: GaussExp, i: int) -> Iterable[tuple]:
+            # E's term c_j x^m, m = 2 e_j (+ 2 e_t), adds -pi c_j m_i x^(m - e_i)
+            for j in range(n) if i == t else (i - 1,):
+                m = [2 * (a == j) + 2 * (a + 1 == t) for a in range(n)]
+                e, m[i - 1] = m[i - 1], m[i - 1] - 1
+                if g[j]:
+                    yield tuple(m), -e * g[j]
+
+        def atoms():
+            for g, p in self.parts.items():
+                rules = [(i, i - 1, list(slope(g, i))) for i in indices]
+                for mono, s in p.terms.items():
+                    for i, k, slopes in rules:
+                        if mono[k]:
+                            m, e = mono[:k] + (mono[k] - 1,) + mono[k + 1 :], mono[k]
+                            yield from (((i, g, m, sk), r * e) for sk, r in s.terms.items())
+                        for shift, c in slopes:
+                            m = tuple(map(add, mono, shift))
+                            yield from (
+                                ((i, g, m, (e2, epi + 2)), r * c) for (e2, epi), r in s.terms.items()
+                            )
+
+        parts = _FlatSum(n, atoms()).result()
+        return [parts.get(i, PolyGauss(n)) for i in indices]
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
         """Relabel variables: old 1-based index -> new 1-based index."""
@@ -486,17 +479,60 @@ def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fracti
     """sum_{k,l} c_kl x_l d/dx_k f, for ``grad`` = f.gradient() and ``entries``
     {(k, l): c_kl} (1-based): x_l shifts exponents, so one gradient serves
     every field."""
-    def terms():
-        for (k, l), c in entries.items():
-            l -= 1
-            if c == 1 or c == -1:  # so(p,q) basis entries: s or -s, no product
-                scaled = (lambda s: s) if c == 1 else Scalar.__neg__
-            else:
-                scaled = Scalar.rational(c).__mul__
-            for g, mono, s in grad[k - 1].items():
-                yield g, mono[:l] + (mono[l] + 1,) + mono[l + 1 :], scaled(s)
+    n = len(grad)
+    return _FlatSum(n).add_field(None, grad, entries).result().get(None, PolyGauss(n))
 
-    return PolyGauss.from_items(len(grad), terms())
+
+class _FlatSum:
+    """A sum merged flat: one dict maps atoms (outer key, Gaussian exponent,
+    monomial, sqrt key (e2 mod 2, epi)) to Fractions through `_add_into`,
+    given as (atom, r) pairs or by `add`, `add_field` and `add_product`.
+    `result` builds {outer key: PolyGauss} once, so what cancels builds none."""
+
+    __slots__ = ("n", "atoms")
+
+    def __init__(self, n: int, atoms: Iterable[tuple] = ()):
+        self.n, self.atoms = n, _add_into({}, atoms)
+
+    def add(self, outer, pg: PolyGauss, c=1, shift: int | None = None) -> "_FlatSum":
+        """c * pg under ``outer``, times x_shift (1-based) if given; c = +-1 costs no product."""
+        times = None if c == 1 else Fraction.__neg__ if c == -1 else Fraction(c).__mul__
+        l = (shift or 1) - 1
+        _add_into(self.atoms, (
+            ((outer, g, mono if shift is None else mono[:l] + (mono[l] + 1,) + mono[l + 1 :], sk),
+             r if times is None else times(r))
+            for g, p in pg.parts.items() for mono, s in p.terms.items() for sk, r in s.terms.items()
+        ))
+        return self
+
+    def add_field(self, outer, grad: list[PolyGauss], entries: Mapping) -> "_FlatSum":
+        """sum_{k,l} c_kl x_l d/dx_k f under ``outer``, for ``grad`` = f.gradient()."""
+        for (k, l), c in entries.items():
+            self.add(outer, grad[k - 1], c, l)
+        return self
+
+    def add_product(self, outer, pga: PolyGauss, pgb: PolyGauss, negate=False) -> "_FlatSum":
+        """pga * pgb under ``outer``, negated if ``negate``: Gaussian exponents
+        and monomials add, and sqrt2 folds."""
+        _add_into(self.atoms, (
+            ((outer, g, tuple(map(add, ma, mb)), sk), -r if negate else r)
+            for ga, pa in pga.parts.items() for gb, pb in pgb.parts.items()
+            for g in (tuple(map(add, ga, gb)),)
+            for ma, sa in pa.terms.items() for mb, sb in pb.terms.items()
+            for (a2, api), ra in sa.terms.items() for (b2, bpi), rb in sb.terms.items()
+            for sk, r in (_fold_sqrt2(a2 + b2, api + bpi, ra * rb),)
+        ))
+        return self
+
+    def result(self) -> dict:
+        """{outer key: PolyGauss} of the merged atoms."""
+        nested: dict = {}
+        for (outer, g, mono, sk), r in self.atoms.items():
+            nested.setdefault(outer, {}).setdefault(g, {}).setdefault(mono, {})[sk] = r
+        return {outer: PolyGauss._of(self.n, {
+            g: Poly._of(self.n, {mono: Scalar._of(s) for mono, s in monos.items()})
+            for g, monos in parts.items()
+        }) for outer, parts in nested.items()}
 
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:

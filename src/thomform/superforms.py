@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import PolyGauss, Scalar, _add_into, _pairs
+from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs
 
 Key = tuple[tuple, tuple]
 
@@ -139,22 +139,15 @@ class SuperForm:
     # -- products --------------------------------------------------------
     def wedge(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-
-        def products():
-            for (ia, ja), pga in self.terms.items():
-                for (ib, jb), pgb in other.terms.items():
-                    i_set, si = merge_sorted(ia, ib)
-                    if si == 0:
-                        continue
-                    j_set, sj = merge_sorted(ja, jb)
-                    if sj == 0:
-                        continue
-                    pg = pga * pgb
-                    if si * sj * (-1 if (len(ja) * len(ib)) % 2 else 1) < 0:
-                        pg = -pg
-                    yield (i_set, j_set), pg
-
-        return SuperForm._of(self.ctx, _add_into({}, products()))
+        acc = _FlatSum(self.ctx.nvars)
+        for (ia, ja), pga in self.terms.items():
+            for (ib, jb), pgb in other.terms.items():
+                j_set, sj = merge_sorted(ja, jb)
+                i_set, si = merge_sorted(ia, ib) if sj else ((), 0)
+                if si:
+                    sign = si * sj * (-1 if (len(ja) * len(ib)) % 2 else 1)
+                    acc.add_product((i_set, j_set), pga, pgb, sign < 0)
+        return SuperForm._of(self.ctx, acc.result())
 
     def berezin(self) -> "SuperForm":
         """Project onto the top z0 component e_{min}^...^e_{max}, stripping it."""
@@ -174,19 +167,15 @@ class SuperForm:
                 raise ValueError("contraction argument must have bidegree (1,0) or (0,1)")
             coeffs[(0, i_set[0]) if i_set else (1, j_set[0])] = pg
 
-        def terms():
-            for (i_set, j_set), pg in self.terms.items():
-                for factor, gens, before in ((0, i_set, 0), (1, j_set, len(i_set))):
-                    for pos, g in enumerate(gens):
-                        if (factor, g) not in coeffs:
-                            continue
-                        pg2 = pg * coeffs[(factor, g)]
-                        if (before + pos) % 2:
-                            pg2 = -pg2
+        acc = _FlatSum(self.ctx.nvars)
+        for (i_set, j_set), pg in self.terms.items():
+            for factor, gens, before in ((0, i_set, 0), (1, j_set, len(i_set))):
+                for pos, g in enumerate(gens):
+                    if (factor, g) in coeffs:
                         rest = gens[:pos] + gens[pos + 1 :]
-                        yield ((rest, j_set) if factor == 0 else (i_set, rest)), pg2
-
-        return SuperForm._of(self.ctx, _add_into({}, terms()))
+                        key = (rest, j_set) if factor == 0 else (i_set, rest)
+                        acc.add_product(key, pg, coeffs[(factor, g)], (before + pos) % 2)
+        return SuperForm._of(self.ctx, acc.result())
 
     def exp_even(self) -> "SuperForm":
         """Exponential of a nilpotent even element: every term must have

@@ -3,8 +3,11 @@ closedness, invariance."""
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thomform.km import (
     coefficient_gradients,
@@ -15,8 +18,8 @@ from thomform.km import (
     lie_derivative,
 )
 from thomform.liealg import LieElement, SignatureCtx, coadjoint_action
-from thomform.scalars import Poly, PolyGauss, Scalar
-from thomform.superforms import SuperForm, sort_with_sign
+from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp
+from thomform.superforms import SuperForm, merge_sorted, sort_with_sign
 
 SIGS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 2)]
 
@@ -174,3 +177,105 @@ class TestInvariance:
         )
         x = LieElement.basis(ctx, 1, 2)
         assert lie_derivative(x, a, coefficient_gradients(a))
+
+
+# -- the flat kernel on drawn forms ---------------------------------------
+
+
+def rich_coefficients(n: int):
+    """Coefficients no constructed form has: two Gaussian weights, several
+    monomials, and two-term scalars in sqrt2 and sqrt(pi) powers."""
+    weights = st.tuples(
+        st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0, 1, Fraction(3, 2)]), min_size=n, max_size=n),
+    ).map(lambda ws: [gauss_exp(w) for w in ws])
+    scalars = st.dictionaries(
+        st.tuples(st.integers(-1, 2), st.integers(-2, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        min_size=1, max_size=2,
+    ).map(Scalar)
+    atoms = st.lists(st.tuples(
+        st.integers(0, 1),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple),
+        scalars,
+    ), min_size=1, max_size=4)
+    return st.tuples(weights, atoms).map(lambda wa: PolyGauss.from_items(
+        n, ((wa[0][w], mono, c) for w, mono, c in wa[1])
+    ))
+
+
+def rich_forms(ctx: SignatureCtx):
+    """Sums of omega_I (x) e_J, |I|, |J| <= 2, with `rich_coefficients`."""
+    slots = st.sets(st.sampled_from(ctx.p_pairs()), max_size=2).map(sorted).map(tuple)
+    z0 = st.sets(st.sampled_from(ctx.z0), max_size=2).map(sorted).map(tuple)
+    return st.dictionaries(
+        st.tuples(slots, z0), rich_coefficients(ctx.nvars), min_size=1, max_size=3
+    ).map(lambda terms: SuperForm(ctx, terms))
+
+
+def items_product(a: PolyGauss, b: PolyGauss) -> PolyGauss:
+    """a * b term by term through `items`: exponents add, `Scalar` multiplies."""
+    return PolyGauss.from_items(a.n, (
+        (gauss_exp(map(add, ga, gb)), tuple(map(add, ma, mb)), ca * cb)
+        for ga, ma, ca in a.items()
+        for gb, mb, cb in b.items()
+    ))
+
+
+def items_derive(f: PolyGauss, i: int) -> PolyGauss:
+    """d/dx_i through `items`: x^m exp(-pi sum_j g_j x_j^2) gives
+    m_i x^(m - e_i) - 2 pi g_i x^(m + e_i), times the same Gaussian."""
+    k = i - 1
+
+    def terms():
+        for g, m, c in f.items():
+            if m[k]:
+                yield g, m[:k] + (m[k] - 1,) + m[k + 1 :], c * m[k]
+            yield g, m[:k] + (m[k] + 1,) + m[k + 1 :], c * Scalar.term(-2 * g[k], epi=2)
+
+    return PolyGauss.from_items(f.n, terms())
+
+
+def koszul_wedge(a: SuperForm, b: SuperForm) -> SuperForm:
+    out = SuperForm(a.ctx)
+    for (ia, ja), pga in a.terms.items():
+        for (ib, jb), pgb in b.terms.items():
+            (i_set, si), (j_set, sj) = merge_sorted(ia, ib), merge_sorted(ja, jb)
+            sign = si * sj * (-1) ** (len(ja) * len(ib))
+            if sign:
+                out = out + SuperForm(a.ctx, {(i_set, j_set): items_product(pga, pgb) * sign})
+    return out
+
+
+DRAWN = SignatureCtx(2, 2)
+
+
+class TestKernelOnDrawnForms:
+    """The flat wedge, gradient, d and L_X agree with term-by-term references
+    on coefficients with several Gaussian weights, monomials and sqrt terms."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rich_forms(DRAWN), rich_forms(DRAWN))
+    def test_wedge(self, a, b):
+        assert a.wedge(b) == koszul_wedge(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rich_coefficients(DRAWN.nvars))
+    def test_gradient(self, f):
+        grad = f.gradient()
+        assert grad == [f.derive(i) for i in range(1, f.n + 1)]
+        assert grad == [items_derive(f, i) for i in range(1, f.n + 1)]
+
+    @settings(max_examples=15, deadline=None)
+    @given(rich_forms(DRAWN))
+    def test_exterior_derivative(self, a):
+        res = exterior_derivative(a, coefficient_gradients(a))
+        assert res == per_pair_exterior_derivative(DRAWN, a)
+
+    @settings(max_examples=15, deadline=None)
+    @given(rich_forms(DRAWN))
+    def test_lie_derivative(self, a):
+        grads = coefficient_gradients(a)
+        for pair in DRAWN.k_pairs():
+            x = LieElement.basis(DRAWN, *pair)
+            assert lie_derivative(x, a, grads) == per_row_lie_derivative(x, a)

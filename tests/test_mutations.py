@@ -35,8 +35,12 @@ MUTATIONS = {
     "wedge_drops_koszul_sign": [
         (SuperForm, "wedge", {"(-1 if (len(ja) * len(ib)) % 2 else 1)": "1"}),
     ],
+    # the one derivative rule, behind both derive and gradient
     "derive_drops_gaussian_slope": [
-        (PolyGauss, "derive", {"p.derive(i) + p * slope(g)": "p.derive(i)"}),
+        (PolyGauss, "_partials", {"(i, i - 1, list(slope(g, i)))": "(i, i - 1, [])"}),
+    ],
+    "derive_drops_the_exponent_factor": [
+        (PolyGauss, "_partials", {"((i, g, m, sk), r * e)": "((i, g, m, sk), r)"}),
     ],
     # flipping the YX term alone gives XY + YX, which is not in so(p,q):
     # bracket itself raises, in every check, so the whole commutator is flipped
@@ -58,9 +62,10 @@ MUTATIONS = {
             "Fraction(1, math.factorial(q - 2 * b) * math.factorial(b))": "1",
         }),
     ],
-    # the transpose acts as -X: k_invariance at (2,1) sees it
+    # the transpose acts as -X: k_invariance at (2,1) sees it; lie_derivative
+    # and coadjoint_action share the slot moves
     "coadjoint_takes_rows_for_columns": [
-        (liealg, "coadjoint_action", {
+        (liealg, "_slot_moves", {
             "cols.setdefault(j, []).append((r, c))": "cols.setdefault(r, []).append((j, c))",
         }),
     ],
@@ -85,10 +90,20 @@ MUTATIONS = {
         (mq, "fiber_scale_pullback_symbolic", {"sum(mono) + slots": "sum(mono)"}),
     ],
     "contract_drops_sign": [
-        (SuperForm, "contract", {"pg2 = -pg2": "pass"}),
+        (SuperForm, "contract", {"(before + pos) % 2)": "0)"}),
     ],
+    # the one product rule, behind PolyGauss * PolyGauss and wedge
     "gaussian_product_keeps_left_weight": [
-        (PolyGauss, "__mul__", {"(tuple(map(add, ga, gb)), pa * pb)": "(ga, pa * pb)"}),
+        (scalars._FlatSum, "add_product", {"for g in (tuple(map(add, ga, gb)),)": "for g in (ga,)"}),
+    ],
+    "product_skips_the_sqrt2_fold": [
+        (scalars._FlatSum, "add_product", {
+            "_fold_sqrt2(a2 + b2, api + bpi, ra * rb)": "(((a2 + b2) % 2, api + bpi), ra * rb)",
+        }),
+    ],
+    # the field of d and of L_X: x_l d/dx_k with c_kl dropped
+    "linear_field_drops_its_coefficient": [
+        (scalars._FlatSum, "add_field", {"grad[k - 1], c, l)": "grad[k - 1], 1, l)"}),
     ],
 }
 
@@ -97,7 +112,7 @@ def _sizes(cid: str) -> list[dict]:
     """The smallest legal parameters of ``cid`` first, then the next sizes up."""
     spec = CHECKS[cid]
     if spec is SIGNATURE:
-        return [{"p": 1, "q": 1}, {"p": 1, "q": 2}, {"p": 2, "q": 1}]
+        return [{"p": 1, "q": 1}, {"p": 1, "q": 2}, {"p": 2, "q": 1}, {"p": 2, "q": 2}]
     if spec is FIBER:
         return [{"q": 1}, {"q": 2}]
     if cid == "howe_hermite":
@@ -182,6 +197,19 @@ def test_the_top_degree_fault_reaches_the_basepoint_and_fiber_forms(verdicts):
     failed = {cid for (cid, _), v in verdicts["top_degree_drops_factorials"].items() if v == "fail"}
     assert "theorem" in failed
     assert failed & {"fiber_integral", "fiber_restriction"}, failed
+
+
+def test_kernel_faults_reach_their_checks(verdicts):
+    """theorem sees the product rule, closedness or k_invariance the
+    derivative rule, and k_invariance at (2,1) the shared slot moves."""
+
+    def failed(name: str) -> set:
+        return {key for key, v in verdicts[name].items() if v == "fail"}
+
+    assert "theorem" in {cid for cid, _ in failed("gaussian_product_keeps_left_weight")}
+    slope = {cid for cid, _ in failed("derive_drops_gaussian_slope")}
+    assert slope & {"closedness", "k_invariance"}, slope
+    assert ("k_invariance", (("p", 2), ("q", 1))) in failed("coadjoint_takes_rows_for_columns")
 
 
 def test_every_mutation_is_undone(verdicts):

@@ -382,8 +382,8 @@ single_terms = st.builds(
 
 
 class TestSingleTermFastPaths:
-    """The one-term sum, the one-term product and the +-1 linear field agree
-    with the general `_add_into` results."""
+    """One-term sums and products, and the +-1 linear field of the flat sum,
+    agree with the general `_add_into` results."""
 
     @given(single_terms, single_terms)
     def test_sum(self, a, b):
