@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -141,6 +142,8 @@ def _example11(args, parser) -> int:
 
     if args.t <= 0:  # a t that rounds to 0.0 included
         parser.error("t must be positive")
+    if not math.isfinite(args.x / args.t + args.t * args.xp):  # else NaN on both sides
+        parser.error("x/t + t*x' must fit a float")
     lhs = example11_machinery(args.t, args.x, args.xp)
     rhs = example11_paper(args.t, args.x, args.xp)
     print(f"machinery:   {lhs!r}")

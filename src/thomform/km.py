@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .liealg import LieElement, SignatureCtx, _action_field, _slot_moves
-from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, howe_shift
+from .scalars import PolyGauss, Scalar, _FlatSum, howe_shift
 from .superforms import SuperForm, sort_with_sign
 
 
@@ -52,24 +52,33 @@ def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
     to exp(-pi |x|^2), where A_{alpha mu} = omega_{alpha mu} (x)
     (x_alpha - (1/2pi) d/dx_alpha) acting on coefficients.
 
-    The factors for distinct mu anticommute; we fold over mu in increasing
-    order and wedge the new generator on the right, so the resulting index
-    tuples read omega_{alpha_1, p+1} ^ ... ^ omega_{alpha_q, p+q}.
+    The tuple (alpha_1..alpha_q) gives omega_{alpha_1, p+1} ^ ... ^
+    omega_{alpha_q, p+q}, sorted by `_omega_key`. The shifts in distinct
+    x_alpha commute, so its coefficient depends only on the count vector
+    (n_alpha): each is one `howe_shift` of the coefficient one count
+    smaller, in the index it adds, C(p+q, q) - 1 shifts in all. Tuples of
+    one count vector and sign share one coefficient object.
     """
-
-    def step(acc: dict[tuple, PolyGauss], mu: int):
-        for i_set, pg in acc.items():
-            for alpha in range(1, ctx.p + 1):
-                new_i, sign = sort_with_sign(i_set + ((alpha, mu),))
-                if sign:
-                    pg2 = howe_shift(pg, alpha)
-                    yield new_i, pg2 if sign > 0 else -pg2
-
-    acc = {(): gaussian_plus(ctx)}
-    for mu in ctx.z0:
-        acc = _add_into({}, step(acc, mu))
+    p = ctx.p
     scale = Scalar.term(Fraction(1), e2=-2 * ctx.q)  # 2^{-q}
-    return SuperForm(ctx, (((i_set, ()), pg * scale) for i_set, pg in acc.items()))
+    built = {((0,) * p, 1): gaussian_plus(ctx) * scale}
+
+    def coefficient(counts: tuple[int, ...], sign: int) -> PolyGauss:
+        if (counts, sign) not in built:
+            if sign < 0:
+                pg = -coefficient(counts, 1)
+            else:
+                alpha = max(a for a, n in enumerate(counts, start=1) if n)
+                fewer = counts[: alpha - 1] + (counts[alpha - 1] - 1,) + counts[alpha:]
+                pg = howe_shift(coefficient(fewer, 1), alpha)
+            built[counts, sign] = pg
+        return built[counts, sign]
+
+    def term(alphas: tuple[int, ...]):
+        sorted_i, sign = _omega_key(p, alphas)
+        return (sorted_i, ()), coefficient(tuple(map(alphas.count, range(1, p + 1))), sign)
+
+    return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=ctx.q)))
 
 
 def km_closed_form(ctx: SignatureCtx) -> SuperForm:
@@ -124,8 +133,14 @@ def exterior_derivative(a: SuperForm, grads: dict) -> SuperForm:
 
 
 def coefficient_gradients(a: SuperForm) -> dict[tuple, list[PolyGauss]]:
-    """The gradient of each coefficient of ``a``, by exterior key."""
-    return {key: pg.gradient() for key, pg in a.terms.items()}
+    """The gradient of each coefficient of ``a``, by exterior key: one
+    `gradient()` per distinct coefficient object, so keys that share a
+    coefficient share one list. The lists are shared and read-only."""
+    by_id: dict[int, list[PolyGauss]] = {}
+    for pg in a.terms.values():
+        if id(pg) not in by_id:
+            by_id[id(pg)] = pg.gradient()
+    return {key: by_id[id(pg)] for key, pg in a.terms.items()}
 
 
 def lie_derivative(x: LieElement, a: SuperForm, grads: dict) -> SuperForm:

@@ -135,6 +135,16 @@ class TestExample11:
         assert res.stdout == ""
         assert "usage:" in res.stderr and "Traceback" not in res.stderr
 
+    # each value fits a float, but x/t, t x' or their sum does not
+    @pytest.mark.parametrize("t,x,xp", [
+        ("1e300", "1", "1e300"), ("1e-300", "1e10", "1"), ("1", "1e308", "1e308"),
+    ])
+    def test_point_must_fit_a_float(self, t, x, xp):
+        res = run("example11", "--t", t, "--x", x, "--xp", xp)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "usage:" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestTheta:
     @pytest.fixture()

@@ -1,6 +1,7 @@
 """The basepoint q-form from Howe operators: values, closed form,
 closedness, invariance."""
 
+import math
 import random
 from fractions import Fraction
 from operator import add
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thomform import km
 from thomform.km import (
     coefficient_gradients,
     exterior_derivative,
@@ -18,7 +20,7 @@ from thomform.km import (
     lie_derivative,
 )
 from thomform.liealg import LieElement, SignatureCtx, coadjoint_action
-from thomform.scalars import Poly, PolyGauss, Scalar, gauss_exp
+from thomform.scalars import Poly, PolyGauss, Scalar, _add_into, gauss_exp, howe_shift
 from thomform.superforms import SuperForm, merge_sorted, sort_with_sign
 
 SIGS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 2)]
@@ -77,6 +79,69 @@ class TestClosedForm:
     def test_howe_equals_hermite_expansion(self, p, q):
         ctx = SignatureCtx(p, q)
         assert km_form_at_e(ctx) == km_closed_form(ctx)
+
+
+def per_tuple_km_form(ctx: SignatureCtx) -> SuperForm:
+    """The operator product folded over mu in increasing order, one
+    `howe_shift` per index tuple and per mu, wedging each new generator on
+    the right: the reference for the count-vector build of `km_form_at_e`."""
+
+    def step(acc: dict[tuple, PolyGauss], mu: int):
+        for i_set, pg in acc.items():
+            for alpha in range(1, ctx.p + 1):
+                new_i, sign = sort_with_sign(i_set + ((alpha, mu),))
+                if sign:
+                    pg2 = howe_shift(pg, alpha)
+                    yield new_i, pg2 if sign > 0 else -pg2
+
+    acc = {(): PolyGauss.gaussian([Fraction(1)] * ctx.nvars)}
+    for mu in ctx.z0:
+        acc = _add_into({}, step(acc, mu))
+    scale = Scalar.term(Fraction(1), e2=-2 * ctx.q)  # 2^{-q}
+    return SuperForm(ctx, (((i_set, ()), pg * scale) for i_set, pg in acc.items()))
+
+
+SIGS_TO_6 = [(p, n - p) for n in range(2, 7) for p in range(1, n)]
+
+
+class TestCountVectorBuild:
+    @pytest.mark.parametrize("p,q", SIGS_TO_6 + [(4, 4), (2, 6)])
+    def test_equals_per_tuple_fold(self, p, q):
+        ctx = SignatureCtx(p, q)
+        phi = km_form_at_e(ctx)
+        ref = per_tuple_km_form(ctx)
+        assert phi == ref
+        assert list(phi.terms) == list(ref.terms)
+
+    @pytest.mark.parametrize("p,q,shifts", [(4, 4, 69), (2, 6, 27), (3, 3, 19), (1, 4, 4)])
+    def test_one_howe_shift_per_count_vector(self, monkeypatch, p, q, shifts):
+        calls = []
+
+        def counting(a, i):
+            calls.append(i)
+            return howe_shift(a, i)
+
+        monkeypatch.setattr(km, "howe_shift", counting)
+        km_form_at_e(SignatureCtx(p, q))
+        assert len(calls) == shifts == math.comb(p + q, q) - 1
+
+    @pytest.mark.parametrize("p,q", [(4, 4), (2, 6), (3, 3), (1, 4)])
+    def test_one_gradient_per_distinct_coefficient(self, monkeypatch, p, q):
+        phi = km_form_at_e(SignatureCtx(p, q))
+        calls = []
+        real = PolyGauss.gradient
+
+        def counting(self):
+            calls.append(id(self))
+            return real(self)
+
+        monkeypatch.setattr(PolyGauss, "gradient", counting)
+        grads = coefficient_gradients(phi)
+        distinct = {id(pg) for pg in phi.terms.values()}
+        assert sorted(calls) == sorted(distinct)
+        assert len(calls) <= 2 * math.comb(p + q - 1, q)
+        for key, pg in phi.terms.items():
+            assert grads[key] == pg.gradient()
 
 
 class TestClosedness:
