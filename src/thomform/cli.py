@@ -82,6 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("--lattice", required=True, help="lattice JSON file")
     p_theta.add_argument("--tau", type=_parse_tau, required=True)
     p_theta.add_argument("--bound", type=float, required=True)
+    for command in sub.choices.values():  # a handler's usage errors show its own usage line
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -184,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         "theta": _theta,
     }[args.command]
     try:
-        return handler(args, parser)
+        return handler(args, args.parser)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (ValueError, OSError, KeyError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .liealg import LieElement, SignatureCtx, _action_field, _slot_moves
+from .liealg import LieElement, SignatureCtx, _action_field, _slot_moves, schwartz_action
 from .scalars import PolyGauss, Scalar, _FlatSum, howe_shift
 from .superforms import SuperForm, sort_with_sign
 
@@ -88,13 +88,13 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
           (x) prod_alpha H_{n_alpha}(sqrt(2 pi) x_alpha) exp(-pi |x|^2)
 
     where n_alpha counts occurrences of alpha in the tuple. The coefficient
-    depends on the tuple only through (n_alpha), so it is built once per
-    count vector, and each Hermite factor once per (n, alpha).
+    depends on the tuple only through (n_alpha), so it is built and negated
+    once per count vector, and each Hermite factor once per (n, alpha).
     """
     p, q = ctx.p, ctx.q
     pref = Scalar.term(Fraction(1), e2=-3 * q, epi=-q)  # 2^{-q} (2pi)^{-q/2}
     weight = gaussian_plus(ctx) * pref
-    by_counts: dict[tuple[int, ...], PolyGauss] = {}
+    by_counts: dict[tuple[int, ...], dict[int, PolyGauss]] = {}
     hermites: dict[tuple[int, int], PolyGauss] = {}
 
     def term(alphas: tuple[int, ...]):
@@ -106,10 +106,9 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
                     if (n, alpha) not in hermites:
                         hermites[n, alpha] = hermite_scaled(n, ctx.nvars, alpha)
                     pg = pg * hermites[n, alpha]
-            by_counts[counts] = pg
+            by_counts[counts] = {1: pg, -1: -pg}
         sorted_i, sign = _omega_key(p, alphas)
-        pg = by_counts[counts]
-        return (sorted_i, ()), pg if sign > 0 else -pg
+        return (sorted_i, ()), by_counts[counts][sign]
 
     return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=q)))
 
@@ -136,23 +135,21 @@ def coefficient_gradients(a: SuperForm) -> dict[tuple, list[PolyGauss]]:
     """The gradient of each coefficient of ``a``, by exterior key: one
     `gradient()` per distinct coefficient object, so keys that share a
     coefficient share one list. The lists are shared and read-only."""
-    by_id: dict[int, list[PolyGauss]] = {}
-    for pg in a.terms.values():
-        if id(pg) not in by_id:
-            by_id[id(pg)] = pg.gradient()
+    by_id = {id(pg): pg.gradient() for pg in {id(pg): pg for pg in a.terms.values()}.values()}
     return {key: by_id[id(pg)] for key, pg in a.terms.items()}
 
 
 def lie_derivative(x: LieElement, a: SuperForm, grads: dict) -> SuperForm:
     """Action of X in k on a form with Schwartz coefficients: the coadjoint
     action on the exterior slots plus the infinitesimal action on the
-    coefficient functions. Invariance means this vanishes. ``grads`` is
-    `coefficient_gradients(a)`, so several X share one gradient.
+    coefficient functions, one `schwartz_action` per distinct gradient list
+    of ``grads`` = `coefficient_gradients(a)`. Invariance means this vanishes.
     """
     acc = _FlatSum(x.ctx.nvars)
     for key, pg, c in _slot_moves(x, a):
         acc.add(key, pg, c)
-    field = _action_field(x)
+    fields = {id(g): schwartz_action(x, g) for g in {id(g): g for g in grads.values()}.values()}
     for key in a.terms:
-        acc.add_field(key, grads[key], field)
+        if fields[id(grads[key])]:
+            acc.add(key, fields[id(grads[key])])
     return SuperForm._of(x.ctx, acc.result())

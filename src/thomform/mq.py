@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .liealg import SignatureCtx, curvature_at_e
-from .scalars import PolyGauss, Scalar, gauss_exp, gauss_moment
+from .scalars import PolyGauss, Scalar, _FlatSum, gauss_exp, gauss_moment
 from .superforms import FiberCtx, SuperForm
 
 
@@ -29,20 +29,18 @@ def _thom(a: SuperForm, r: SuperForm, gauss: list) -> SuperForm:
     for a of bidegree (1,1) and r of bidegree (2,2). Both are even, so they
     commute, and the top z0 degree q of exp(a + r), the only one the
     Berezin integral keeps, is sum_b a^(q-2b) ^ r^b / ((q-2b)! b!): only that
-    sum is built. The Gaussian commutes with everything, so it multiplies
-    the integral instead of entering the exponential.
+    sum is built, in one flat sum. The Gaussian commutes with everything, so
+    it and the factorials scale each r^b instead of entering the exponential.
     """
     ctx, q = a.ctx, len(a.ctx.z0)
+    weight = PolyGauss.gaussian(gauss) * mq_prefactor(q)
     a_pow = list(itertools.accumulate([a] * q, SuperForm.wedge, initial=SuperForm.one(ctx)))
     r_pow = list(itertools.accumulate([r] * (q // 2), SuperForm.wedge, initial=SuperForm.one(ctx)))
-    top = SuperForm(ctx, itertools.chain.from_iterable(
-        a_pow[q - 2 * b].wedge(r_pow[b]).scale(
-            Fraction(1, math.factorial(q - 2 * b) * math.factorial(b))
-        ).terms.items()
-        for b in range(q // 2 + 1)
-    ))
-    weight = PolyGauss.gaussian(gauss) * mq_prefactor(q)
-    return top.berezin().map_coeffs(lambda pg: pg * weight)
+    top = _FlatSum(ctx.nvars)
+    for b in range(q // 2 + 1):
+        scaled = r_pow[b].scale(weight * Fraction(1, math.factorial(q - 2 * b) * math.factorial(b)))
+        a_pow[q - 2 * b]._wedge_into(scaled, top)
+    return SuperForm._of(ctx, top.result()).berezin()
 
 
 def _basepoint_thom(ctx: SignatureCtx, gauss: list) -> SuperForm:

@@ -4,11 +4,13 @@ Everything here is immutable value data with exact Fraction arithmetic, so
 equality of two objects means equality of the functions they represent.
 
 That holds because every sparse sum is canonical: equal keys are merged and
-zero coefficients dropped. One function, `_add_into`, applies that rule for
-the whole package; `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and
+zero coefficients dropped. One function, `_add_into`, applies that rule to
+the nested sums: `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and
 `LieElement` build their terms through it, from a mapping or from any
-iterable of (key, value) pairs, and so does `_FlatSum`, the one flat sum
-that the hot operators (products, partials, fields, wedge, d, L_X) share.
+iterable of (key, value) pairs. `_FlatSum`, the one flat sum that the hot
+operators (products, partials, fields, wedge, d, L_X) share, applies it on
+integers: one common denominator per sum, an int numerator per atom, and
+a Fraction only for each atom that survives.
 
 Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
@@ -361,9 +363,8 @@ class PolyGauss:
     def __mul__(self, other):
         if type(other) is PolyGauss:
             self._check(other)
-            return _FlatSum(self.n).add_product(None, self, other).result().get(
-                None, PolyGauss(self.n)
-            )
+            acc = _FlatSum(self.n).add_product(None, _ints(self), _ints(other))
+            return acc.result().get(None, PolyGauss(self.n))
         if type(other) is not Scalar and not isinstance(other, (int, Fraction)):
             return NotImplemented
         return PolyGauss._of(
@@ -383,7 +384,7 @@ class PolyGauss:
         return self._partials(range(1, self.n + 1))
 
     def _partials(self, indices: Iterable[int], t: int | None = None) -> list["PolyGauss"]:
-        """[d/dx_i self for i in indices], in one walk over the atoms. The
+        """[d/dx_i self for i in indices], in one flat sum on integers. The
         Gaussian adds -pi (dE/dx_i) P: -2 pi c_i x_i P without t,
         -2 pi c_i x_i x_t^2 P for i != t, and -2 pi sum_j c_j x_j^2 x_t P
         for i = t (when c_t = 0)."""
@@ -399,21 +400,23 @@ class PolyGauss:
                 if g[j]:
                     yield tuple(m), -e * g[j]
 
-        def atoms():
-            for g, p in self.parts.items():
-                rules = [(i, i - 1, list(slope(g, i))) for i in indices]
-                for mono, s in p.terms.items():
-                    for i, k, slopes in rules:
-                        if mono[k]:
-                            m, e = mono[:k] + (mono[k] - 1,) + mono[k + 1 :], mono[k]
-                            yield from (((i, g, m, sk), r * e) for sk, r in s.terms.items())
-                        for shift, c in slopes:
-                            m = tuple(map(add, mono, shift))
-                            yield from (
-                                ((i, g, m, (e2, epi + 2)), r * c) for (e2, epi), r in s.terms.items()
-                            )
+        def atoms(terms: list, k: int, unit: int, slopes: list) -> Iterable[tuple]:
+            for mono, s in terms:
+                if mono[k]:
+                    m, e = mono[:k] + (mono[k] - 1,) + mono[k + 1 :], mono[k] * unit
+                    yield from (((m, (e2, epi)), v * e) for e2, epi, v in s)
+                for shift, c in slopes:
+                    m = tuple(map(add, mono, shift))
+                    yield from (((m, (e2, epi + 2)), v * c) for e2, epi, v in s)
 
-        parts = _FlatSum(n, atoms()).result()
+        acc, (parts, d) = _FlatSum(n), _ints(self)
+        for g, terms in parts:
+            lcm = math.lcm(*(c.denominator for c in g))  # of every slope's denominator too
+            for i in indices:
+                unit = lcm * acc._per(d * lcm)
+                slopes = [(m, c.numerator * (unit // c.denominator)) for m, c in slope(g, i)]
+                acc._merge(i, g, atoms(terms, i - 1, unit, slopes))
+        parts = acc.result()
         return [parts.get(i, PolyGauss(n)) for i in indices]
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
@@ -484,25 +487,48 @@ def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fracti
 
 
 class _FlatSum:
-    """A sum merged flat: one dict maps atoms (outer key, Gaussian exponent,
-    monomial, sqrt key (e2 mod 2, epi)) to Fractions through `_add_into`,
-    given as (atom, r) pairs or by `add`, `add_field` and `add_product`.
-    `result` builds {outer key: PolyGauss} once, so what cancels builds none."""
+    """A sum merged flat on integers: one common denominator ``den``, and one
+    int numerator per atom in a dict per (outer key, Gaussian exponent),
+    keyed by (monomial, sqrt key (e2 mod 2, epi)) and dropped as it cancels.
+    `result` builds {outer key: PolyGauss} from the terms of `add`,
+    `add_field` and `add_product`, one Fraction per non-zero atom."""
 
-    __slots__ = ("n", "atoms")
+    __slots__ = ("n", "den", "sums")
 
-    def __init__(self, n: int, atoms: Iterable[tuple] = ()):
-        self.n, self.atoms = n, _add_into({}, atoms)
+    def __init__(self, n: int):
+        self.n, self.den, self.sums = n, 1, {}
+
+    def _per(self, d: int) -> int:
+        """den // d. A d that does not divide den first lifts den to their lcm,
+        and every stored numerator by the same factor."""
+        if self.den % d:
+            lift = d // math.gcd(self.den, d)
+            for atoms in self.sums.values():
+                atoms.update({key: v * lift for key, v in atoms.items()})
+            self.den *= lift
+        return self.den // d
+
+    def _merge(self, outer, g: GaussExp, items: Iterable[tuple]) -> None:
+        """Add (atom key, numerator over den) pairs under (outer, g); drop what cancels."""
+        atoms = self.sums.setdefault((outer, g), {})
+        for key, v in items:
+            v += atoms.get(key, 0)
+            if v:
+                atoms[key] = v
+            else:
+                atoms.pop(key, None)
+        if not atoms:
+            del self.sums[outer, g]
 
     def add(self, outer, pg: PolyGauss, c=1, shift: int | None = None) -> "_FlatSum":
-        """c * pg under ``outer``, times x_shift (1-based) if given; c = +-1 costs no product."""
-        times = None if c == 1 else Fraction.__neg__ if c == -1 else Fraction(c).__mul__
-        l = (shift or 1) - 1
-        _add_into(self.atoms, (
-            ((outer, g, mono if shift is None else mono[:l] + (mono[l] + 1,) + mono[l + 1 :], sk),
-             r if times is None else times(r))
-            for g, p in pg.parts.items() for mono, s in p.terms.items() for sk, r in s.terms.items()
-        ))
+        """c * pg under ``outer``, times x_shift (1-based) if given."""
+        cn, cd, l = c.numerator, c.denominator, (shift or 1) - 1
+        for g, p in pg.parts.items():
+            self._merge(outer, g, (
+                (((mono if shift is None else mono[:l] + (mono[l] + 1,) + mono[l + 1 :]), sk),
+                 r.numerator * cn * self._per(r.denominator * cd))
+                for mono, s in p.terms.items() for sk, r in s.terms.items()
+            ))
         return self
 
     def add_field(self, outer, grad: list[PolyGauss], entries: Mapping) -> "_FlatSum":
@@ -511,28 +537,40 @@ class _FlatSum:
             self.add(outer, grad[k - 1], c, l)
         return self
 
-    def add_product(self, outer, pga: PolyGauss, pgb: PolyGauss, negate=False) -> "_FlatSum":
-        """pga * pgb under ``outer``, negated if ``negate``: Gaussian exponents
-        and monomials add, and sqrt2 folds."""
-        _add_into(self.atoms, (
-            ((outer, g, tuple(map(add, ma, mb)), sk), -r if negate else r)
-            for ga, pa in pga.parts.items() for gb, pb in pgb.parts.items()
-            for g in (tuple(map(add, ga, gb)),)
-            for ma, sa in pa.terms.items() for mb, sb in pb.terms.items()
-            for (a2, api), ra in sa.terms.items() for (b2, bpi), rb in sb.terms.items()
-            for sk, r in (_fold_sqrt2(a2 + b2, api + bpi, ra * rb),)
-        ))
+    def add_product(self, outer, a: tuple, b: tuple, negate=False) -> "_FlatSum":
+        """The product of two `_ints` under ``outer``, negated if ``negate``: exponents
+        and monomials add, numerators multiply, sqrt2 * sqrt2 folds as a shift."""
+        m = self._per(a[1] * b[1]) * (-1 if negate else 1)
+        for ga, ta in a[0]:
+            for gb, tb in b[0]:
+                self._merge(outer, tuple(map(add, ga, gb)), (
+                    ((mono, (a2 ^ b2, api + bpi)), va * vb * m << (a2 & b2))
+                    for ma, sa in ta for mb, sb in tb for mono in (tuple(map(add, ma, mb)),)
+                    for a2, api, va in sa for b2, bpi, vb in sb
+                ))
         return self
 
     def result(self) -> dict:
-        """{outer key: PolyGauss} of the merged atoms."""
+        """{outer key: PolyGauss} of the non-zero atoms."""
         nested: dict = {}
-        for (outer, g, mono, sk), r in self.atoms.items():
-            nested.setdefault(outer, {}).setdefault(g, {}).setdefault(mono, {})[sk] = r
+        for (outer, g), atoms in self.sums.items():
+            monos = nested.setdefault(outer, {}).setdefault(g, {})
+            for (mono, sk), v in atoms.items():
+                monos.setdefault(mono, {})[sk] = Fraction(v, self.den)
         return {outer: PolyGauss._of(self.n, {
             g: Poly._of(self.n, {mono: Scalar._of(s) for mono, s in monos.items()})
             for g, monos in parts.items()
         }) for outer, parts in nested.items()}
+
+
+def _ints(pg: PolyGauss) -> tuple[list, int]:
+    """pg's numerators over the lcm D of its denominators: ([(g, [(mono, [(e2, epi, n)])])], D)."""
+    d = math.lcm(*(r.denominator for p in pg.parts.values() for s in p.terms.values()
+                   for r in s.terms.values()))
+    return [(g, [
+        (mono, [(e2, epi, r.numerator * (d // r.denominator)) for (e2, epi), r in s.terms.items()])
+        for mono, s in p.terms.items()
+    ]) for g, p in pg.parts.items()], d
 
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs
+from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _ints, _pairs
 
 Key = tuple[tuple, tuple]
 
@@ -138,16 +138,21 @@ class SuperForm:
 
     # -- products --------------------------------------------------------
     def wedge(self, other: "SuperForm") -> "SuperForm":
+        return SuperForm._of(self.ctx, self._wedge_into(other, _FlatSum(self.ctx.nvars)).result())
+
+    def _wedge_into(self, other: "SuperForm", acc: _FlatSum) -> _FlatSum:
+        """Add self ^ other into ``acc`` by the Koszul rule; returns ``acc``."""
         self._check(other)
-        acc = _FlatSum(self.ctx.nvars)
+        right = [(ib, jb, _ints(pgb)) for (ib, jb), pgb in other.terms.items()]
         for (ia, ja), pga in self.terms.items():
-            for (ib, jb), pgb in other.terms.items():
+            pga = _ints(pga)
+            for ib, jb, pgb in right:
                 j_set, sj = merge_sorted(ja, jb)
                 i_set, si = merge_sorted(ia, ib) if sj else ((), 0)
                 if si:
                     sign = si * sj * (-1 if (len(ja) * len(ib)) % 2 else 1)
                     acc.add_product((i_set, j_set), pga, pgb, sign < 0)
-        return SuperForm._of(self.ctx, acc.result())
+        return acc
 
     def berezin(self) -> "SuperForm":
         """Project onto the top z0 component e_{min}^...^e_{max}, stripping it."""
@@ -161,11 +166,11 @@ class SuperForm:
         that generator is removed, times its coefficient in v, with the sign
         (-1)^(slots before it), the I slots counted before the J slots."""
         self._check(v)
-        coeffs: dict[tuple[int, object], PolyGauss] = {}
+        coeffs: dict[tuple[int, object], tuple] = {}
         for (i_set, j_set), pg in v.terms.items():
             if len(i_set) + len(j_set) != 1:
                 raise ValueError("contraction argument must have bidegree (1,0) or (0,1)")
-            coeffs[(0, i_set[0]) if i_set else (1, j_set[0])] = pg
+            coeffs[(0, i_set[0]) if i_set else (1, j_set[0])] = _ints(pg)
 
         acc = _FlatSum(self.ctx.nvars)
         for (i_set, j_set), pg in self.terms.items():
@@ -174,7 +179,7 @@ class SuperForm:
                     if (factor, g) in coeffs:
                         rest = gens[:pos] + gens[pos + 1 :]
                         key = (rest, j_set) if factor == 0 else (i_set, rest)
-                        acc.add_product(key, pg, coeffs[(factor, g)], (before + pos) % 2)
+                        acc.add_product(key, _ints(pg), coeffs[(factor, g)], (before + pos) % 2)
         return SuperForm._of(self.ctx, acc.result())
 
     def exp_even(self) -> "SuperForm":

@@ -74,6 +74,12 @@ class TestVerify:
         res = run("verify", "--check", "theorem")
         assert res.returncode == 2
 
+    def test_bare_verify_shows_its_own_usage(self):
+        res = run("verify")
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage: thomform verify ")
+        assert "verify requires --all or --check ID" in res.stderr
+
     def test_max_pq_past_cap(self):
         res = run("verify", "--all", "--max-pq", "9")
         assert res.returncode == 2
@@ -118,6 +124,8 @@ class TestExample11:
     def test_bad_t(self):
         res = run("example11", "--t", "0", "--x", "1", "--xp", "1")
         assert res.returncode == 2
+        assert res.stderr.startswith("usage: thomform example11 ")
+        assert "t must be positive" in res.stderr
 
     def test_takes_integers_decimals_and_fractions(self):
         res = run("example11", "--t", "3/2", "--x", "0.25", "--xp=-1")

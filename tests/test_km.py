@@ -125,6 +125,14 @@ class TestCountVectorBuild:
         km_form_at_e(SignatureCtx(p, q))
         assert len(calls) == shifts == math.comb(p + q, q) - 1
 
+    @pytest.mark.parametrize("p,q,distinct", [(4, 4, 66), (2, 6, 12)])
+    def test_closed_form_negates_once_per_count_vector(self, p, q, distinct):
+        ctx = SignatureCtx(p, q)
+        closed = km_closed_form(ctx)
+        assert len({id(pg) for pg in closed.terms.values()}) == distinct
+        assert len({id(pg) for pg in km_form_at_e(ctx).terms.values()}) == distinct
+        assert closed == km_form_at_e(ctx)
+
     @pytest.mark.parametrize("p,q", [(4, 4), (2, 6), (3, 3), (1, 4)])
     def test_one_gradient_per_distinct_coefficient(self, monkeypatch, p, q):
         phi = km_form_at_e(SignatureCtx(p, q))
@@ -223,6 +231,27 @@ class TestAgainstPerRowReference:
             assert res == per_row_lie_derivative(x, a)
             results.append(res)
         assert p == 1 or any(results)
+
+
+class TestSharedCoefficients:
+    """Keys that share one coefficient object share one gradient list, and
+    `lie_derivative` applies the field once per list."""
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
+    def test_lie_derivative_under_p_block_generators(self, p, q):
+        ctx = SignatureCtx(p, q)
+        f = PolyGauss.gaussian([1] * ctx.nvars) * PolyGauss.var(ctx.nvars, 1) * Fraction(3, 7)
+        g = f * PolyGauss.var(ctx.nvars, 2) * Fraction(-2, 5)
+        keys = list(km_closed_form(ctx).terms)
+        a = SuperForm(ctx, {key: (f, g)[k % 2] for k, key in enumerate(keys)})
+        grads = coefficient_gradients(a)
+        assert len({id(grad) for grad in grads.values()}) == 2 < len(keys)
+        p_block = [pair for pair in ctx.k_pairs() if pair[1] <= p]
+        assert p_block
+        for pair in p_block:
+            x = LieElement.basis(ctx, *pair)
+            res = lie_derivative(x, a, grads)
+            assert res and res == per_row_lie_derivative(x, a)
 
 
 class TestInvariance:

@@ -32,15 +32,16 @@ MODULES = (thomform, scalars, superforms, liealg, km, mq, checks, theta, cli)
 
 # name -> [(owner, function name, {snippet: replacement}), ...]
 MUTATIONS = {
+    # the one Koszul rule, behind wedge and the Thom form's accumulator
     "wedge_drops_koszul_sign": [
-        (SuperForm, "wedge", {"(-1 if (len(ja) * len(ib)) % 2 else 1)": "1"}),
+        (SuperForm, "_wedge_into", {"(-1 if (len(ja) * len(ib)) % 2 else 1)": "1"}),
     ],
     # the one derivative rule, behind both derive and gradient
     "derive_drops_gaussian_slope": [
-        (PolyGauss, "_partials", {"(i, i - 1, list(slope(g, i)))": "(i, i - 1, [])"}),
+        (PolyGauss, "_partials", {"for m, c in slope(g, i)": "for m, c in ()"}),
     ],
     "derive_drops_the_exponent_factor": [
-        (PolyGauss, "_partials", {"((i, g, m, sk), r * e)": "((i, g, m, sk), r)"}),
+        (PolyGauss, "_partials", {"mono[k] * unit": "unit"}),
     ],
     # flipping the YX term alone gives XY + YX, which is not in so(p,q):
     # bracket itself raises, in every check, so the whole commutator is flipped
@@ -94,16 +95,21 @@ MUTATIONS = {
     ],
     # the one product rule, behind PolyGauss * PolyGauss and wedge
     "gaussian_product_keeps_left_weight": [
-        (scalars._FlatSum, "add_product", {"for g in (tuple(map(add, ga, gb)),)": "for g in (ga,)"}),
+        (scalars._FlatSum, "add_product", {
+            "self._merge(outer, tuple(map(add, ga, gb)), (": "self._merge(outer, ga, (",
+        }),
     ],
     "product_skips_the_sqrt2_fold": [
-        (scalars._FlatSum, "add_product", {
-            "_fold_sqrt2(a2 + b2, api + bpi, ra * rb)": "(((a2 + b2) % 2, api + bpi), ra * rb)",
-        }),
+        (scalars._FlatSum, "add_product", {"va * vb * m << (a2 & b2)": "va * vb * m"}),
     ],
     # the field of d and of L_X: x_l d/dx_k with c_kl dropped
     "linear_field_drops_its_coefficient": [
         (scalars._FlatSum, "add_field", {"grad[k - 1], c, l)": "grad[k - 1], 1, l)"}),
+    ],
+    # a denominator that does not divide the common one lifts it, and the
+    # numerators already stored must be rescaled with it
+    "flat_sum_skips_the_rescale": [
+        (scalars._FlatSum, "_per", {"v * lift for key": "v for key"}),
     ],
 }
 
@@ -201,7 +207,8 @@ def test_the_top_degree_fault_reaches_the_basepoint_and_fiber_forms(verdicts):
 
 def test_kernel_faults_reach_their_checks(verdicts):
     """theorem sees the product rule, closedness or k_invariance the
-    derivative rule, and k_invariance at (2,1) the shared slot moves."""
+    derivative rule, k_invariance at (2,1) the shared slot moves, and
+    k_invariance at (1,2) the flat sum's denominator lift."""
 
     def failed(name: str) -> set:
         return {key for key, v in verdicts[name].items() if v == "fail"}
@@ -210,6 +217,7 @@ def test_kernel_faults_reach_their_checks(verdicts):
     slope = {cid for cid, _ in failed("derive_drops_gaussian_slope")}
     assert slope & {"closedness", "k_invariance"}, slope
     assert ("k_invariance", (("p", 2), ("q", 1))) in failed("coadjoint_takes_rows_for_columns")
+    assert ("k_invariance", (("p", 1), ("q", 2))) in failed("flat_sum_skips_the_rescale")
 
 
 def test_every_mutation_is_undone(verdicts):

@@ -18,7 +18,9 @@ from thomform.scalars import (
     PolyGauss,
     Scalar,
     _add_into,
+    _FlatSum,
     _fold_sqrt2,
+    _ints,
     gauss_exp,
     gauss_moment,
     howe_shift,
@@ -350,6 +352,26 @@ class TestKernelReferences:
         for f, i in [(af + bf, ai + bi), (af + bi, ai + bf), (af * bf, ai * bi), (af * bi, ai * bf)]:
             assert f == i and str(f) == str(i)
 
+    def test_constructed_forms_store_fractions_in_lowest_terms(self):
+        from thomform.km import km_form_at_e
+        from thomform.liealg import SignatureCtx
+        from thomform.mq import fiber_umq, mq_phi_at_e
+
+        ctx = SignatureCtx(2, 2)
+        for form in (km_form_at_e(ctx), mq_phi_at_e(ctx), fiber_umq(3)):
+            values = [
+                r
+                for pg in form.terms.values()
+                for poly in pg.parts.values()
+                for s in poly.terms.values()
+                for r in s.terms.values()
+            ]
+            assert values and all(
+                type(r) is Fraction and r and r.denominator > 0
+                and math.gcd(r.numerator, r.denominator) == 1
+                for r in values
+            )
+
     def test_constructed_forms_have_int_keys(self):
         from thomform.km import km_form_at_e
         from thomform.liealg import SignatureCtx
@@ -424,6 +446,99 @@ class TestSingleTermFastPaths:
             for g, mono, s in grad[k - 1].items()
         ))
         assert linear_field(grad, entries) == expected
+
+
+# Coefficients whose rationals have denominators 1-7, so that the common
+# denominator of a flat sum is lifted mid-sum, with negative sqrt2 powers.
+flat_coefficients = st.lists(st.tuples(
+    st.tuples(gauss_entries, gauss_entries),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 2),
+    st.integers(-1, 1),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+), min_size=1, max_size=3).map(lambda atoms: PolyGauss.from_items(2, (
+    (gauss_exp(g), mono, Scalar.term(r, e2=e2, epi=epi)) for g, mono, e2, epi, r in atoms
+)))
+flat_ops = st.lists(st.one_of(
+    st.tuples(
+        st.just("add"), st.integers(0, 1), flat_coefficients,
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+        st.sampled_from([None, 1, 2]),
+    ),
+    st.tuples(st.just("product"), st.integers(0, 1), flat_coefficients, flat_coefficients, st.booleans()),
+), min_size=1, max_size=6)
+
+
+def fraction_atoms(ops) -> dict:
+    """The atoms of ``ops`` as {(outer, g, mono, sqrt key): Fraction}, each
+    term a Fraction product summed through `_add_into`."""
+
+    def terms(op):
+        if op[0] == "add":
+            _, outer, pg, c, shift = op
+            for g, mono, s in pg.items():
+                if shift is not None:
+                    mono = tuple(e + (i == shift - 1) for i, e in enumerate(mono))
+                yield from (((outer, g, mono, sk), r * c) for sk, r in s.terms.items())
+        else:
+            _, outer, a, b, negate = op
+            for (ga, ma, sa), (gb, mb, sb) in itertools.product(a.items(), b.items()):
+                g, mono = tuple(map(sum, zip(ga, gb))), tuple(map(sum, zip(ma, mb)))
+                for (a2, api), ra in sa.terms.items():
+                    for (b2, bpi), rb in sb.terms.items():
+                        sk, r = _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
+                        yield (outer, g, mono, sk), -r if negate else r
+
+    atoms: dict = {}
+    for op in ops:
+        _add_into(atoms, terms(op))
+    return atoms
+
+
+def flat_sum(ops) -> _FlatSum:
+    acc = _FlatSum(2)
+    for op in ops:
+        if op[0] == "add":
+            acc.add(*op[1:])
+        else:
+            acc.add_product(op[1], _ints(op[2]), _ints(op[3]), op[4])
+    return acc
+
+
+def negated(ops) -> list:
+    return [
+        (kind, outer, a, -b, c) if kind == "add" else (kind, outer, a, b, not c)
+        for kind, outer, a, b, c in ops
+    ]
+
+
+class TestIntegerFlatSum:
+    """`_FlatSum` on integer numerators over one common denominator equals
+    the same sum taken over Fractions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(flat_ops)
+    def test_equals_the_fraction_sum(self, ops):
+        result = flat_sum(ops).result()
+        assert all(result.values())
+        assert {
+            (outer, g, mono, sk): r
+            for outer, pg in result.items()
+            for g, mono, s in pg.items()
+            for sk, r in s.terms.items()
+        } == fraction_atoms(ops)
+
+    @settings(max_examples=30, deadline=None)
+    @given(flat_ops, flat_ops)
+    def test_a_sum_and_its_negation_cancel(self, ops, more):
+        assert flat_sum(ops + more + negated(ops)).result() == flat_sum(more).result()
+        assert flat_sum(ops + negated(ops)).result() == {}
+
+    def test_a_lift_rescales_what_is_stored(self):
+        x = PolyGauss.var(2, 1)
+        acc = _FlatSum(2).add(0, x, Fraction(1, 2)).add(0, x, Fraction(1, 3))
+        assert acc.den == 6
+        assert acc.result() == {0: x * Fraction(5, 6)}
 
 
 def test_only_scalars_knows_the_coefficient_format():
