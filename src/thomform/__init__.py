@@ -6,7 +6,7 @@ from .checks import CHECK_IDS, CheckResult, run_all, run_check
 from .km import km_closed_form, km_form_at_e
 from .liealg import LieElement, SignatureCtx, bracket, curvature_at_e
 from .mq import fiber_transgression, fiber_umq, mq_phi0_at_e, mq_phi_at_e
-from .scalars import Poly, PolyGauss, Scalar
+from .scalars import PolyGauss, Scalar
 from .superforms import FiberCtx, SuperForm
 from .theta import LatticeSpec, diagonalize_gram, theta_partial_sum
 
@@ -16,7 +16,6 @@ __all__ = [
     "FiberCtx",
     "LatticeSpec",
     "LieElement",
-    "Poly",
     "PolyGauss",
     "Scalar",
     "SignatureCtx",

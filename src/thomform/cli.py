@@ -58,9 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.add_argument("--format", choices=["text", "json"], default="text")
 
     p_verify = sub.add_parser("verify", help="run verification checks")
-    p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--max-pq", type=int, default=4)
-    p_verify.add_argument("--check", choices=sorted(CHECK_IDS))
+    which = p_verify.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--check", choices=sorted(CHECK_IDS))
+    p_verify.add_argument("--max-pq", type=int, help="with --all (default 4)")
     p_verify.add_argument("--p", type=int, help="p; for splitting, p1 of the first block")
     p_verify.add_argument("--q", type=int, help="q; for splitting, q1 of the first block")
     p_verify.add_argument("--p2", type=int)
@@ -100,10 +101,14 @@ def _emit(args, parser) -> int:
 
 
 def _verify(args, parser) -> int:
+    flags = {"p": args.p, "q": args.q, "p2": args.p2, "q2": args.q2}
     if args.all:
-        results = run_all(args.max_pq)
+        if any(value is not None for value in flags.values()):
+            parser.error("--p, --q, --p2 and --q2 are not allowed with --all")
+        results = run_all(4 if args.max_pq is None else args.max_pq)
     elif args.check:
-        flags = {"p": args.p, "q": args.q, "p2": args.p2, "q2": args.q2}
+        if args.max_pq is not None:
+            parser.error("--max-pq is not allowed with --check")
         if args.check == "splitting":
             flags["p1"], flags["q1"] = flags.pop("p"), flags.pop("q")
         params = {name: value for name, value in flags.items() if value is not None}

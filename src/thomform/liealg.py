@@ -13,7 +13,8 @@ delta_{mu nu} X_{alpha beta} - delta_{alpha beta} X_{mu nu}.
 `SignatureCtx` owns both conventions: `in_p` is the split and `x_entries`
 the sign table above. An element is held by its coordinates; its matrix has
 at most two non-zero entries per coordinate, so brackets and actions work on
-the sparse entries.
+the sparse entries. Elements compare and test for zero, with no vector space
+operators; k acts on forms through `_slot_moves`, which `lie_derivative` sums.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs, linear_field
+from .scalars import PolyGauss, Scalar, _add_into, _pairs, linear_field
 from .superforms import Key, SuperForm, sort_with_sign
 
 Pair = tuple[int, int]
@@ -90,22 +91,6 @@ class LieElement:
     @staticmethod
     def basis(ctx: SignatureCtx, i: int, j: int) -> "LieElement":
         return LieElement(ctx, {(i, j): Fraction(1)})
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(self.ctx, itertools.chain(self.coords.items(), other.coords.items()))
-
-    def __neg__(self):
-        return LieElement(self.ctx, ((k, -c) for k, c in self.coords.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, r) -> "LieElement":
-        r = Fraction(r)
-        return LieElement(self.ctx, ((k, c * r) for k, c in self.coords.items()))
-
-    __rmul__ = __mul__
 
     def _check(self, other: "LieElement"):
         if self.ctx != other.ctx:
@@ -249,10 +234,3 @@ def _slot_moves(x: LieElement, a: SuperForm) -> Iterator[tuple[Key, PolyGauss, F
                         new_key = (moved, key[1]) if side == 0 else (key[0], moved)
                         yield new_key, pg, sign * c
 
-
-def coadjoint_action(x: LieElement, a: SuperForm) -> SuperForm:
-    """Derivation action of X in k on Lambda(p*) (x) Lambda(z0); see `_slot_moves`."""
-    acc = _FlatSum(x.ctx.nvars)
-    for key, pg, c in _slot_moves(x, a):
-        acc.add(key, pg, c)
-    return SuperForm._of(x.ctx, acc.result())

@@ -19,7 +19,8 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
 `gaussian` and `from_items`, and use `items`, `derive` (with or without a
-symbolic t), `gradient` and `linear_field`.
+symbolic t), `gradient` and `linear_field`. `Poly` only adds, negates and
+scales: products and partials are taken on `PolyGauss`, in `_FlatSum`.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         return Scalar._of({k: -r for k, r in self.terms.items()})
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
@@ -191,10 +189,6 @@ class Poly:
         return Poly(n, {(0,) * n: c})
 
     @staticmethod
-    def one(n: int) -> "Poly":
-        return Poly.const(n, ONE)
-
-    @staticmethod
     def var(n: int, i: int) -> "Poly":
         # i is 1-based
         _check_index(i, n)
@@ -213,17 +207,7 @@ class Poly:
     def __neg__(self):
         return Poly._of(self.n, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if type(other) is Poly:
-            self._check(other)
-            return Poly._of(self.n, _add_into({}, (
-                (tuple(map(add, ma, mb)), ca * cb)
-                for ma, ca in self.terms.items()
-                for mb, cb in other.terms.items()
-            )))
         if type(other) is not Scalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -231,14 +215,6 @@ class Poly:
         return Poly._of(self.n, _add_into({}, ((m, a * other) for m, a in self.terms.items())))
 
     __rmul__ = __mul__
-
-    def derive(self, i: int) -> "Poly":
-        # d/dx_i, 1-based
-        _check_index(i, self.n)
-        k = i - 1
-        return Poly._of(self.n, _add_into({}, (
-            (m[:k] + (m[k] - 1,) + m[i:], c * m[k]) for m, c in self.terms.items() if m[k]
-        )))
 
     def eval(self, v: Iterable[float]) -> float:
         vv = list(v)
@@ -310,12 +286,8 @@ class PolyGauss:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_poly(p: Poly) -> "PolyGauss":
-        return PolyGauss(p.n, {gauss_exp([0] * p.n): p})
-
-    @staticmethod
     def const(n: int, c: Scalar) -> "PolyGauss":
-        return PolyGauss.from_poly(Poly.const(n, c))
+        return PolyGauss(n, {(0,) * n: Poly.const(n, c)})
 
     @staticmethod
     def one(n: int) -> "PolyGauss":
@@ -324,13 +296,13 @@ class PolyGauss:
     @staticmethod
     def var(n: int, i: int) -> "PolyGauss":
         """The coordinate x_i (1-based) in n variables."""
-        return PolyGauss.from_poly(Poly.var(n, i))
+        return PolyGauss(n, {(0,) * n: Poly.var(n, i)})
 
     @staticmethod
     def gaussian(coeffs: Iterable) -> "PolyGauss":
         """exp(-pi sum_i coeffs[i] x_i^2)."""
         g = gauss_exp(coeffs)
-        return PolyGauss(len(g), {g: Poly.one(len(g))})
+        return PolyGauss(len(g), {g: Poly.const(len(g), ONE)})
 
     @staticmethod
     def from_items(n: int, items: Iterable[tuple[GaussExp, Monomial, Scalar]]) -> "PolyGauss":

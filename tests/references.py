@@ -1,0 +1,37 @@
+"""Test-side references shared by several test modules: each restates a
+library operator from its definition, independently of the flat kernel."""
+
+from fractions import Fraction
+
+from thomform.liealg import LieElement, bracket
+from thomform.superforms import SuperForm, sort_with_sign
+
+
+def bracket_dual_coadjoint_action(x, a):
+    """The coadjoint action from its definition: -omega([X, .]) on each p*
+    slot, through one bracket per p-pair, and column j of the z0 block of X
+    on each z0 slot e_j."""
+    ctx = x.ctx
+    dual = {}  # omega_P -> {P': coefficient of omega_P' in X . omega_P}
+    for pprime in ctx.p_pairs():
+        for p_key, c in bracket(x, LieElement.basis(ctx, *pprime)).coords.items():
+            dual.setdefault(p_key, {})[pprime] = -c
+    rho = {}
+    for (j2, j), c in x._entries().items():
+        if min(j2, j) > ctx.p:
+            rho.setdefault(j, []).append((j2, c))
+
+    def terms():
+        for (i_set, j_set), pg in a.terms.items():
+            for pos, gen in enumerate(i_set):
+                for gen2, c in dual.get(gen, {}).items():
+                    new_i, sign = sort_with_sign(i_set[:pos] + (gen2,) + i_set[pos + 1 :])
+                    if sign:
+                        yield (new_i, j_set), pg * Fraction(sign * c)
+            for pos, j in enumerate(j_set):
+                for j2, c in rho.get(j, ()):
+                    new_j, sign = sort_with_sign(j_set[:pos] + (j2,) + j_set[pos + 1 :])
+                    if sign:
+                        yield (i_set, new_j), pg * Fraction(sign * c)
+
+    return SuperForm(ctx, terms())

@@ -80,6 +80,21 @@ class TestVerify:
         assert res.stderr.startswith("usage: thomform verify ")
         assert "verify requires --all or --check ID" in res.stderr
 
+    # each contradiction is a usage error: nothing runs, nothing is ignored
+    @pytest.mark.parametrize("args,message", [
+        (["--all", "--max-pq", "2", "--check", "theorem", "--p", "9", "--q", "9"],
+         "argument --check: not allowed with argument --all"),
+        (["--all", "--max-pq", "2", "--p", "9", "--q", "9"], "are not allowed with --all"),
+        (["--check", "theorem", "--p", "1", "--q", "1", "--max-pq", "99"],
+         "--max-pq is not allowed with --check"),
+    ])
+    def test_contradictory_flags_are_usage_errors(self, args, message):
+        res = run("verify", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: thomform verify ")
+        assert message in res.stderr
+
     def test_max_pq_past_cap(self):
         res = run("verify", "--all", "--max-pq", "9")
         assert res.returncode == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import bracket_dual_coadjoint_action
 from thomform import km
 from thomform.km import (
     coefficient_gradients,
@@ -19,8 +20,8 @@ from thomform.km import (
     km_form_at_e,
     lie_derivative,
 )
-from thomform.liealg import LieElement, SignatureCtx, coadjoint_action
-from thomform.scalars import Poly, PolyGauss, Scalar, _add_into, gauss_exp, howe_shift
+from thomform.liealg import LieElement, SignatureCtx
+from thomform.scalars import PolyGauss, Scalar, _add_into, gauss_exp, howe_shift
 from thomform.superforms import SuperForm, merge_sorted, sort_with_sign
 
 SIGS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 2)]
@@ -187,7 +188,7 @@ def per_row_action(x: LieElement, f: PolyGauss) -> PolyGauss:
     for k, row in rows.items():
         dk = f.derive(k)
         for l, c in row:
-            out = out + dk * PolyGauss.from_poly(Poly.var(f.n, l)) * Scalar.rational(-c)
+            out = out + dk * PolyGauss.var(f.n, l) * Scalar.rational(-c)
     return out
 
 
@@ -204,7 +205,7 @@ def per_pair_exterior_derivative(ctx: SignatureCtx, a: SuperForm) -> SuperForm:
 
 def per_row_lie_derivative(x: LieElement, a: SuperForm) -> SuperForm:
     acted = SuperForm(x.ctx, {key: per_row_action(x, pg) for key, pg in a.terms.items()})
-    return coadjoint_action(x, a) + acted
+    return bracket_dual_coadjoint_action(x, a) + acted
 
 
 SIGS_TO_5 = [(p, n - p) for n in range(2, 6) for p in range(1, n)]

@@ -22,7 +22,7 @@ from thomform.mq import (
     mq_phi0_at_e,
     mq_phi_at_e,
 )
-from thomform.scalars import Poly, PolyGauss, Scalar
+from thomform.scalars import PolyGauss, Scalar
 from thomform.superforms import FiberCtx, SuperForm
 
 SQRT2 = Scalar.term(1, e2=1)
@@ -163,15 +163,15 @@ class TestTransgression:
         ctx = FiberCtx(2)
         two_g = PolyGauss.gaussian([Fraction(2)] * 2) * Scalar.rational(2)
         expected = SuperForm(ctx, {
-            ((2,), ()): two_g * PolyGauss.from_poly(Poly.var(2, 1)),
-            ((1,), ()): -two_g * PolyGauss.from_poly(Poly.var(2, 2)),
+            ((2,), ()): two_g * PolyGauss.var(2, 1),
+            ((1,), ()): -two_g * PolyGauss.var(2, 2),
         })
         assert fiber_transgression(2) == expected
 
     @pytest.mark.parametrize("q", range(1, 5))
     def test_identity_in_t_and_x(self, q):
         # t d/dt (t*U) = d(t*psi), the identity times t
-        t = PolyGauss.from_poly(Poly.var(q + 1, q + 1))
+        t = PolyGauss.var(q + 1, q + 1)
         lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q)))
         rhs = fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q)))
         assert lhs.map_coeffs(lambda pg: pg * t) == rhs  # recorded sign epsilon = +1
@@ -236,7 +236,7 @@ class TestFiberCalculus:
         for q in (1, 2, 3):
             ctx = FiberCtx(q)
             a = fiber_omega(ctx).wedge(
-                SuperForm(ctx, {((), (1,)): PolyGauss.from_poly(Poly.var(q, 1))})
+                SuperForm(ctx, {((), (1,)): PolyGauss.var(q, 1)})
                 + SuperForm.one(ctx)
             )
             assert fiber_d(a.berezin()) == fiber_d(a).berezin()
@@ -246,11 +246,10 @@ class TestFiberCalculus:
         psi = fiber_transgression(1)
         out = fiber_d(psi)
         ctx = FiberCtx(1)
-        x2 = Poly.var(1, 1) * Poly.var(1, 1)
-        poly = Poly.one(1) + x2 * Scalar.term(Fraction(-4), epi=2)
+        x2 = PolyGauss.var(1, 1) * PolyGauss.var(1, 1)
+        poly = PolyGauss.one(1) + x2 * Scalar.term(Fraction(-4), epi=2)
         expected = SuperForm(
-            ctx,
-            {((1,), ()): PolyGauss.gaussian([Fraction(2)]) * PolyGauss.from_poly(poly) * SQRT2},
+            ctx, {((1,), ()): PolyGauss.gaussian([Fraction(2)]) * poly * SQRT2}
         )
         assert out == expected
 

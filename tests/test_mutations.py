@@ -63,8 +63,8 @@ MUTATIONS = {
             "Fraction(1, math.factorial(q - 2 * b) * math.factorial(b))": "1",
         }),
     ],
-    # the transpose acts as -X: k_invariance at (2,1) sees it; lie_derivative
-    # and coadjoint_action share the slot moves
+    # the transpose acts as -X: k_invariance at (2,1) sees it; the slot
+    # moves are the coadjoint action that lie_derivative sums
     "coadjoint_takes_rows_for_columns": [
         (liealg, "_slot_moves", {
             "cols.setdefault(j, []).append((r, c))": "cols.setdefault(r, []).append((j, c))",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from thomform.km import km_form_at_e
 from thomform.liealg import SignatureCtx, eta
 from thomform.mq import mq_phi_at_e
-from thomform.scalars import Poly, PolyGauss, Scalar
+from thomform.scalars import PolyGauss, Scalar
 from thomform.superforms import (
     FiberCtx,
     SuperForm,
@@ -125,7 +125,7 @@ class TestContract:
         s = SuperForm(
             ctx,
             {
-                ((), (i,)): PolyGauss.from_poly(Poly.var(2, i))
+                ((), (i,)): PolyGauss.var(2, i)
                 for i in ctx.z0
             },
         )
@@ -163,7 +163,7 @@ class TestContract:
 
     def test_is_an_odd_derivation_on_the_one_form_factor(self):
         ctx = FiberCtx(2)
-        v = SuperForm(ctx, {((i,), ()): PolyGauss.from_poly(Poly.var(2, i)) for i in ctx.z0})
+        v = SuperForm(ctx, {((i,), ()): PolyGauss.var(2, i) for i in ctx.z0})
         one = PolyGauss.one(2)
         b = SuperForm(ctx, {((1, 2), (1,)): one, ((2,), ()): one})
         odd = SuperForm(ctx, {((2,), ()): one})
@@ -200,9 +200,9 @@ class TestExpEven:
         with pytest.raises(ValueError):
             SuperForm.generator(ctx, 1).exp_even()
         # a (0,0) term is not nilpotent: a Gaussian is multiplied in by the caller
-        quad = Poly.var(2, 1) * Poly.var(2, 1) * Scalar.term(Fraction(-2), epi=2)
+        quad = PolyGauss.var(2, 1) * PolyGauss.var(2, 1) * Scalar.term(Fraction(-2), epi=2)
         with pytest.raises(ValueError, match="nilpotent"):
-            SuperForm(ctx, {((), ()): PolyGauss.from_poly(quad)}).exp_even()
+            SuperForm(ctx, {((), ()): quad}).exp_even()
 
 
 class TestHermiteLemma:
@@ -225,7 +225,7 @@ def benchmark_form_sizes():
 class TestSizes:
     def test_counts(self):
         one = PolyGauss.one(CTX.nvars)
-        x = PolyGauss.from_poly(Poly.var(CTX.nvars, 1) * Scalar.rational(Fraction(-5, 12)))
+        x = PolyGauss.var(CTX.nvars, 1) * Scalar.rational(Fraction(-5, 12))
         f = SuperForm(CTX, {((1,), ()): one + x, ((2,), (3,)): x})
         assert f.sizes() == (2, 3, 4)  # 12 has 4 bits
         assert SuperForm(CTX).sizes() == (0, 0, 0)
