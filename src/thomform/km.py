@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .liealg import LieElement, SignatureCtx, _action_field, _slot_moves, schwartz_action
 from .scalars import PolyGauss, Scalar, _FlatSum, howe_shift
-from .superforms import SuperForm, sort_with_sign
+from .superforms import SuperForm, merge_sorted, sort_with_sign
 
 
 def _hermite(n: int, nvars: int, var: int, e2: int, epi: int) -> PolyGauss:
@@ -124,10 +124,12 @@ def exterior_derivative(a: SuperForm, grads: dict) -> SuperForm:
     signed = [(pair, {1: f, -1: {kl: -c for kl, c in f.items()}}) for pair, f in fields]
     acc = _FlatSum(ctx.nvars)
     for i_set, j_set in a.terms:
+        # merge_sorted counts pair from after i_set; d puts it in front
+        parity = -1 if len(i_set) % 2 else 1
         for pair, field in signed:
-            new_i, sign = sort_with_sign((pair,) + i_set)
+            new_i, sign = merge_sorted(i_set, (pair,))
             if sign:
-                acc.add_field((new_i, j_set), grads[i_set, j_set], field[sign])
+                acc.add_field((new_i, j_set), grads[i_set, j_set], field[sign * parity])
     return SuperForm._of(ctx, acc.result())
 
 

@@ -19,13 +19,14 @@ operators; k acts on forms through `_slot_moves`, which `lie_derivative` sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .scalars import PolyGauss, Scalar, _add_into, _pairs, linear_field
-from .superforms import Key, SuperForm, sort_with_sign
+from .superforms import Key, SuperForm, merge_sorted
 
 Pair = tuple[int, int]
 
@@ -216,6 +217,7 @@ def _slot_moves(x: LieElement, a: SuperForm) -> Iterator[tuple[Key, PolyGauss, F
     for (r, j), c in x._entries().items():
         cols.setdefault(j, []).append((r, c))
 
+    @functools.cache
     def images(gen):
         """(image, c) for each index of a z0 slot j or a p* slot (alpha, mu)."""
         if not isinstance(gen, tuple):
@@ -228,9 +230,14 @@ def _slot_moves(x: LieElement, a: SuperForm) -> Iterator[tuple[Key, PolyGauss, F
     for key, pg in a.terms.items():
         for side, slots in enumerate(key):
             for pos, gen in enumerate(slots):
+                if not images(gen):
+                    continue
+                rest = slots[:pos] + slots[pos + 1 :]
+                # gen2 stands at pos, not at the end: len(rest) - pos fewer swaps
+                flip = (len(rest) - pos) % 2 == 1
                 for gen2, c in images(gen):
-                    moved, sign = sort_with_sign(slots[:pos] + (gen2,) + slots[pos + 1 :])
+                    moved, sign = merge_sorted(rest, (gen2,))
                     if sign:
                         new_key = (moved, key[1]) if side == 0 else (key[0], moved)
-                        yield new_key, pg, sign * c
+                        yield new_key, pg, -c if (sign < 0) != flip else c
 

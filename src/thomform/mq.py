@@ -4,7 +4,8 @@
 full signature context; the `fiber_*` functions work on a single fiber R^q
 (coframe dx_1..dx_q), optionally carrying the scaling parameter t as an
 extra polynomial variable (see `FiberCtx`). The basepoint forms and
-`fiber_umq` are all built by `_thom`, the one Berezin-exponential builder.
+`fiber_umq` are all built by `_thom`, the one Berezin-exponential builder,
+which forms exp(a) as the product over z0 columns mu of (1 + a_mu).
 """
 
 from __future__ import annotations
@@ -28,18 +29,25 @@ def _thom(a: SuperForm, r: SuperForm, gauss: list) -> SuperForm:
     """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(a + r)
     for a of bidegree (1,1) and r of bidegree (2,2). Both are even, so they
     commute, and the top z0 degree q of exp(a + r), the only one the
-    Berezin integral keeps, is sum_b a^(q-2b) ^ r^b / ((q-2b)! b!): only that
-    sum is built, in one flat sum. The Gaussian commutes with everything, so
-    it and the factorials scale each r^b instead of entering the exponential.
+    Berezin integral keeps, is sum_b [exp a]_(q-2b) ^ r^b / b!, [exp a]_k
+    the part of z0 degree k: only that sum is built, in one flat sum. The
+    columns a_mu of a (its terms with J = (mu,)) are even and square to
+    zero, so exp a = prod_mu (1 + a_mu), one wedge per column. The Gaussian
+    commutes with everything, so it and 1/b! scale each r^b.
     """
     ctx, q = a.ctx, len(a.ctx.z0)
     weight = PolyGauss.gaussian(gauss) * mq_prefactor(q)
-    a_pow = list(itertools.accumulate([a] * q, SuperForm.wedge, initial=SuperForm.one(ctx)))
-    r_pow = list(itertools.accumulate([r] * (q // 2), SuperForm.wedge, initial=SuperForm.one(ctx)))
+    exp_a = one = SuperForm.one(ctx)
+    for mu in ctx.z0:
+        a_mu = SuperForm._of(ctx, {key: pg for key, pg in a.terms.items() if key[1] == (mu,)})
+        # exp_a ^ (1 + a_mu): the two parts' z0 sets differ, so nothing merges
+        exp_a = exp_a + exp_a.wedge(a_mu)
     top = _FlatSum(ctx.nvars)
-    for b in range(q // 2 + 1):
-        scaled = r_pow[b].scale(weight * Fraction(1, math.factorial(q - 2 * b) * math.factorial(b)))
-        a_pow[q - 2 * b]._wedge_into(scaled, top)
+    r_pow = itertools.accumulate([r] * (q // 2), SuperForm.wedge, initial=one)
+    for b, r_b in enumerate(r_pow):
+        part = {key: pg for key, pg in exp_a.terms.items() if len(key[1]) == q - 2 * b}
+        scaled = r_b.scale(weight * Fraction(1, math.factorial(b)))
+        SuperForm._of(ctx, part)._wedge_into(scaled, top)
     return SuperForm._of(ctx, top.result()).berezin()
 
 

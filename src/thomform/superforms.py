@@ -12,6 +12,7 @@ integers for dx_i); only the context differs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -22,17 +23,16 @@ Key = tuple[tuple, tuple]
 
 
 def merge_sorted(a: tuple, b: tuple) -> tuple[tuple, int]:
-    """Concatenate-and-sort two strictly increasing tuples.
+    """Concatenate-and-sort: a strictly increasing, b in any order.
 
-    Returns (sorted tuple, parity sign); sign 0 when a generator repeats.
+    Returns (sorted tuple, sign of the permutation that sorts a + b); sign 0
+    when a generator repeats.
     """
     out = list(a)
     sign = 1
     for x in b:
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > x:
-            pos -= 1
-        if pos > 0 and out[pos - 1] == x:
+        pos = bisect_right(out, x)
+        if pos and out[pos - 1] == x:
             return (), 0
         if (len(out) - pos) % 2:
             sign = -sign
@@ -141,17 +141,25 @@ class SuperForm:
         return SuperForm._of(self.ctx, self._wedge_into(other, _FlatSum(self.ctx.nvars)).result())
 
     def _wedge_into(self, other: "SuperForm", acc: _FlatSum) -> _FlatSum:
-        """Add self ^ other into ``acc`` by the Koszul rule; returns ``acc``."""
+        """Add self ^ other into ``acc`` by the Koszul rule; returns ``acc``.
+        Both sides are grouped by J: one merge per pair of J groups, and a
+        pair that overlaps is skipped whole."""
         self._check(other)
-        right = [(ib, jb, _ints(pgb)) for (ib, jb), pgb in other.terms.items()]
-        for (ia, ja), pga in self.terms.items():
-            pga = _ints(pga)
-            for ib, jb, pgb in right:
+        left, right = {}, {}  # {J: [(I, `_ints` of the coefficient)]}
+        for form, groups in ((self, left), (other, right)):
+            for (i_set, j_set), pg in form.terms.items():
+                groups.setdefault(j_set, []).append((i_set, _ints(pg)))
+        for ja, rows_a in left.items():
+            for jb, rows_b in right.items():
                 j_set, sj = merge_sorted(ja, jb)
-                i_set, si = merge_sorted(ia, ib) if sj else ((), 0)
-                if si:
-                    sign = si * sj * (-1 if (len(ja) * len(ib)) % 2 else 1)
-                    acc.add_product((i_set, j_set), pga, pgb, sign < 0)
+                if not sj:
+                    continue
+                for ia, pga in rows_a:
+                    for ib, pgb in rows_b:
+                        i_set, si = merge_sorted(ia, ib)
+                        if si:
+                            sign = si * sj * (-1 if (len(ja) * len(ib)) % 2 else 1)
+                            acc.add_product((i_set, j_set), pga, pgb, sign < 0)
         return acc
 
     def berezin(self) -> "SuperForm":

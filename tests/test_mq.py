@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from thomform.liealg import SignatureCtx, curvature_at_e, eta
 from thomform.km import km_form_at_e
 from thomform.mq import (
+    _thom,
     fiber_d,
     fiber_ddt,
     fiber_integrate,
@@ -118,6 +119,54 @@ class TestTopDegreeExponential:
         mq_phi_at_e(SignatureCtx(2, 3))
         fiber_umq(3)
         assert calls == []
+
+
+@st.composite
+def thom_exponents(draw):
+    """(a, r, gauss): a of bidegree (1,1) with up to three terms per z0
+    column, r of bidegree (2,2), both with polynomial coefficients, over a
+    small fiber or signature context."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 3))
+        ctx, gens = FiberCtx(q), list(range(1, q + 1))
+    else:
+        ctx = SignatureCtx(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+        gens = ctx.p_pairs()
+    n = ctx.nvars
+
+    def coeff():
+        const = draw(st.integers(-3, 3))
+        slopes = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        pg = PolyGauss.const(n, Scalar.rational(const))
+        for i, c in enumerate(slopes, start=1):
+            pg = pg + PolyGauss.var(n, i) * Scalar.rational(c)
+        return pg
+
+    def subsets(pool, k):
+        return st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True).map(
+            lambda xs: tuple(sorted(xs))
+        )
+
+    a_terms = [
+        (((g,), (mu,)), coeff())
+        for mu in ctx.z0
+        for g in draw(st.lists(st.sampled_from(gens), max_size=3, unique=True))
+    ]
+    r_terms = []
+    if len(gens) >= 2 and len(ctx.z0) >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            r_terms.append(((draw(subsets(gens, 2)), draw(subsets(list(ctx.z0), 2))), coeff()))
+    gauss = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return SuperForm(ctx, a_terms), SuperForm(ctx, r_terms), gauss
+
+
+class TestThomFactorization:
+    @settings(max_examples=40, deadline=None)
+    @given(thom_exponents())
+    def test_equals_the_full_expansion(self, drawn):
+        # exp(a) as prod_mu (1 + a_mu) against a^k / k! term by term
+        a, r, gauss = drawn
+        assert _thom(a, r, gauss) == berezin_exponential(a + r, gauss)
 
 
 class TestFiberUmq:

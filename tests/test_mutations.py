@@ -57,10 +57,13 @@ MUTATIONS = {
     "exp_even_drops_factorials": [
         (SuperForm, "exp_even", {"power.scale(Fraction(1, fact)).terms": "power.terms"}),
     ],
-    # the one Berezin-exponential builder of the basepoint and fiber forms
+    # the one Berezin-exponential builder of the basepoint and fiber forms:
+    # exp(a) = prod_mu (1 + a_mu) carries the 1/k! of a^k / k!, and doubling
+    # each column scales z0 degree k by 2^k (dropping 1/b! alone is silent
+    # at q <= 2, where b! = 1)
     "top_degree_drops_factorials": [
         (mq, "_thom", {
-            "Fraction(1, math.factorial(q - 2 * b) * math.factorial(b))": "1",
+            "exp_a + exp_a.wedge(a_mu)": "exp_a + exp_a.wedge(a_mu).scale(2)",
         }),
     ],
     # the transpose acts as -X: k_invariance at (2,1) sees it; the slot

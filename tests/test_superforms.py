@@ -17,6 +17,7 @@ from thomform.superforms import (
     FiberCtx,
     SuperForm,
     merge_sorted,
+    sort_with_sign,
 )
 
 CTX = FiberCtx(3)
@@ -59,6 +60,17 @@ class TestCanonicalSums:
         assert not (a - a)
 
 
+def sorted_with_inversions(seq: tuple) -> tuple[tuple, int]:
+    """The reference: sorted seq and (-1)^(pairs out of order), ((), 0) on a repeat."""
+    if len(set(seq)) < len(seq):
+        return (), 0
+    inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1 :])
+    return tuple(sorted(seq)), -1 if inversions % 2 else 1
+
+
+increasing = st.sets(st.integers(0, 6), max_size=5).map(lambda xs: tuple(sorted(xs)))
+
+
 class TestMergeSorted:
     def test_repeat_kills(self):
         assert merge_sorted((1,), (1,))[1] == 0
@@ -66,6 +78,21 @@ class TestMergeSorted:
     def test_transposition_sign(self):
         merged, sign = merge_sorted((2,), (1,))
         assert merged == (1, 2) and sign == -1
+
+    @given(increasing, st.lists(st.integers(0, 6), max_size=4).map(tuple))
+    def test_counts_inversions_for_b_in_any_order(self, a, b):
+        assert merge_sorted(a, b) == sorted_with_inversions(a + b)
+        assert sort_with_sign(b) == sorted_with_inversions(b)
+
+    @given(increasing, st.integers(0, 6))
+    def test_one_slot_move(self, slots, g):
+        # replacing slots[pos] with g: insert g into the rest, counted from pos
+        for pos in range(len(slots)):
+            rest = slots[:pos] + slots[pos + 1 :]
+            moved, sign = merge_sorted(rest, (g,))
+            flip = -1 if (len(rest) - pos) % 2 else 1
+            expected = sort_with_sign(slots[:pos] + (g,) + slots[pos + 1 :])
+            assert (moved, sign * flip) == expected
 
 
 class TestWedge:
