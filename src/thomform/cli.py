@@ -23,7 +23,7 @@ from .mq import (
     mq_phi0_at_e,
     mq_phi_at_e,
 )
-from .theta import LatticeSpec, diagonalize_gram, key_str, theta_partial_sum
+from .theta import LatticeSpec, diagonalize_gram, theta_partial_sum
 
 SCHEMA = "thomform/1"
 
@@ -164,6 +164,7 @@ def _theta(args, parser) -> int:
     SIGNATURE.validate("theta", {"p": spec.p, "q": spec.q})
     dl = diagonalize_gram(spec)
     sums, tail = theta_partial_sum(dl, args.tau, args.bound)
+    gen_str = SignatureCtx(spec.p, spec.q).gen_str
     print(json.dumps({
         "schema": SCHEMA,
         "label": spec.label,
@@ -171,7 +172,7 @@ def _theta(args, parser) -> int:
         "bound": args.bound,
         "tail_estimate": tail,
         "coefficients": {
-            key_str(k): [v.real, v.imag] for k, v in sorted(sums.items())
+            "^".join(map(gen_str, k)): [v.real, v.imag] for k, v in sorted(sums.items())
         },
     }, indent=2))
     return 0

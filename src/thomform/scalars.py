@@ -5,12 +5,12 @@ equality of two objects means equality of the functions they represent.
 
 That holds because every sparse sum is canonical: equal keys are merged and
 zero coefficients dropped. One function, `_add_into`, applies that rule to
-the nested sums: `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and
-`LieElement` build their terms through it, from a mapping or from any
-iterable of (key, value) pairs. `_FlatSum`, the one flat sum that the hot
-operators (products, partials, fields, wedge, d, L_X) share, applies it on
-integers: one common denominator per sum, an int numerator per atom, and
-a Fraction only for each atom that survives.
+every sum: `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and `LieElement`
+build their terms through it, from a mapping or from any iterable of
+(key, value) pairs, and so does `_FlatSum`, the one flat sum that the hot
+operators (products, partials, fields, wedge, d, L_X) share. Its values are
+ints: one common denominator per sum, an int numerator per atom, and a
+Fraction only for each atom that survives.
 
 Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
@@ -19,8 +19,9 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
 `gaussian` and `from_items`, and use `items`, `derive` (with or without a
-symbolic t), `gradient` and `linear_field`. `Poly` only adds, negates and
-scales: products and partials are taken on `PolyGauss`, in `_FlatSum`.
+symbolic t), `gradient` and `linear_field`. `Poly` only stores and adds:
+`PolyGauss` negates, scales and evaluates on its terms, and takes products
+and partials in `_FlatSum`.
 """
 
 from __future__ import annotations
@@ -167,7 +168,9 @@ Monomial = tuple[int, ...]
 
 
 class Poly:
-    """Polynomial in x1..xn with Scalar coefficients; keys are exponent tuples."""
+    """Polynomial in x1..xn with Scalar coefficients; keys are exponent tuples.
+    The stored factor of a `PolyGauss` part: it only adds, when two parts
+    share a Gaussian key; `PolyGauss` computes on its terms."""
 
     __slots__ = ("n", "terms")
 
@@ -184,18 +187,6 @@ class Poly:
         p.n, p.terms = n, terms
         return p
 
-    @staticmethod
-    def const(n: int, c: Scalar) -> "Poly":
-        return Poly(n, {(0,) * n: c})
-
-    @staticmethod
-    def var(n: int, i: int) -> "Poly":
-        # i is 1-based
-        _check_index(i, n)
-        m = [0] * n
-        m[i - 1] = 1
-        return Poly(n, {tuple(m): ONE})
-
     def _check(self, other: "Poly"):
         if self.n != other.n:
             raise ValueError("polynomial dimension mismatch")
@@ -203,29 +194,6 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         return Poly._of(self.n, _add_into(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        return Poly._of(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar.rational(other)
-        return Poly._of(self.n, _add_into({}, ((m, a * other) for m, a in self.terms.items())))
-
-    __rmul__ = __mul__
-
-    def eval(self, v: Iterable[float]) -> float:
-        vv = list(v)
-        total = 0.0
-        for m, c in self.terms.items():
-            prod = float(c)
-            for x, e in zip(vv, m):
-                if e:
-                    prod *= x**e
-            total += prod
-        return total
 
     def __bool__(self):
         return bool(self.terms)
@@ -287,7 +255,8 @@ class PolyGauss:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(n: int, c: Scalar) -> "PolyGauss":
-        return PolyGauss(n, {(0,) * n: Poly.const(n, c)})
+        zero = (0,) * n
+        return PolyGauss(n, {zero: Poly(n, {zero: c})})
 
     @staticmethod
     def one(n: int) -> "PolyGauss":
@@ -296,13 +265,16 @@ class PolyGauss:
     @staticmethod
     def var(n: int, i: int) -> "PolyGauss":
         """The coordinate x_i (1-based) in n variables."""
-        return PolyGauss(n, {(0,) * n: Poly.var(n, i)})
+        _check_index(i, n)
+        m = [0] * n
+        m[i - 1] = 1
+        return PolyGauss(n, {(0,) * n: Poly(n, {tuple(m): ONE})})
 
     @staticmethod
     def gaussian(coeffs: Iterable) -> "PolyGauss":
         """exp(-pi sum_i coeffs[i] x_i^2)."""
         g = gauss_exp(coeffs)
-        return PolyGauss(len(g), {g: Poly.const(len(g), ONE)})
+        return PolyGauss(len(g), {g: Poly(len(g), {(0,) * len(g): ONE})})
 
     @staticmethod
     def from_items(n: int, items: Iterable[tuple[GaussExp, Monomial, Scalar]]) -> "PolyGauss":
@@ -327,7 +299,9 @@ class PolyGauss:
         return PolyGauss._of(self.n, _add_into(dict(self.parts), other.parts.items()))
 
     def __neg__(self):
-        return PolyGauss._of(self.n, {g: -p for g, p in self.parts.items()})
+        return PolyGauss._of(self.n, {
+            g: Poly._of(self.n, {m: -c for m, c in p.terms.items()}) for g, p in self.parts.items()
+        })
 
     def __sub__(self, other):
         return self + (-other)
@@ -337,11 +311,14 @@ class PolyGauss:
             self._check(other)
             acc = _FlatSum(self.n).add_product(None, _ints(self), _ints(other))
             return acc.result().get(None, PolyGauss(self.n))
-        if type(other) is not Scalar and not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return PolyGauss._of(
-            self.n, _add_into({}, ((g, p * other) for g, p in self.parts.items()))
-        )
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.rational(other)
+        return PolyGauss._of(self.n, _add_into({}, (
+            (g, Poly._of(self.n, _add_into({}, ((m, c * other) for m, c in p.terms.items()))))
+            for g, p in self.parts.items()
+        )))
 
     __rmul__ = __mul__
 
@@ -412,7 +389,14 @@ class PolyGauss:
         total = 0.0
         for g, p in self.parts.items():
             expo = -math.pi * sum(float(c) * x * x for c, x in zip(g, vv))
-            total += p.eval(vv) * math.exp(expo)
+            value = 0.0
+            for m, c in p.terms.items():
+                prod = float(c)
+                for x, e in zip(vv, m):
+                    if e:
+                        prod *= x**e
+                value += prod
+            total += value * math.exp(expo)
         return total
 
     def __bool__(self):
@@ -482,14 +466,7 @@ class _FlatSum:
 
     def _merge(self, outer, g: GaussExp, items: Iterable[tuple]) -> None:
         """Add (atom key, numerator over den) pairs under (outer, g); drop what cancels."""
-        atoms = self.sums.setdefault((outer, g), {})
-        for key, v in items:
-            v += atoms.get(key, 0)
-            if v:
-                atoms[key] = v
-            else:
-                atoms.pop(key, None)
-        if not atoms:
+        if not _add_into(self.sums.setdefault((outer, g), {}), items):
             del self.sums[outer, g]
 
     def add(self, outer, pg: PolyGauss, c=1, shift: int | None = None) -> "_FlatSum":

@@ -160,8 +160,8 @@ def diagonalize_gram(spec: LatticeSpec) -> DiagonalizedLattice:
     scale = np.diag([math.sqrt(abs(float(d[j]))) for j in order])
     transform = scale @ np.linalg.inv(s_np)
     for i in range(n):  # deterministic row signs: first nonzero entry positive
-        row = transform[i]
-        lead = row[np.nonzero(np.abs(row) > 1e-12)[0][0]]
+        row = transform[i]  # nonzero relative to the row, so any scale has a lead
+        lead = row[np.nonzero(np.abs(row) > 1e-12 * np.abs(row).max())[0][0]]
         if lead < 0:
             transform[i] = -row
     return DiagonalizedLattice(
@@ -316,7 +316,3 @@ def theta_partial_sum(
             vals += term
         sums[i_set] = complex(vals @ cos, vals @ sin)
     return sums, tail_estimate(dl, km, y, bound)
-
-
-def key_str(i_set: tuple) -> str:
-    return "^".join(f"w[{a},{m}]" for a, m in i_set)

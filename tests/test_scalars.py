@@ -1,5 +1,6 @@
 """Exact scalar ring, polynomials, and Gaussian-weighted polynomials."""
 
+import inspect
 import itertools
 import math
 import pathlib
@@ -65,11 +66,12 @@ POLY_ATOMS = [
     for m in [(0, 0), (1, 0), (2, 0), (0, 1)]
     for c in [Scalar.one(), SQRT2, Scalar.one() + SQRT2]
 ]
-ONE_POLY = Poly.const(2, Scalar.one())
+ONE_POLY = Poly(2, {(0, 0): Scalar.one()})
+X_POLY = Poly(2, {(1, 0): Scalar.one()})
 POLYGAUSS_ATOMS = [
     PolyGauss(2, {gauss_exp(g): p})
     for g in [(0, 0), (1, 0), (2, 0), (Fraction(1, 2), 1)]
-    for p in [ONE_POLY, Poly.var(2, 1), ONE_POLY + Poly.var(2, 1)]
+    for p in [ONE_POLY, X_POLY, ONE_POLY + X_POLY]
 ]
 
 class TestScalarRing:
@@ -144,8 +146,9 @@ polygausses = st.builds(
 
 
 class TestPoly:
-    """`Poly` is the stored format only; the polynomial derivative and
-    product algebra is checked on polynomials built as `PolyGauss`."""
+    """`Poly` is the stored format only; the polynomial derivative, product
+    algebra, evaluation and constructors are checked on polynomials built
+    as `PolyGauss`."""
 
     @given(polygausses, polygausses)
     def test_derivative_is_linear(self, a, b):
@@ -177,15 +180,17 @@ class TestPoly:
 
     def test_eval(self):
         p = Poly(2, {(1, 1): Scalar.one(), (0, 0): Scalar.one()})
-        assert math.isclose(p.eval([2.0, 3.0]), 7.0)
+        assert math.isclose(PolyGauss(2, {(0, 0): p}).eval([2.0, 3.0]), 7.0)
 
     @pytest.mark.parametrize("i", [0, 3, -1])
     def test_var_rejects_index_out_of_range(self, i):
         with pytest.raises(ValueError, match="out of range"):
-            Poly.var(2, i)
+            PolyGauss.var(2, i)
 
     def test_bool_is_non_zero(self):
-        assert Poly.var(2, 1) and not Poly(2) and not Poly.var(2, 1) + -Poly.var(2, 1)
+        x = PolyGauss.var(2, 1)
+        assert x and not PolyGauss(2) and not x + -x
+        assert X_POLY and not Poly(2) and not X_POLY + Poly(2, {(1, 0): -Scalar.one()})
 
 
 class TestCanonicalSums:
@@ -200,7 +205,7 @@ class TestCanonicalSums:
     def test_poly_pairs(self):
         x = (1, 0)
         p = Poly(2, [(x, Scalar.one()), ((0, 1), Scalar.one()), (x, -Scalar.one())])
-        assert p == Poly.var(2, 2) and list(p.terms) == [(0, 1)]
+        assert p == Poly(2, {(0, 1): Scalar.one()}) and list(p.terms) == [(0, 1)]
         assert Poly(2, iter([(x, Scalar())])).terms == {}
 
     def test_poly_checks_every_monomial(self):
@@ -209,10 +214,10 @@ class TestCanonicalSums:
 
     def test_polygauss_pairs(self):
         g = (Fraction(1), Fraction(0))
-        x = Poly.var(2, 1)
-        pg = PolyGauss(2, [(g, x), (g, x), ((Fraction(0),) * 2, x), (g, x * -2)])
+        x, minus_x = X_POLY, Poly(2, {(1, 0): -Scalar.one()})
+        pg = PolyGauss(2, [(g, x), (g, x), ((Fraction(0),) * 2, x), (g, minus_x + minus_x)])
         assert pg == PolyGauss.var(2, 1)
-        assert not PolyGauss(2, [(g, x), (g, -x)])
+        assert not PolyGauss(2, [(g, x), (g, minus_x)])
         with pytest.raises(ValueError, match="dimension"):
             PolyGauss(2, [((Fraction(0),), Poly(2))])
 
@@ -220,12 +225,12 @@ class TestCanonicalSums:
     def test_sums_stay_canonical(self, a, b):
         for value in (a + b, a * b, a + -a, a * 0):
             assert all(value.terms.values())
-        p = Poly(2, {(1, 0): a, (0, 1): b})
-        for value in (p + p, p + -p, p * Scalar()):
+        p, minus_p = Poly(2, {(1, 0): a, (0, 1): b}), Poly(2, {(1, 0): -a, (0, 1): -b})
+        for value in (p + p, p + minus_p):
             assert all(value.terms.values())
-        assert not p + -p
+        assert not p + minus_p
         pg = PolyGauss(2, {(0, 0): p})
-        for value in (pg + pg, pg * pg, pg - pg, pg.derive(1), pg * Scalar()):
+        for value in (pg + pg, pg * pg, pg - pg, -pg, pg.derive(1), pg * Scalar(), pg * 0):
             assert all(value.parts.values())
             assert all(s for poly in value.parts.values() for s in poly.terms.values())
         assert not pg - pg
@@ -322,34 +327,46 @@ gauss_entries = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), F
 
 class TestMixedTypeProducts:
     """An operand a type does not know is handed to the other operand's
-    __rmul__: a Scalar scales a Poly or PolyGauss from either side, and an
-    unsupported pair raises TypeError."""
+    __rmul__: a Scalar scales a PolyGauss from either side, and an
+    unsupported pair raises TypeError. `Poly` is stored, never computed
+    on: it is not scaled or negated."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_scalar_times_poly(self, n):
-        x = Poly.var(n, 1)
-        expected = Poly(n, {(1,) + (0,) * (n - 1): SQRT2})
+        x = PolyGauss.var(n, 1)
+        expected = PolyGauss(n, {(0,) * n: Poly(n, {(1,) + (0,) * (n - 1): SQRT2})})
         assert SQRT2 * x == expected == x * SQRT2
 
     def test_scalar_times_polygauss(self):
         g = PolyGauss.gaussian([1, 1])
         assert Scalar.one() * g == g
-        assert SQRT2 * g == g * SQRT2 == PolyGauss(2, {gauss_exp([1, 1]): Poly.const(2, SQRT2)})
+        assert SQRT2 * g == g * SQRT2 == PolyGauss(2, {gauss_exp([1, 1]): Poly(2, {(0, 0): SQRT2})})
+
+    def test_scalar_times_stored_poly_is_a_type_error(self):
+        for scale in (SQRT2, 2, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                scale * X_POLY
+            with pytest.raises(TypeError):
+                X_POLY * scale
+
+    def test_negating_a_stored_poly_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            -X_POLY
 
     def test_poly_times_poly_is_a_type_error(self):
         # a product of polynomials is taken on PolyGauss only
         with pytest.raises(TypeError):
-            Poly.var(2, 1) * Poly.var(2, 2)
+            X_POLY * Poly(2, {(0, 1): Scalar.one()})
 
     def test_poly_times_polygauss_is_a_type_error(self):
-        x, g = Poly.var(2, 1), PolyGauss.gaussian([1, 1])
+        x, g = X_POLY, PolyGauss.gaussian([1, 1])
         with pytest.raises(TypeError):
             x * g
         with pytest.raises(TypeError):
             g * x
 
     @pytest.mark.parametrize(
-        "value", [SQRT2, Poly.var(2, 1), PolyGauss.gaussian([1, 1])]
+        "value", [SQRT2, X_POLY, PolyGauss.gaussian([1, 1])]
     )
     def test_float_is_a_type_error(self, value):
         with pytest.raises(TypeError):
@@ -575,6 +592,16 @@ class TestIntegerFlatSum:
         acc = _FlatSum(2).add(0, x, Fraction(1, 2)).add(0, x, Fraction(1, 3))
         assert acc.den == 6
         assert acc.result() == {0: x * Fraction(5, 6)}
+
+
+def test_poly_only_stores():
+    """`Poly` defines no arithmetic except the `+` that merges two parts
+    under one Gaussian key; `PolyGauss` computes on its terms."""
+    defined = {
+        name for name, member in vars(Poly).items()
+        if inspect.isfunction(member) or isinstance(member, staticmethod)
+    }
+    assert defined == {"__init__", "_of", "_check", "__add__", "__bool__", "__eq__", "__str__"}
 
 
 def test_only_scalars_knows_the_coefficient_format():

@@ -136,6 +136,22 @@ class TestDiagonalize:
             diagonalize_gram(LatticeSpec("fractions", 2, 1, frac_gram(gram))).transform.tolist()
         )
 
+    def test_a_small_scale_lattice_has_a_row_sign(self):
+        """diag(1e-30, -1e-30) is non-degenerate, but every entry of its
+        transform is 1e-15: the row sign compares against the row's own
+        scale. The theta sum uses bound 0, the zero vector alone, because
+        any positive bound scans about 1e30 box points."""
+        e = Fraction(1, 10**30)
+        tiny = LatticeSpec("tiny", 1, 1, frac_gram([[e, 0], [0, -e]]))
+        dl = diagonalize_gram(tiny)
+        gram = np.array([[float(x) for x in row] for row in tiny.gram])
+        assert residual(dl) <= 1e-10 * np.max(np.abs(gram))
+        sums, _tail = theta_partial_sum(dl, 1j, 0)
+        expected: dict = {}
+        for (i_set, _j), pg in km_form_at_e(SignatureCtx(1, 1)).terms.items():
+            expected[i_set] = expected.get(i_set, 0) + pg.eval([0.0, 0.0])
+        assert sums == expected
+
 
 class TestEnumerate:
     def test_bound_zero(self):
