@@ -19,6 +19,7 @@ from typing import Any, Callable
 
 from .km import (
     _omega_key,
+    _one_fewer,
     coefficient_gradients,
     exterior_derivative,
     hermite,
@@ -30,11 +31,10 @@ from .km import (
 from .liealg import LieElement, SignatureCtx, curvature_at_e, eta
 from .mq import (
     fiber_d,
-    fiber_ddt,
+    fiber_euler,
     fiber_integrate,
     fiber_omega,
     fiber_scale_pullback,
-    fiber_scale_pullback_symbolic,
     fiber_section,
     fiber_transgression,
     fiber_umq,
@@ -50,7 +50,7 @@ MAX_PQ = 8
 # they are the *only* signs that make the identities hold, uniformly.
 SIGMA_EVEN = 1     # main-theorem sign for even q (forced by the (1,2) value)
 SIGMA_ODD = -1     # main-theorem sign for odd q
-EPSILON_TRANSGRESSION = 1   # t d/dt (t*U) = eps * d(t*psi)
+EPSILON_TRANSGRESSION = 1   # L_E U = eps * d(i_E U), E the Euler field
 SIGMA_SPLITTING = 1  # restricted form = sign * (block-1 form ^ block-2 form)
 
 
@@ -170,7 +170,8 @@ def check_curvature(p: int, q: int) -> CheckResult:
 def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
     """int^B eta_1^{n1} ^ ... ^ eta_p^{np} = sign(q) n1!..np! * sum over
     tuples (a_1..a_q) with the given occurrence counts of
-    omega_{a_1,p+1} ^ ... ^ omega_{a_q,p+q}."""
+    omega_{a_1,p+1} ^ ... ^ omega_{a_q,p+q}. Each eta product is one wedge on
+    the one of `_one_fewer` counts, as in `km_form_at_e`: C(p+q, q) - 1 in all."""
     params = {"p": p, "q": q}
     ctx = SignatureCtx(p, q)
     etas = [eta(ctx, a) for a in range(1, p + 1)]
@@ -179,14 +180,17 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
     for alphas in itertools.product(range(1, p + 1), repeat=q):
         counts = tuple(alphas.count(a) for a in range(1, p + 1))
         by_counts.setdefault(counts, []).append(alphas)
+    products = {(0,) * p: SuperForm.one(ctx)}
+
+    def product(counts: tuple[int, ...]) -> SuperForm:
+        if counts not in products:
+            alpha, fewer = _one_fewer(counts)
+            products[counts] = product(fewer).wedge(etas[alpha - 1])
+        return products[counts]
+
     for counts in sorted(by_counts):
-        lhs = SuperForm.one(ctx)
-        coeff = Fraction(sign)
-        for e, n in zip(etas, counts):
-            for _ in range(n):
-                lhs = lhs.wedge(e)
-            coeff *= math.factorial(n)
-        lhs = lhs.berezin()
+        lhs = product(counts).berezin()
+        coeff = sign * math.prod(map(math.factorial, counts))
         rhs = SuperForm(ctx, (
             ((key, ()), PolyGauss.const(ctx.nvars, Scalar.rational(coeff * s)))
             for key, s in (_omega_key(p, alphas) for alphas in by_counts[counts])
@@ -262,11 +266,10 @@ def check_annihilation(q: int) -> CheckResult:
 
 
 def check_transgression(q: int) -> CheckResult:
-    """t d/dt (t*U) = epsilon d(t*psi): d/dt (t*U) = epsilon (1/t) d(t*psi)
-    multiplied through by t, so no side is divided."""
-    t = PolyGauss.var(q + 1, q + 1)
-    lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q))).map_coeffs(lambda pg: pg * t)
-    rhs = fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q)))
+    """L_E U = epsilon d psi, psi = i_E U, E the Euler field: the scaling family
+    t d/dt (t*U) = epsilon d(t*psi) at t = 1, and at every t > 0 its pullback."""
+    lhs = fiber_euler(fiber_umq(q))
+    rhs = fiber_d(fiber_transgression(q))
     return _signed_check("transgression", {"q": q}, lhs, rhs, "epsilon", EPSILON_TRANSGRESSION)
 
 

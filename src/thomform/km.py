@@ -47,6 +47,12 @@ def _omega_key(p: int, alphas: tuple[int, ...]) -> tuple[tuple, int]:
     return sort_with_sign(tuple((a, p + 1 + k) for k, a in enumerate(alphas)))
 
 
+def _one_fewer(counts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The largest alpha with n_alpha > 0, and ``counts`` with that n_alpha one smaller."""
+    alpha = max(a for a, n in enumerate(counts, start=1) if n)
+    return alpha, counts[: alpha - 1] + (counts[alpha - 1] - 1,) + counts[alpha:]
+
+
 def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
     """Apply the operator product: 2^{-q} prod_mu (sum_alpha A_{alpha mu})
     to exp(-pi |x|^2), where A_{alpha mu} = omega_{alpha mu} (x)
@@ -68,8 +74,7 @@ def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
             if sign < 0:
                 pg = -coefficient(counts, 1)
             else:
-                alpha = max(a for a, n in enumerate(counts, start=1) if n)
-                fewer = counts[: alpha - 1] + (counts[alpha - 1] - 1,) + counts[alpha:]
+                alpha, fewer = _one_fewer(counts)
                 pg = howe_shift(coefficient(fewer, 1), alpha)
             built[counts, sign] = pg
         return built[counts, sign]

@@ -2,10 +2,9 @@
 
 `mq_phi0_at_e` and `mq_phi_at_e` build the form at the basepoint over the
 full signature context; the `fiber_*` functions work on a single fiber R^q
-(coframe dx_1..dx_q), optionally carrying the scaling parameter t as an
-extra polynomial variable (see `FiberCtx`). The basepoint forms and
-`fiber_umq` are all built by `_thom`, the one Berezin-exponential builder,
-which forms exp(a) as the product over z0 columns mu of (1 + a_mu).
+(coframe dx_1..dx_q), where `_euler` states the Euler field. The basepoint
+forms and `fiber_umq` are all built by `_thom`, the one Berezin-exponential
+builder, which forms exp(a) as the product over z0 columns mu of (1 + a_mu).
 """
 
 from __future__ import annotations
@@ -110,33 +109,40 @@ def fiber_umq(q: int) -> SuperForm:
     return _thom(a, SuperForm(ctx), [2] * q)
 
 
+def _euler(ctx: FiberCtx) -> dict[tuple[int, int], int]:
+    """E = sum_i x_i d/dx_i, the generator of x -> t x, as entries {(k, l): c_kl}
+    of sum c_kl x_l d/dx_k: `fiber_transgression` contracts it, `fiber_euler` applies it."""
+    return {(i, i): 1 for i in ctx.z0}
+
+
 def fiber_transgression(q: int) -> SuperForm:
-    """psi = i_E U with E = sum_i x_i d/dx_i the Euler (fiber-scaling) field,
-    passed to `contract` as sum_i x_i dx_i: each term names the slot it removes."""
+    """psi = i_E U for the Euler field E, passed to `contract` as
+    sum c_kl x_l dx_k: each term names the slot it removes."""
     ctx = FiberCtx(q)
-    euler = SuperForm(ctx, {((i,), ()): PolyGauss.var(ctx.nvars, i) for i in ctx.z0})
+    entries = _euler(ctx).items()
+    euler = SuperForm(ctx, ((((k,), ()), PolyGauss.var(q, l) * c) for (k, l), c in entries))
     return fiber_umq(q).contract(euler)
+
+
+def fiber_euler(a: SuperForm) -> SuperForm:
+    """The Lie derivative L_E a along the Euler field: E on each coefficient,
+    plus the coefficient once per dx slot, since L_E dx_i = dx_i."""
+    ctx, acc = a.ctx, _FlatSum(a.ctx.nvars)
+    euler = _euler(ctx)
+    for key, pg in a.terms.items():
+        acc.add_field(key, pg.gradient(), euler)
+        if key[0]:
+            acc.add(key, pg, len(key[0]))
+    return SuperForm._of(ctx, acc.result())
 
 
 def fiber_d(a: SuperForm) -> SuperForm:
     """Exterior derivative d = sum_i dx_i ^ d/dx_i on a fiber."""
     ctx = a.ctx
-    t = ctx.nvars if ctx.with_t else None
-
-    def terms(i: int):
-        da = a.map_coeffs(lambda pg: pg.derive(i, t))
-        return SuperForm.generator(ctx, i).wedge(da).terms.items()
-
-    return SuperForm(ctx, itertools.chain.from_iterable(map(terms, ctx.z0)))
-
-
-def fiber_ddt(a: SuperForm) -> SuperForm:
-    """d/dt on a form over a with_t context; `PolyGauss.derive` applies the
-    chain rule to the t-scaled Gaussian."""
-    if not a.ctx.with_t:
-        raise ValueError("ddt requires a t-carrying context")
-    t = a.ctx.nvars
-    return a.map_coeffs(lambda pg: pg.derive(t, t))
+    return SuperForm(ctx, itertools.chain.from_iterable(
+        SuperForm.generator(ctx, i).wedge(a.map_coeffs(lambda pg: pg.derive(i))).terms.items()
+        for i in ctx.z0
+    ))
 
 
 def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
@@ -144,14 +150,10 @@ def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("scaling parameter must be positive")
-    ctx = a.ctx
-    if ctx.with_t:
-        raise ValueError("rational pullback applies to t-free forms")
-    n = ctx.nvars
 
     def pull(pg: PolyGauss, slots: int) -> PolyGauss:
         # each monomial gains t^(degree), each dx-slot one more t
-        return PolyGauss.from_items(n, (
+        return PolyGauss.from_items(a.ctx.nvars, (
             (
                 gauss_exp([c * t * t for c in g]),
                 mono,
@@ -160,49 +162,21 @@ def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
             for g, mono, coeff in pg.items()
         ))
 
-    return SuperForm(ctx, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
-
-
-def fiber_scale_pullback_symbolic(a: SuperForm) -> SuperForm:
-    """Pull back along x -> t x with t carried as an extra variable.
-
-    Input lives over FiberCtx(q); output over FiberCtx(q, with_t=True).
-    Each monomial gains t^(total degree) and each dx-slot one more factor
-    of t. The Gaussian keeps its entries c: `PolyGauss.derive` with ``t``
-    reads each as c t^2 x_i^2, but text and `eval` show it without t^2:
-    the text of ``fiber_scale_pullback_symbolic(fiber_umq(1))`` is
-    ``1*sqrt2*x2 * exp(-pi*(2*x1^2)) dx[1]``.
-    """
-    ctx = a.ctx
-    if ctx.with_t:
-        raise ValueError("form already carries t")
-    ctx_t = FiberCtx(ctx.q, with_t=True)
-    n = ctx_t.nvars
-
-    def pull(pg: PolyGauss, slots: int) -> PolyGauss:
-        return PolyGauss.from_items(n, (
-            (g + (0,), mono + (sum(mono) + slots,), coeff) for g, mono, coeff in pg.items()
-        ))
-
-    return SuperForm(ctx_t, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
+    return SuperForm(a.ctx, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
 
 
 def fiber_integrate(a: SuperForm) -> Scalar:
     """Integrate the top-fiber-degree component over R^q, exactly, via
     iterated one-dimensional Gaussian moments."""
-    ctx = a.ctx
-    if ctx.with_t:
-        raise ValueError("integration applies to t-free forms")
-    q = ctx.q
-    top = tuple(ctx.z0)
+    top = tuple(a.ctx.z0)
 
     def values():
         for (i_set, j_set), pg in a.terms.items():
             if i_set != top or j_set:
                 continue
             for g, mono, val in pg.items():
-                for i in range(q):
-                    val = val * gauss_moment(mono[i], g[i])
+                for e, c in zip(mono, g):
+                    val = val * gauss_moment(e, c)
                 yield val
 
     return sum(values(), Scalar())

@@ -18,8 +18,8 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
-`gaussian` and `from_items`, and use `items`, `derive` (with or without a
-symbolic t), `gradient` and `linear_field`. `Poly` only stores and adds:
+`gaussian` and `from_items`, and use `items`, `derive`, `gradient` and
+`linear_field`. `Poly` only stores and adds:
 `PolyGauss` negates, scales and evaluates on its terms, and takes products
 and partials in `_FlatSum`.
 """
@@ -322,49 +322,37 @@ class PolyGauss:
 
     __rmul__ = __mul__
 
-    def derive(self, i: int, t: int | None = None) -> "PolyGauss":
-        """Exact d/dx_i of P * exp(-pi E), where E = sum_j c_j x_j^2, or
-        E = x_t^2 sum_j c_j x_j^2 given ``t``, the index of the scaling
-        variable of a pullback along x -> t x (see `_partials`)."""
-        return self._partials((i,), t)[0]
+    def derive(self, i: int) -> "PolyGauss":
+        """Exact d/dx_i of P * exp(-pi sum_j c_j x_j^2) (see `_partials`)."""
+        return self._partials((i,))[0]
 
     def gradient(self) -> list["PolyGauss"]:
         """The partial derivatives [d/dx_1, ..., d/dx_n] of self."""
         return self._partials(range(1, self.n + 1))
 
-    def _partials(self, indices: Iterable[int], t: int | None = None) -> list["PolyGauss"]:
-        """[d/dx_i self for i in indices], in one flat sum on integers. The
-        Gaussian adds -pi (dE/dx_i) P: -2 pi c_i x_i P without t,
-        -2 pi c_i x_i x_t^2 P for i != t, and -2 pi sum_j c_j x_j^2 x_t P
-        for i = t (when c_t = 0)."""
+    def _partials(self, indices: Iterable[int]) -> list["PolyGauss"]:
+        """[d/dx_i self for i in indices], in one flat sum on integers: P's
+        own partial, and the Gaussian's slope -2 pi c_i x_i P."""
         n, indices = self.n, tuple(indices)
-        for i in indices if t is None else indices + (t,):
+        for i in indices:
             _check_index(i, n)
 
-        def slope(g: GaussExp, i: int) -> Iterable[tuple]:
-            # E's term c_j x^m, m = 2 e_j (+ 2 e_t), adds -pi c_j m_i x^(m - e_i)
-            for j in range(n) if i == t else (i - 1,):
-                m = [2 * (a == j) + 2 * (a + 1 == t) for a in range(n)]
-                e, m[i - 1] = m[i - 1], m[i - 1] - 1
-                if g[j]:
-                    yield tuple(m), -e * g[j]
-
-        def atoms(terms: list, k: int, unit: int, slopes: list) -> Iterable[tuple]:
+        def atoms(terms: list, k: int, unit: int, slope: int) -> Iterable[tuple]:
             for mono, s in terms:
                 if mono[k]:
                     m, e = mono[:k] + (mono[k] - 1,) + mono[k + 1 :], mono[k] * unit
                     yield from (((m, (e2, epi)), v * e) for e2, epi, v in s)
-                for shift, c in slopes:
-                    m = tuple(map(add, mono, shift))
-                    yield from (((m, (e2, epi + 2)), v * c) for e2, epi, v in s)
+                if slope:
+                    m = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
+                    yield from (((m, (e2, epi + 2)), v * slope) for e2, epi, v in s)
 
         acc, (parts, d) = _FlatSum(n), _ints(self)
         for g, terms in parts:
             lcm = math.lcm(*(c.denominator for c in g))  # of every slope's denominator too
             for i in indices:
                 unit = lcm * acc._per(d * lcm)
-                slopes = [(m, c.numerator * (unit // c.denominator)) for m, c in slope(g, i)]
-                acc._merge(i, g, atoms(terms, i - 1, unit, slopes))
+                slope = int(-2 * g[i - 1] * unit)
+                acc._merge(i, g, atoms(terms, i - 1, unit, slope))
         parts = acc.result()
         return [parts.get(i, PolyGauss(n)) for i in indices]
 

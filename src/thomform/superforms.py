@@ -46,20 +46,14 @@ def sort_with_sign(seq: tuple) -> tuple[tuple, int]:
 
 @dataclass(frozen=True)
 class FiberCtx:
-    """Context for forms on a single fiber R^q with coframe dx_1..dx_q.
-
-    With ``with_t`` the coefficient ring gains one extra polynomial variable
-    (index q+1, the fiber-scaling parameter) and every Gaussian exponent
-    entry c is read as c * t^2 * x_i^2: `PolyGauss.derive` with ``t = q+1``
-    applies that reading. Text and `eval` show the Gaussian without t^2.
-    """
+    """Context for forms on a single fiber R^q with coframe dx_1..dx_q and
+    coefficients in x_1..x_q."""
 
     q: int
-    with_t: bool = False
 
     @property
     def nvars(self) -> int:
-        return self.q + (1 if self.with_t else 0)
+        return self.q
 
     @property
     def z0(self) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 """The verification harness: dispatch, determinism, witnesses, suites."""
 
+import math
+
 import pytest
 
 from thomform.checks import (
@@ -101,9 +103,8 @@ class TestWitnesses:
         assert res.status == "fail"
         assert res.witness.startswith("f=1: integral ")
 
-    def test_transgression_fails_when_d_psi_is_not_divisible_by_t(self, monkeypatch):
-        # the check multiplies by t and never divides, so a t-free term on
-        # the right side is a failure with a witness
+    def test_transgression_fails_with_a_stray_term_in_d_psi(self, monkeypatch):
+        # a term of d psi that L_E U lacks is a failure with a witness
         import thomform.checks as checks
         from thomform.superforms import SuperForm
 
@@ -131,6 +132,25 @@ class TestSignLedger:
         res = run_check(cid, **params)
         assert res.status == "fail" and res.sign_sigma == 1
         assert res.witness == f"sign +1 violates the recorded {label} = -1"
+
+
+class TestBerezinWork:
+    @pytest.mark.parametrize("p,q,wedges", [(1, 1, 1), (3, 2, 9), (4, 4, 69), (2, 6, 27)])
+    def test_one_wedge_per_count_vector(self, monkeypatch, p, q, wedges):
+        """Each eta product is one wedge on the product one count smaller:
+        C(p+q, q) - 1 wedges, one per non-zero count vector of sum <= q."""
+        from thomform.superforms import SuperForm
+
+        calls = []
+        real = SuperForm.wedge
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(SuperForm, "wedge", counting)
+        assert run_check("berezin_combinatorial", p=p, q=q).passed
+        assert len(calls) == math.comb(p + q, q) - 1 == wedges
 
 
 class TestLieLayerWork:

@@ -1,5 +1,5 @@
 """Berezin-exponential Thom form: basepoint values, fiber forms,
-scaling, transgression, integration."""
+scaling, transgression, the Euler field, integration."""
 
 from fractions import Fraction
 
@@ -12,18 +12,17 @@ from thomform.km import km_form_at_e
 from thomform.mq import (
     _thom,
     fiber_d,
-    fiber_ddt,
+    fiber_euler,
     fiber_integrate,
     fiber_omega,
     fiber_scale_pullback,
-    fiber_scale_pullback_symbolic,
     fiber_section,
     fiber_transgression,
     fiber_umq,
     mq_phi0_at_e,
     mq_phi_at_e,
 )
-from thomform.scalars import PolyGauss, Scalar
+from thomform.scalars import PolyGauss, Scalar, gauss_exp
 from thomform.superforms import FiberCtx, SuperForm
 
 SQRT2 = Scalar.term(1, e2=1)
@@ -217,14 +216,6 @@ class TestTransgression:
         })
         assert fiber_transgression(2) == expected
 
-    @pytest.mark.parametrize("q", range(1, 5))
-    def test_identity_in_t_and_x(self, q):
-        # t d/dt (t*U) = d(t*psi), the identity times t
-        t = PolyGauss.var(q + 1, q + 1)
-        lhs = fiber_ddt(fiber_scale_pullback_symbolic(fiber_umq(q)))
-        rhs = fiber_d(fiber_scale_pullback_symbolic(fiber_transgression(q)))
-        assert lhs.map_coeffs(lambda pg: pg * t) == rhs  # recorded sign epsilon = +1
-
 
 class TestScalePullback:
     def test_rational_example(self):
@@ -248,37 +239,6 @@ class TestScalePullback:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fiber_scale_pullback(fiber_umq(1), Fraction(0))
-
-    def test_symbolic_specializes_to_rational(self):
-        # substituting a rational t into the symbolic pullback matches the
-        # rational pullback numerically
-        import math
-
-        q = 2
-        t = 1.5
-        u = fiber_umq(q)
-        sym = fiber_scale_pullback_symbolic(u)
-        rat = fiber_scale_pullback(u, Fraction(3, 2))
-        pt = [0.4, -0.7]
-
-        def eval_poly(poly, v):
-            return sum(
-                float(c) * math.prod(x**e for x, e in zip(v, mono))
-                for mono, c in poly.terms.items()
-            )
-
-        def eval_with_t(pg):
-            # Gaussian entry c in the t-carrying context means c t^2 x_i^2
-            total = 0.0
-            for g, poly in pg.parts.items():
-                expo = -math.pi * sum(
-                    float(c) * (t * x) ** 2 for c, x in zip(g, pt)
-                )
-                total += eval_poly(poly, pt + [t]) * math.exp(expo)
-            return total
-
-        for key, pg in rat.terms.items():
-            assert abs(pg.eval(pt) - eval_with_t(sym.terms[key])) < 1e-12
 
 
 class TestFiberCalculus:
@@ -307,6 +267,65 @@ class TestFiberCalculus:
             ctx, {((1,), ()): PolyGauss.gaussian([Fraction(2)]) * poly * SQRT2}
         )
         assert out == expected
+
+
+def euler_vector(ctx: FiberCtx) -> SuperForm:
+    """E = sum_i x_i d/dx_i as the contraction argument sum_i x_i dx_i."""
+    return SuperForm(ctx, {((i,), ()): PolyGauss.var(ctx.q, i) for i in ctx.z0})
+
+
+@st.composite
+def fiber_forms(draw, q: int, degree: int) -> SuperForm:
+    """Up to three terms of dx-degree ``degree`` (any z0 set), each
+    coefficient one to three terms c x^mono exp(-pi sum g_i x_i^2) over
+    mixed Gaussian keys g."""
+    ctx = FiberCtx(q)
+    subsets = st.lists(st.sampled_from(ctx.z0), unique=True).map(lambda xs: tuple(sorted(xs)))
+    dx_sets = st.lists(
+        st.sampled_from(ctx.z0), unique=True, min_size=degree, max_size=degree
+    ).map(lambda xs: tuple(sorted(xs)))
+    gauss = st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=q, max_size=q)
+    mono = st.lists(st.integers(0, 2), min_size=q, max_size=q).map(tuple)
+    scalar = st.builds(
+        lambda r, e2, epi: Scalar.term(r, e2=e2, epi=epi),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        st.integers(0, 1),
+        st.integers(-1, 1),
+    )
+    coeff = st.lists(st.tuples(gauss.map(gauss_exp), mono, scalar), min_size=1, max_size=3)
+    terms = draw(st.dictionaries(
+        st.tuples(dx_sets, subsets), coeff.map(lambda items: PolyGauss.from_items(q, items)),
+        max_size=3,
+    ))
+    return SuperForm(ctx, terms)
+
+
+class TestEulerField:
+    @pytest.mark.parametrize("q,degree", [(q, k) for q in range(1, 4) for k in range(q + 1)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_cartan_formula(self, q, degree, data):
+        # L_E = d i_E + i_E d on every fiber form
+        a = data.draw(fiber_forms(q, degree))
+        e = euler_vector(a.ctx)
+        assert fiber_euler(a) == fiber_d(a.contract(e)) + fiber_d(a).contract(e)
+
+    @pytest.mark.parametrize(
+        "mono,i_set", [((0, 0), ()), ((2, 1), ()), ((1, 0), (2,)), ((0, 3), (1, 2))]
+    )
+    def test_homogeneous_polynomial_forms_scale_by_their_degree(self, mono, i_set):
+        # x^mono dx_I is homogeneous of degree |mono| + |I| under x -> t x
+        ctx = FiberCtx(2)
+        a = SuperForm(ctx, {(i_set, ()): PolyGauss.from_items(2, [((0, 0), mono, Scalar.one())])})
+        assert fiber_euler(a) == a.scale(sum(mono) + len(i_set))
+
+    def test_gaussian_slope(self):
+        # E e^{-2 pi x^2} = -4 pi x^2 e^{-2 pi x^2}
+        ctx = FiberCtx(1)
+        g = PolyGauss.gaussian([2])
+        x2 = PolyGauss.var(1, 1) * PolyGauss.var(1, 1)
+        expected = SuperForm(ctx, {((), ()): g * x2 * Scalar.term(-4, epi=2)})
+        assert fiber_euler(SuperForm(ctx, {((), ()): g})) == expected
 
 
 class TestAnnihilation:

@@ -38,7 +38,7 @@ MUTATIONS = {
     ],
     # the one derivative rule, behind both derive and gradient
     "derive_drops_gaussian_slope": [
-        (PolyGauss, "_partials", {"for m, c in slope(g, i)": "for m, c in ()"}),
+        (PolyGauss, "_partials", {"slope = int(-2 * g[i - 1] * unit)": "slope = 0"}),
     ],
     "derive_drops_the_exponent_factor": [
         (PolyGauss, "_partials", {"mono[k] * unit": "unit"}),
@@ -89,9 +89,9 @@ MUTATIONS = {
     "berezin_below_top_degree": [
         (SuperForm, "berezin", {"top = tuple(self.ctx.z0)": "top = tuple(self.ctx.z0)[1:]"}),
     ],
-    # at q = 1 only transgression reads the t a dx-slot gains
-    "symbolic_pullback_drops_slot_factor": [
-        (mq, "fiber_scale_pullback_symbolic", {"sum(mono) + slots": "sum(mono)"}),
+    # L_E dx_i = dx_i: at q = 1 only transgression reads the slot term
+    "euler_drops_slot_factor": [
+        (mq, "fiber_euler", {"acc.add(key, pg, len(key[0]))": "None"}),
     ],
     "contract_drops_sign": [
         (SuperForm, "contract", {"(before + pos) % 2)": "0)"}),
@@ -221,6 +221,10 @@ def test_kernel_faults_reach_their_checks(verdicts):
     assert slope & {"closedness", "k_invariance"}, slope
     assert ("k_invariance", (("p", 2), ("q", 1))) in failed("coadjoint_takes_rows_for_columns")
     assert ("k_invariance", (("p", 1), ("q", 2))) in failed("flat_sum_skips_the_rescale")
+
+
+def test_the_slot_fault_reaches_transgression_at_q1(verdicts):
+    assert verdicts["euler_drops_slot_factor"][("transgression", (("q", 1),))] == "fail"
 
 
 def test_every_mutation_is_undone(verdicts):

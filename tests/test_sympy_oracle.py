@@ -1,11 +1,12 @@
 """The Gaussian derivative rule, the Hermite recurrences, the Gaussian
-moments and the Howe-operator form against sympy.
+moments, the Howe-operator form and the transgression family against sympy.
 
 Each value is rebuilt as a sympy expression, with sqrt2 and sqrt(pi) as
-free symbols (or, for the moments, as sympy's own sqrt(2) and sqrt(pi)),
-and compared exactly with sympy's own derivative, Hermite polynomial or
-integral, or (for the Howe-operator form) built by sympy's own
-differentiation. No library arithmetic enters the reference side.
+free symbols (or, for the moments and forms, as sympy's own sqrt(2) and
+sqrt(pi)), and compared exactly with sympy's own derivative, Hermite
+polynomial or integral, or (for the Howe-operator form and the
+transgression family) built by sympy's own differentiation and
+substitution. No library arithmetic enters the reference side.
 """
 
 import itertools
@@ -17,9 +18,10 @@ import sympy
 
 from thomform.km import hermite, hermite_scaled, km_closed_form, km_form_at_e
 from thomform.liealg import SignatureCtx
+from thomform.mq import fiber_transgression, fiber_umq
 from thomform.scalars import PolyGauss, Scalar, gauss_exp, gauss_moment, linear_field
 
-N = 3  # variables; the last one plays the scaling variable t
+N = 3  # variables
 X = sympy.symbols(f"x1:{N + 1}")
 S2, SPI = sympy.symbols("sqrt2 sqrtpi", positive=True)
 PI = SPI**2
@@ -30,14 +32,12 @@ def rational(r) -> sympy.Rational:
     return sympy.Rational(r.numerator, r.denominator)
 
 
-def to_sympy(pg: PolyGauss, t: int | None = None):
-    """sum c x^mono exp(-pi E); with t, E carries the factor x_t^2."""
+def to_sympy(pg: PolyGauss):
+    """sum c x^mono exp(-pi sum_j g_j x_j^2)."""
     total = 0
     for g, mono, c in pg.items():
         coeff = sum(rational(r) * S2**e2 * SPI**epi for (e2, epi), r in c.terms.items())
         exponent = sum(rational(cj) * x**2 for cj, x in zip(g, X))
-        if t is not None:
-            exponent *= X[t - 1] ** 2
         total += coeff * sympy.Mul(*(x**e for x, e in zip(X, mono))) * sympy.exp(-PI * exponent)
     return total
 
@@ -68,16 +68,6 @@ SEEDS = range(12)
 def test_derive_without_t(seed, i):
     pg = random_polygauss(random.Random(seed))
     assert_same(to_sympy(pg.derive(i)), sympy.diff(to_sympy(pg), X[i - 1]))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("i", range(1, N + 1))
-def test_derive_with_t(seed, i):
-    """i < N differentiates in a fiber variable, i = N in t itself; the t
-    entry of the Gaussian is random too, not only the 0 that
-    `fiber_scale_pullback_symbolic` gives it."""
-    pg = random_polygauss(random.Random(100 + seed))
-    assert_same(to_sympy(pg.derive(i, N), N), sympy.diff(to_sympy(pg, N), X[i - 1]))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -170,3 +160,64 @@ def test_howe_operator_form(build, p, q):
             sympy.pi * sum(x**2 for x in xs)
         )
         assert sympy.expand(sympy.powsimp(sympy.expand(diff))) == 0, i_set
+
+
+T = sympy.Symbol("t", positive=True)
+
+
+def fiber_form_to_sympy(form, xs, t_slots: bool = True) -> dict:
+    """The pullback t* along x -> t x of a fiber form, by sympy substitution:
+    {dx set: coefficient}, each x_i replaced by t x_i and, with ``t_slots``,
+    each dx slot contributing its factor t."""
+    scaled = {x: T * x for x in xs}
+    return {
+        i_set: exact_to_sympy(pg, xs).subs(scaled, simultaneous=True)
+        * (T ** len(i_set) if t_slots else 1)
+        for (i_set, _j), pg in form.terms.items()
+    }
+
+
+def sympy_fiber_d(form: dict, xs) -> dict:
+    """d = sum_i dx_i ^ d/dx_i on {dx set: coefficient}: sorting dx_i ^ dx_I
+    moves dx_i past each slot of I below i, one sign each."""
+    out: dict = {}
+    for i_set, f in form.items():
+        for i, x in enumerate(xs, start=1):
+            if i not in i_set:
+                key = tuple(sorted(i_set + (i,)))
+                sign = (-1) ** sum(j < i for j in i_set)
+                out[key] = out.get(key, 0) + sign * sympy.diff(f, x)
+    return out
+
+
+def t_family_residual(u, psi, t_slots: bool = True) -> dict:
+    """t d/dt (t*U) - d(t*psi) by key, nonzero entries only, with U and psi
+    pulled back and differentiated in sympy alone."""
+    xs = sympy.symbols(f"x1:{u.ctx.q + 1}")
+    lhs = {k: T * sympy.diff(f, T) for k, f in fiber_form_to_sympy(u, xs, t_slots).items()}
+    rhs = sympy_fiber_d(fiber_form_to_sympy(psi, xs, t_slots), xs)
+    weight = sympy.exp(2 * sympy.pi * T**2 * sum(x**2 for x in xs))  # U's Gaussian at t x
+    out = {}
+    for key in set(lhs) | set(rhs):
+        diff = (lhs.get(key, 0) - rhs.get(key, 0)) * weight
+        diff = sympy.expand(sympy.powsimp(sympy.expand(diff)))
+        if diff != 0:
+            out[key] = diff
+    return out
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_identity_in_t_and_x(q):
+    """t d/dt (t*U) = d(t*psi) for every t > 0, the family that the
+    `transgression` check checks at t = 1 as L_E U = d psi."""
+    assert not t_family_residual(fiber_umq(q), fiber_transgression(q))
+
+
+@pytest.mark.parametrize("fault", ["doubled_psi", "dropped_slot_factor"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_identity_in_t_and_x_sees_a_fault(q, fault):
+    u, psi = fiber_umq(q), fiber_transgression(q)
+    if fault == "doubled_psi":
+        assert t_family_residual(u, psi.scale(2))
+    else:
+        assert t_family_residual(u, psi, t_slots=False)
