@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .km import (
+    _graded_counts,
     _omega_key,
     _one_fewer,
     coefficient_gradients,
@@ -30,13 +31,13 @@ from .km import (
 )
 from .liealg import LieElement, SignatureCtx, curvature_at_e, eta
 from .mq import (
+    _contract_euler,
     fiber_d,
     fiber_euler,
     fiber_integrate,
     fiber_omega,
     fiber_scale_pullback,
     fiber_section,
-    fiber_transgression,
     fiber_umq,
     mq_phi_at_e,
 )
@@ -171,7 +172,8 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
     """int^B eta_1^{n1} ^ ... ^ eta_p^{np} = sign(q) n1!..np! * sum over
     tuples (a_1..a_q) with the given occurrence counts of
     omega_{a_1,p+1} ^ ... ^ omega_{a_q,p+q}. Each eta product is one wedge on
-    the one of `_one_fewer` counts, as in `km_form_at_e`: C(p+q, q) - 1 in all."""
+    the one of `_one_fewer` counts, in `_graded_counts` order as in
+    `km_form_at_e`: C(p+q, q) - 1 in all."""
     params = {"p": p, "q": q}
     ctx = SignatureCtx(p, q)
     etas = [eta(ctx, a) for a in range(1, p + 1)]
@@ -181,15 +183,11 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
         counts = tuple(alphas.count(a) for a in range(1, p + 1))
         by_counts.setdefault(counts, []).append(alphas)
     products = {(0,) * p: SuperForm.one(ctx)}
-
-    def product(counts: tuple[int, ...]) -> SuperForm:
-        if counts not in products:
-            alpha, fewer = _one_fewer(counts)
-            products[counts] = product(fewer).wedge(etas[alpha - 1])
-        return products[counts]
-
+    for counts in _graded_counts(p, q):
+        alpha, fewer = _one_fewer(counts)
+        products[counts] = products[fewer].wedge(etas[alpha - 1])
     for counts in sorted(by_counts):
-        lhs = product(counts).berezin()
+        lhs = products[counts].berezin()
         coeff = sign * math.prod(map(math.factorial, counts))
         rhs = SuperForm(ctx, (
             ((key, ()), PolyGauss.const(ctx.nvars, Scalar.rational(coeff * s)))
@@ -268,8 +266,8 @@ def check_annihilation(q: int) -> CheckResult:
 def check_transgression(q: int) -> CheckResult:
     """L_E U = epsilon d psi, psi = i_E U, E the Euler field: the scaling family
     t d/dt (t*U) = epsilon d(t*psi) at t = 1, and at every t > 0 its pullback."""
-    lhs = fiber_euler(fiber_umq(q))
-    rhs = fiber_d(fiber_transgression(q))
+    u = fiber_umq(q)
+    lhs, rhs = fiber_euler(u), fiber_d(_contract_euler(u))
     return _signed_check("transgression", {"q": q}, lhs, rhs, "epsilon", EPSILON_TRANSGRESSION)
 
 

@@ -53,6 +53,13 @@ def _one_fewer(counts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return alpha, counts[: alpha - 1] + (counts[alpha - 1] - 1,) + counts[alpha:]
 
 
+def _graded_counts(p: int, q: int) -> list[tuple[int, ...]]:
+    """Every count vector (n_1..n_p) with 0 < sum <= q, by sum: each comes
+    after its `_one_fewer`."""
+    boxed = itertools.product(range(q + 1), repeat=p)
+    return sorted((c for c in boxed if 0 < sum(c) <= q), key=sum)
+
+
 def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
     """Apply the operator product: 2^{-q} prod_mu (sum_alpha A_{alpha mu})
     to exp(-pi |x|^2), where A_{alpha mu} = omega_{alpha mu} (x)
@@ -68,20 +75,16 @@ def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
     p = ctx.p
     scale = Scalar.term(Fraction(1), e2=-2 * ctx.q)  # 2^{-q}
     built = {((0,) * p, 1): gaussian_plus(ctx) * scale}
-
-    def coefficient(counts: tuple[int, ...], sign: int) -> PolyGauss:
-        if (counts, sign) not in built:
-            if sign < 0:
-                pg = -coefficient(counts, 1)
-            else:
-                alpha, fewer = _one_fewer(counts)
-                pg = howe_shift(coefficient(fewer, 1), alpha)
-            built[counts, sign] = pg
-        return built[counts, sign]
+    for counts in _graded_counts(p, ctx.q):
+        alpha, fewer = _one_fewer(counts)
+        built[counts, 1] = howe_shift(built[fewer, 1], alpha)
 
     def term(alphas: tuple[int, ...]):
         sorted_i, sign = _omega_key(p, alphas)
-        return (sorted_i, ()), coefficient(tuple(map(alphas.count, range(1, p + 1))), sign)
+        key = (tuple(map(alphas.count, range(1, p + 1))), sign)
+        if key not in built:
+            built[key] = -built[key[0], 1]
+        return (sorted_i, ()), built[key]
 
     return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=ctx.q)))
 

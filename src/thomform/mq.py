@@ -111,17 +111,21 @@ def fiber_umq(q: int) -> SuperForm:
 
 def _euler(ctx: FiberCtx) -> dict[tuple[int, int], int]:
     """E = sum_i x_i d/dx_i, the generator of x -> t x, as entries {(k, l): c_kl}
-    of sum c_kl x_l d/dx_k: `fiber_transgression` contracts it, `fiber_euler` applies it."""
+    of sum c_kl x_l d/dx_k: `_contract_euler` contracts it, `fiber_euler` applies it."""
     return {(i, i): 1 for i in ctx.z0}
 
 
 def fiber_transgression(q: int) -> SuperForm:
-    """psi = i_E U for the Euler field E, passed to `contract` as
-    sum c_kl x_l dx_k: each term names the slot it removes."""
-    ctx = FiberCtx(q)
+    """psi = i_E U for the Euler field E (see `_contract_euler`)."""
+    return _contract_euler(fiber_umq(q))
+
+
+def _contract_euler(a: SuperForm) -> SuperForm:
+    """i_E a, E passed to `contract` as sum c_kl x_l dx_k (each term names its slot)."""
+    ctx = a.ctx
     entries = _euler(ctx).items()
-    euler = SuperForm(ctx, ((((k,), ()), PolyGauss.var(q, l) * c) for (k, l), c in entries))
-    return fiber_umq(q).contract(euler)
+    euler = SuperForm(ctx, ((((k,), ()), PolyGauss.var(ctx.q, l) * c) for (k, l), c in entries))
+    return a.contract(euler)
 
 
 def fiber_euler(a: SuperForm) -> SuperForm:

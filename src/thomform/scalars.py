@@ -1,16 +1,21 @@
 """Exact scalars in Q(sqrt2, sqrt(pi)) and polynomial-times-Gaussian functions.
 
-Everything here is immutable value data with exact Fraction arithmetic, so
-equality of two objects means equality of the functions they represent.
+Everything here is immutable value data with exact rational arithmetic, and
+every value has one canonical form, so equality means equal functions. A
+`PolyGauss` stores, per Gaussian exponent, {packed-int atom: int numerator}
+over one least denominator ``den`` (gcd 1 with the numerators; 1 for zero),
+with no zero numerator: `==` compares those dicts and ``den``. An atom packs
+x^mono sqrt2^e2 sqrt(pi)^epi: e2 in {0, 1} in bit 0, then epi + 2^(W-2) and
+the exponents of x_1..x_n in W-bit fields (W = `_W`). A stored field stays
+below its top bit, so adding two atoms never carries into the next field;
+`_pack` and `_FlatSum.result` raise OverflowError for an exponent that leaves it.
 
-That holds because every sparse sum is canonical: equal keys are merged and
-zero coefficients dropped. One function, `_add_into`, applies that rule to
-every sum: `Scalar`, `Poly`, `PolyGauss`, `SuperForm` and `LieElement`
-build their terms through it, from a mapping or from any iterable of
-(key, value) pairs, and so does `_FlatSum`, the one flat sum that the hot
-operators (products, partials, fields, wedge, d, L_X) share. Its values are
-ints: one common denominator per sum, an int numerator per atom, and a
-Fraction only for each atom that survives.
+`_FlatSum` is the one sum: +, -, products, partials, linear fields, wedge, d
+and L_X add int numerators into it, and `result` hands its dicts over as the
+stores after one gcd pass, building no Fraction, Scalar or Poly. `parts`, the
+{exponent: Poly} view that `items`, `str` and `eval` read, is built on first
+read. `_add_into` merges every sparse sum (`Scalar`, `Poly`, `SuperForm`,
+`LieElement`, the flat dicts), dropping what cancels.
 
 Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
@@ -19,16 +24,15 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
 `gaussian` and `from_items`, and use `items`, `derive`, `gradient` and
-`linear_field`. `Poly` only stores and adds:
-`PolyGauss` negates, scales and evaluates on its terms, and takes products
-and partials in `_FlatSum`.
+`linear_field`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import add, or_
 from typing import Iterable, Mapping
 
 SQRT2 = math.sqrt(2.0)
@@ -169,8 +173,8 @@ Monomial = tuple[int, ...]
 
 class Poly:
     """Polynomial in x1..xn with Scalar coefficients; keys are exponent tuples.
-    The stored factor of a `PolyGauss` part: it only adds, when two parts
-    share a Gaussian key; `PolyGauss` computes on its terms."""
+    The factor of one Gaussian in a `PolyGauss`'s `parts` view, and the
+    parts a `PolyGauss` is built from: it only stores, adds and prints."""
 
     __slots__ = ("n", "terms")
 
@@ -230,33 +234,46 @@ def gauss_exp(coeffs: Iterable) -> GaussExp:
     return tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, coeffs))
 
 
+_W = 16  # bits per field of an atom
+_LOW = 1 << (_W - 1)  # every stored field value is below this
+_BIAS = _LOW >> 1  # the epi field stores epi + _BIAS
+_FIELD = (1 << _W) - 1
+
+
+def _pack(mono: Monomial, e2: int, epi: int) -> int:
+    """The atom of x^mono sqrt2^e2 sqrt(pi)^epi, for e2 in {0, 1}."""
+    fields = (epi + _BIAS, *mono)
+    if reduce(or_, fields) & -_LOW:
+        raise OverflowError(f"x^{mono} sqrt(pi)^{epi}: an exponent leaves its {_W}-bit field")
+    return sum((f << (1 + _W * i) for i, f in enumerate(fields)), e2)
+
+
 class PolyGauss:
     """Finite sum of P(x) * exp(-pi * sum_i c_i x_i^2) with exact data.
 
-    ``parts`` maps the diagonal Gaussian exponent vector (c_1..c_n) to the
-    polynomial factor.
-    """
+    ``sums`` maps the diagonal Gaussian exponent vector (c_1..c_n) to {atom:
+    numerator} over the least denominator ``den`` (see the module docstring);
+    ``parts`` is the read-only {exponent: Poly} view of it."""
 
-    __slots__ = ("n", "parts")
+    __slots__ = ("n", "den", "sums", "_parts")
 
     def __init__(self, n: int, parts: Mapping[GaussExp, Poly] | Iterable | None = None):
-        self.n = n
         items = list(_pairs(parts))
         if any(len(g) != n or p.n != n for g, p in items):
             raise ValueError("dimension mismatch")
-        self.parts = _add_into({}, items)
+        pg = PolyGauss.from_items(n, ((g, m, c) for g, p in items for m, c in p.terms.items()))
+        self.n, self.den, self.sums, self._parts = n, pg.den, pg.sums, None
 
     @staticmethod
-    def _of(n: int, parts: dict) -> "PolyGauss":
+    def _of(n: int, sums: dict, den: int = 1) -> "PolyGauss":
         pg = PolyGauss.__new__(PolyGauss)
-        pg.n, pg.parts = n, parts
+        pg.n, pg.den, pg.sums, pg._parts = n, den, sums, None
         return pg
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(n: int, c: Scalar) -> "PolyGauss":
-        zero = (0,) * n
-        return PolyGauss(n, {zero: Poly(n, {zero: c})})
+        return PolyGauss.from_items(n, [((0,) * n, (0,) * n, c)])
 
     @staticmethod
     def one(n: int) -> "PolyGauss":
@@ -266,24 +283,41 @@ class PolyGauss:
     def var(n: int, i: int) -> "PolyGauss":
         """The coordinate x_i (1-based) in n variables."""
         _check_index(i, n)
-        m = [0] * n
-        m[i - 1] = 1
-        return PolyGauss(n, {(0,) * n: Poly(n, {tuple(m): ONE})})
+        mono = tuple(int(j == i) for j in range(1, n + 1))
+        return PolyGauss.from_items(n, [((0,) * n, mono, ONE)])
 
     @staticmethod
     def gaussian(coeffs: Iterable) -> "PolyGauss":
         """exp(-pi sum_i coeffs[i] x_i^2)."""
         g = gauss_exp(coeffs)
-        return PolyGauss(len(g), {g: Poly(len(g), {(0,) * len(g): ONE})})
+        return PolyGauss.from_items(len(g), [(g, (0,) * len(g), ONE)])
 
     @staticmethod
     def from_items(n: int, items: Iterable[tuple[GaussExp, Monomial, Scalar]]) -> "PolyGauss":
         """The sum of (Gaussian exponent, monomial, coefficient) triples, the
         inverse of `items`; exponent keys must follow `gauss_exp`."""
-        parts: dict = {}
+        acc = _FlatSum(n)
         for g, mono, c in items:
-            parts.setdefault(g, []).append((mono, c))
-        return PolyGauss(n, ((g, Poly(n, terms)) for g, terms in parts.items()))
+            if len(g) != n or len(mono) != n:
+                raise ValueError("dimension mismatch")
+            acc._merge(None, g, (
+                (_pack(mono, e2, epi), r.numerator * acc._per(r.denominator))
+                for (e2, epi), r in c.terms.items()
+            ))
+        return acc.total()
+
+    @property
+    def parts(self) -> dict:
+        """{Gaussian exponent: Poly}, built from the store on first read."""
+        if self._parts is None:
+            self._parts = {}
+            for g, atoms in self.sums.items():
+                monos: dict = {}
+                for k, v in atoms.items():
+                    f = [(k >> (1 + _W * i)) & _FIELD for i in range(self.n + 1)]
+                    monos.setdefault(tuple(f[1:]), {})[k & 1, f[0] - _BIAS] = Fraction(v, self.den)
+                self._parts[g] = Poly._of(self.n, {m: Scalar._of(s) for m, s in monos.items()})
+        return self._parts
 
     def items(self) -> Iterable[tuple[GaussExp, Monomial, Scalar]]:
         """Every term c * x^mono * exp(-pi sum_i g_i x_i^2) as (g, mono, c)."""
@@ -296,29 +330,26 @@ class PolyGauss:
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
         self._check(other)
-        return PolyGauss._of(self.n, _add_into(dict(self.parts), other.parts.items()))
+        return _FlatSum(self.n).add(None, self).add(None, other).total()
 
     def __neg__(self):
         return PolyGauss._of(self.n, {
-            g: Poly._of(self.n, {m: -c for m, c in p.terms.items()}) for g, p in self.parts.items()
-        })
+            g: {k: -v for k, v in atoms.items()} for g, atoms in self.sums.items()
+        }, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if type(other) is PolyGauss:
-            self._check(other)
-            acc = _FlatSum(self.n).add_product(None, _ints(self), _ints(other))
-            return acc.result().get(None, PolyGauss(self.n))
-        if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
+        if type(other) is not PolyGauss:
+            if type(other) is Scalar:
+                other = PolyGauss.const(self.n, other)
+            elif isinstance(other, (int, Fraction)):
+                return _FlatSum(self.n).add(None, self, other).total()
+            else:
                 return NotImplemented
-            other = Scalar.rational(other)
-        return PolyGauss._of(self.n, _add_into({}, (
-            (g, Poly._of(self.n, _add_into({}, ((m, c * other) for m, c in p.terms.items()))))
-            for g, p in self.parts.items()
-        )))
+        self._check(other)
+        return _FlatSum(self.n).add_product(None, self, other).total()
 
     __rmul__ = __mul__
 
@@ -337,24 +368,18 @@ class PolyGauss:
         for i in indices:
             _check_index(i, n)
 
-        def atoms(terms: list, k: int, unit: int, slope: int) -> Iterable[tuple]:
-            for mono, s in terms:
-                if mono[k]:
-                    m, e = mono[:k] + (mono[k] - 1,) + mono[k + 1 :], mono[k] * unit
-                    yield from (((m, (e2, epi)), v * e) for e2, epi, v in s)
-                if slope:
-                    m = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
-                    yield from (((m, (e2, epi + 2)), v * slope) for e2, epi, v in s)
-
-        acc, (parts, d) = _FlatSum(n), _ints(self)
-        for g, terms in parts:
+        acc = _FlatSum(n)
+        for g, terms in self.sums.items():
             lcm = math.lcm(*(c.denominator for c in g))  # of every slope's denominator too
             for i in indices:
-                unit = lcm * acc._per(d * lcm)
+                at, unit = 1 + _W * i, lcm * acc._per(self.den * lcm)
                 slope = int(-2 * g[i - 1] * unit)
-                acc._merge(i, g, atoms(terms, i - 1, unit, slope))
+                acc._merge(i, g, ((k - (1 << at), v * e * unit)
+                                  for k, v in terms.items() if (e := (k >> at) & _FIELD)))
+                if slope:  # x_i sqrt(pi)^2 P
+                    acc._merge(i, g, ((k + (1 << at) + 4, v * slope) for k, v in terms.items()))
         parts = acc.result()
-        return [parts.get(i, PolyGauss(n)) for i in indices]
+        return [parts.get(i, PolyGauss._of(n, {})) for i in indices]
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
         """Relabel variables: old 1-based index -> new 1-based index."""
@@ -388,15 +413,16 @@ class PolyGauss:
         return total
 
     def __bool__(self):
-        return bool(self.parts)
+        return bool(self.sums)
 
     def __eq__(self, other):
         return (
-            isinstance(other, PolyGauss) and self.n == other.n and self.parts == other.parts
+            isinstance(other, PolyGauss) and self.n == other.n
+            and self.den == other.den and self.sums == other.sums
         )
 
     def __str__(self) -> str:
-        if not self.parts:
+        if not self.sums:
             return "0"
         chunks = []
         for g in sorted(self.parts):
@@ -426,16 +452,13 @@ def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fracti
     """sum_{k,l} c_kl x_l d/dx_k f, for ``grad`` = f.gradient() and ``entries``
     {(k, l): c_kl} (1-based): x_l shifts exponents, so one gradient serves
     every field."""
-    n = len(grad)
-    return _FlatSum(n).add_field(None, grad, entries).result().get(None, PolyGauss(n))
+    return _FlatSum(len(grad)).add_field(None, grad, entries).total()
 
 
 class _FlatSum:
-    """A sum merged flat on integers: one common denominator ``den``, and one
-    int numerator per atom in a dict per (outer key, Gaussian exponent),
-    keyed by (monomial, sqrt key (e2 mod 2, epi)) and dropped as it cancels.
-    `result` builds {outer key: PolyGauss} from the terms of `add`,
-    `add_field` and `add_product`, one Fraction per non-zero atom."""
+    """A sum merged flat on integers over one common denominator ``den``: an int
+    numerator per atom in a dict per (outer key, Gaussian exponent), dropped as
+    it cancels. `result` hands the dicts over as the stores of PolyGauss values."""
 
     __slots__ = ("n", "den", "sums")
 
@@ -453,19 +476,16 @@ class _FlatSum:
         return self.den // d
 
     def _merge(self, outer, g: GaussExp, items: Iterable[tuple]) -> None:
-        """Add (atom key, numerator over den) pairs under (outer, g); drop what cancels."""
+        """Add (atom, numerator over den) pairs under (outer, g); drop what cancels."""
         if not _add_into(self.sums.setdefault((outer, g), {}), items):
             del self.sums[outer, g]
 
     def add(self, outer, pg: PolyGauss, c=1, shift: int | None = None) -> "_FlatSum":
         """c * pg under ``outer``, times x_shift (1-based) if given."""
-        cn, cd, l = c.numerator, c.denominator, (shift or 1) - 1
-        for g, p in pg.parts.items():
-            self._merge(outer, g, (
-                (((mono if shift is None else mono[:l] + (mono[l] + 1,) + mono[l + 1 :]), sk),
-                 r.numerator * cn * self._per(r.denominator * cd))
-                for mono, s in p.terms.items() for sk, r in s.terms.items()
-            ))
+        u = c.numerator * self._per(pg.den * c.denominator)
+        x = 0 if shift is None else 1 << (1 + _W * shift)
+        for g, atoms in pg.sums.items():
+            self._merge(outer, g, ((k + x, v * u) for k, v in atoms.items()))
         return self
 
     def add_field(self, outer, grad: list[PolyGauss], entries: Mapping) -> "_FlatSum":
@@ -474,40 +494,38 @@ class _FlatSum:
             self.add(outer, grad[k - 1], c, l)
         return self
 
-    def add_product(self, outer, a: tuple, b: tuple, negate=False) -> "_FlatSum":
-        """The product of two `_ints` under ``outer``, negated if ``negate``: exponents
-        and monomials add, numerators multiply, sqrt2 * sqrt2 folds as a shift."""
-        m = self._per(a[1] * b[1]) * (-1 if negate else 1)
-        for ga, ta in a[0]:
-            for gb, tb in b[0]:
+    def add_product(self, outer, a: PolyGauss, b: PolyGauss, negate=False) -> "_FlatSum":
+        """a * b under ``outer``, negated if ``negate``: exponents add, atoms add
+        less one epi bias, numerators multiply, and sqrt2 * sqrt2 carries out
+        of bit 0 as a factor 2."""
+        m = self._per(a.den * b.den) * (-1 if negate else 1)
+        for ga, ta in a.sums.items():
+            for gb, tb in b.sums.items():
                 self._merge(outer, tuple(map(add, ga, gb)), (
-                    ((mono, (a2 ^ b2, api + bpi)), va * vb * m << (a2 & b2))
-                    for ma, sa in ta for mb, sb in tb for mono in (tuple(map(add, ma, mb)),)
-                    for a2, api, va in sa for b2, bpi, vb in sb
+                    (ka + kb - 2 * (_BIAS + (c := ka & kb & 1)), va * vb * m << c)
+                    for ka, va in ta.items() for kb, vb in tb.items()
                 ))
         return self
 
     def result(self) -> dict:
-        """{outer key: PolyGauss} of the non-zero atoms."""
-        nested: dict = {}
+        """{outer key: PolyGauss}, owning the dicts (the sum is spent), after one gcd
+        pass that makes each denominator least. An exponent at a field's top bit raises."""
+        top, stores = ((1 << _W * (self.n + 1)) - 1) // _FIELD * (_LOW << 1), {}  # top bits
         for (outer, g), atoms in self.sums.items():
-            monos = nested.setdefault(outer, {}).setdefault(g, {})
-            for (mono, sk), v in atoms.items():
-                monos.setdefault(mono, {})[sk] = Fraction(v, self.den)
-        return {outer: PolyGauss._of(self.n, {
-            g: Poly._of(self.n, {mono: Scalar._of(s) for mono, s in monos.items()})
-            for g, monos in parts.items()
-        }) for outer, parts in nested.items()}
+            if reduce(or_, atoms) & top:
+                raise OverflowError(f"an exponent leaves its {_W}-bit field")
+            stores.setdefault(outer, {})[g] = atoms
+        for outer, sums in stores.items():
+            d = math.gcd(self.den, *(v for atoms in sums.values() for v in atoms.values()))
+            if d > 1:
+                for atoms in sums.values():
+                    atoms.update({k: v // d for k, v in atoms.items()})
+            stores[outer] = PolyGauss._of(self.n, sums, self.den // d)
+        return stores
 
-
-def _ints(pg: PolyGauss) -> tuple[list, int]:
-    """pg's numerators over the lcm D of its denominators: ([(g, [(mono, [(e2, epi, n)])])], D)."""
-    d = math.lcm(*(r.denominator for p in pg.parts.values() for s in p.terms.values()
-                   for r in s.terms.values()))
-    return [(g, [
-        (mono, [(e2, epi, r.numerator * (d // r.denominator)) for (e2, epi), r in s.terms.items()])
-        for mono, s in p.terms.items()
-    ]) for g, p in pg.parts.items()], d
+    def total(self) -> PolyGauss:
+        """The value under outer key None."""
+        return self.result().get(None) or PolyGauss._of(self.n, {})
 
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:

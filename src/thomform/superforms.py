@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _ints, _pairs
+from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs
 
 Key = tuple[tuple, tuple]
 
@@ -139,10 +139,10 @@ class SuperForm:
         Both sides are grouped by J: one merge per pair of J groups, and a
         pair that overlaps is skipped whole."""
         self._check(other)
-        left, right = {}, {}  # {J: [(I, `_ints` of the coefficient)]}
+        left, right = {}, {}  # {J: [(I, coefficient)]}
         for form, groups in ((self, left), (other, right)):
             for (i_set, j_set), pg in form.terms.items():
-                groups.setdefault(j_set, []).append((i_set, _ints(pg)))
+                groups.setdefault(j_set, []).append((i_set, pg))
         for ja, rows_a in left.items():
             for jb, rows_b in right.items():
                 j_set, sj = merge_sorted(ja, jb)
@@ -168,11 +168,11 @@ class SuperForm:
         that generator is removed, times its coefficient in v, with the sign
         (-1)^(slots before it), the I slots counted before the J slots."""
         self._check(v)
-        coeffs: dict[tuple[int, object], tuple] = {}
+        coeffs: dict[tuple[int, object], PolyGauss] = {}
         for (i_set, j_set), pg in v.terms.items():
             if len(i_set) + len(j_set) != 1:
                 raise ValueError("contraction argument must have bidegree (1,0) or (0,1)")
-            coeffs[(0, i_set[0]) if i_set else (1, j_set[0])] = _ints(pg)
+            coeffs[(0, i_set[0]) if i_set else (1, j_set[0])] = pg
 
         acc = _FlatSum(self.ctx.nvars)
         for (i_set, j_set), pg in self.terms.items():
@@ -181,7 +181,7 @@ class SuperForm:
                     if (factor, g) in coeffs:
                         rest = gens[:pos] + gens[pos + 1 :]
                         key = (rest, j_set) if factor == 0 else (i_set, rest)
-                        acc.add_product(key, _ints(pg), coeffs[(factor, g)], (before + pos) % 2)
+                        acc.add_product(key, pg, coeffs[(factor, g)], (before + pos) % 2)
         return SuperForm._of(self.ctx, acc.result())
 
     def exp_even(self) -> "SuperForm":

@@ -31,6 +31,8 @@ from .km import km_form_at_e
 from .liealg import SignatureCtx
 from .superforms import SuperForm
 
+MAX_BOX_POINTS = 10**7  # the most points `enumerate_vectors` scans
+
 
 def _gram_entry(entry, i: int, j: int):
     """A rational string as a Fraction; `LatticeSpec` checks any other entry."""
@@ -180,7 +182,8 @@ def _check_bound(bound: float) -> None:
 
 
 def enumerate_vectors(dl: DiagonalizedLattice, bound: float) -> list[tuple[int, ...]]:
-    """All integer vectors with Q+(v,v) <= bound, sorted."""
+    """All integer vectors with Q+(v,v) <= bound, sorted, by a scan of the box that
+    holds them; a box past 10^7 points (`MAX_BOX_POINTS`) raises ValueError first."""
     _check_bound(bound)
     a = majorant_matrix(dl)
     n = a.shape[0]
@@ -193,6 +196,9 @@ def enumerate_vectors(dl: DiagonalizedLattice, bound: float) -> list[tuple[int, 
         if 2 * radius + 1 > sys.maxsize:
             raise ValueError(f"bound = {bound} needs a box side longer than {sys.maxsize}")
         ranges.append(range(-radius, radius + 1))
+    if (points := math.prod(map(len, ranges))) > MAX_BOX_POINTS:
+        raise ValueError(
+            f"bound = {bound} needs a box of {points} points, more than {MAX_BOX_POINTS}")
     for u in itertools.product(*ranges):
         v = np.array(u, dtype=float)
         if v @ a @ v <= bound + 1e-9:

@@ -1,5 +1,6 @@
 """The verification harness: dispatch, determinism, witnesses, suites."""
 
+import gc
 import math
 
 import pytest
@@ -151,6 +152,35 @@ class TestBerezinWork:
         monkeypatch.setattr(SuperForm, "wedge", counting)
         assert run_check("berezin_combinatorial", p=p, q=q).passed
         assert len(calls) == math.comb(p + q, q) - 1 == wedges
+
+
+# Every check but delta_limit (scipy's quad) at its smallest sizes.
+SMALLEST = [
+    *((cid, {"p": p, "q": q}) for cid in (
+        "theorem", "km_closed_form", "curvature", "berezin_combinatorial",
+        "hermite_lemma", "closedness", "k_invariance",
+    ) for p, q in [(1, 1), (1, 2), (2, 1)]),
+    *((cid, {"q": 1}) for cid in (
+        "fiber_integral", "fiber_restriction", "annihilation", "transgression",
+    )),
+    ("howe_hermite", {"nmax": 1}),
+    ("example11", {}),
+    ("splitting", {"p1": 1, "q1": 1, "p2": 1, "q2": 1}),
+]
+
+
+@pytest.mark.parametrize("cid,params", SMALLEST)
+def test_a_check_leaves_no_reference_cycle(cid, params):
+    """What a check builds is freed by reference counting alone: with the
+    cyclic collector off, a run leaves nothing for `gc.collect` to find."""
+    run_check(cid, **params)  # imports and first-use state settle first
+    gc.collect()
+    gc.disable()
+    try:
+        run_check(cid, **params)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestLieLayerWork:

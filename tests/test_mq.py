@@ -191,6 +191,20 @@ class TestFiberUmq:
 
 
 class TestTransgression:
+    def test_the_check_builds_u_once(self, monkeypatch):
+        from thomform import checks, mq
+
+        calls, real = [], mq.fiber_umq
+
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(mq, "fiber_umq", counting)
+        monkeypatch.setattr(checks, "fiber_umq", counting)
+        assert checks.run_check("transgression", q=3).passed
+        assert calls == [3]
+
     def test_psi_q1(self):
         ctx = FiberCtx(1)
         expected = SuperForm(

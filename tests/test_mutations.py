@@ -41,7 +41,7 @@ MUTATIONS = {
         (PolyGauss, "_partials", {"slope = int(-2 * g[i - 1] * unit)": "slope = 0"}),
     ],
     "derive_drops_the_exponent_factor": [
-        (PolyGauss, "_partials", {"mono[k] * unit": "unit"}),
+        (PolyGauss, "_partials", {"v * e * unit": "v * unit"}),
     ],
     # flipping the YX term alone gives XY + YX, which is not in so(p,q):
     # bracket itself raises, in every check, so the whole commutator is flipped
@@ -103,7 +103,7 @@ MUTATIONS = {
         }),
     ],
     "product_skips_the_sqrt2_fold": [
-        (scalars._FlatSum, "add_product", {"va * vb * m << (a2 & b2)": "va * vb * m"}),
+        (scalars._FlatSum, "add_product", {"va * vb * m << c": "va * vb * m"}),
     ],
     # the field of d and of L_X: x_l d/dx_k with c_kl dropped
     "linear_field_drops_its_coefficient": [
@@ -113,6 +113,11 @@ MUTATIONS = {
     # numerators already stored must be rescaled with it
     "flat_sum_skips_the_rescale": [
         (scalars._FlatSum, "_per", {"v * lift for key": "v for key"}),
+    ],
+    # equality compares the stored numerators and denominator, so a value
+    # left over a denominator that is not least differs from its equal
+    "flat_result_keeps_unreduced_denominator": [
+        (scalars._FlatSum, "result", {"d = math.gcd(": "d = 1 or math.gcd("}),
     ],
 }
 
@@ -210,8 +215,9 @@ def test_the_top_degree_fault_reaches_the_basepoint_and_fiber_forms(verdicts):
 
 def test_kernel_faults_reach_their_checks(verdicts):
     """theorem sees the product rule, closedness or k_invariance the
-    derivative rule, k_invariance at (2,1) the shared slot moves, and
-    k_invariance at (1,2) the flat sum's denominator lift."""
+    derivative rule, k_invariance at (2,1) the shared slot moves,
+    k_invariance at (2,2) the flat sum's denominator lift, and howe_hermite
+    at nmax = 2 the least denominator that equality compares."""
 
     def failed(name: str) -> set:
         return {key for key, v in verdicts[name].items() if v == "fail"}
@@ -220,7 +226,8 @@ def test_kernel_faults_reach_their_checks(verdicts):
     slope = {cid for cid, _ in failed("derive_drops_gaussian_slope")}
     assert slope & {"closedness", "k_invariance"}, slope
     assert ("k_invariance", (("p", 2), ("q", 1))) in failed("coadjoint_takes_rows_for_columns")
-    assert ("k_invariance", (("p", 1), ("q", 2))) in failed("flat_sum_skips_the_rescale")
+    assert ("k_invariance", (("p", 2), ("q", 2))) in failed("flat_sum_skips_the_rescale")
+    assert ("howe_hermite", (("nmax", 2),)) in failed("flat_result_keeps_unreduced_denominator")
 
 
 def test_the_slot_fault_reaches_transgression_at_q1(verdicts):

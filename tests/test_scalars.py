@@ -19,9 +19,9 @@ from thomform.scalars import (
     PolyGauss,
     Scalar,
     _add_into,
+    _W,
     _FlatSum,
     _fold_sqrt2,
-    _ints,
     gauss_exp,
     gauss_moment,
     howe_shift,
@@ -554,7 +554,7 @@ def flat_sum(ops) -> _FlatSum:
         if op[0] == "add":
             acc.add(*op[1:])
         else:
-            acc.add_product(op[1], _ints(op[2]), _ints(op[3]), op[4])
+            acc.add_product(*op[1:])
     return acc
 
 
@@ -592,6 +592,47 @@ class TestIntegerFlatSum:
         acc = _FlatSum(2).add(0, x, Fraction(1, 2)).add(0, x, Fraction(1, 3))
         assert acc.den == 6
         assert acc.result() == {0: x * Fraction(5, 6)}
+
+
+FIELD = 1 << (_W - 1)  # every stored exponent field of an atom is below this
+EPI = FIELD // 2  # sqrt(pi)^epi is stored for -EPI <= epi < EPI
+
+
+def packed(mono: tuple, epi: int = 0) -> PolyGauss:
+    return PolyGauss.from_items(len(mono), [((0,) * len(mono), mono, Scalar.term(1, epi=epi))])
+
+
+class TestExponentFields:
+    """An exponent that leaves its field of an atom raises OverflowError,
+    where it is packed and where a sum of atoms is handed over; it never
+    carries or borrows into the next field."""
+
+    @pytest.mark.parametrize("mono,epi", [
+        ((FIELD, 0), 0), ((0, FIELD), 0), ((0, 2 * FIELD), 0), ((0, -1), 0), ((0, 0), EPI),
+        ((0, 0), -EPI - 1), ((0,), -2 * FIELD),
+    ])
+    def test_packing_refuses_an_exponent_past_its_field(self, mono, epi):
+        with pytest.raises(OverflowError):
+            packed(mono, epi)
+
+    def test_the_extreme_exponents_are_stored(self):
+        for mono, epi in [((FIELD - 1, FIELD - 1), EPI - 1), ((0, 1), -EPI)]:
+            assert list(packed(mono, epi).items()) == [((0, 0), mono, Scalar.term(1, epi=epi))]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_an_operation_past_the_field_raises(self, n):
+        top = packed((FIELD - 1,) + (0,) * (n - 1))
+        x = PolyGauss.var(n, 1)
+        for overflow in (
+            lambda: top * x,
+            lambda: x * top,
+            lambda: (top * PolyGauss.gaussian([1] * n)).derive(1),
+            lambda: linear_field([top] * n, {(1, 1): 1}),
+            lambda: packed((0,) * n, EPI - 1) * Scalar.term(1, epi=1),
+            lambda: packed((0,) * n, -EPI) * Scalar.term(1, epi=-1),
+        ):
+            with pytest.raises(OverflowError):
+                overflow()
 
 
 def test_poly_only_stores():

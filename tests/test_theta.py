@@ -13,6 +13,7 @@ import pytest
 from thomform.km import km_form_at_e
 from thomform.liealg import SignatureCtx
 from thomform.theta import (
+    MAX_BOX_POINTS,
     DiagonalizedLattice,
     LatticeSpec,
     diagonalize_gram,
@@ -250,6 +251,12 @@ class TestThetaSum:
     def test_enumerate_refuses_a_box_side_past_maxsize(self, bound):
         with pytest.raises(ValueError, match=rf"^bound = {re.escape(str(bound))} .*{sys.maxsize}$"):
             enumerate_vectors(diagonalize_gram(HYPERBOLIC), bound)
+
+    def test_enumerate_refuses_a_degenerate_box_before_scanning(self):
+        # diag(1e-30, -1e-30): about 4e30 points at bound 1, each side below maxsize
+        tiny = LatticeSpec("tiny", 1, 1, frac_gram([[Fraction(1, 10**30), 0], [0, Fraction(-1, 10**30)]]))
+        with pytest.raises(ValueError, match=rf"^bound = 1.0 needs a box of \d{{31}} points, more than {MAX_BOX_POINTS}$"):
+            enumerate_vectors(diagonalize_gram(tiny), 1.0)
 
     @pytest.mark.parametrize("spec", [SIG_21, HYP_HYP, THIRDS], ids=lambda s: s.label)
     def test_builds_the_form_once_and_q_exactly(self, spec, monkeypatch):
