@@ -113,17 +113,24 @@ def _phi_and_gradients(ctx: SignatureCtx) -> tuple[SuperForm, dict]:
     return phi, _built(ctx, "grads", lambda: coefficient_gradients(phi))
 
 
-def _witness(diff: SuperForm) -> str:
-    """Canonical text of the first discrepant term of a nonzero form."""
+def _witness(lhs: SuperForm, rhs: SuperForm) -> str:
+    """Canonical text of the first term of lhs - rhs, for sides that compare
+    unequal; sides of two Gaussian weights do not subtract, and name them."""
+    try:
+        diff = lhs - rhs
+    except ValueError as exc:
+        return str(exc)
+    if not diff:
+        return "the sides compare unequal but subtract to zero: a store is not canonical"
     key = sorted(diff.terms)[0]
     return str(SuperForm(diff.ctx, {key: diff.terms[key]}))
 
 
-def _zero_check(check_id, params, diff: SuperForm) -> CheckResult:
-    """Pass when ``diff`` vanishes; fail with its first term otherwise."""
-    if not diff:
+def _zero_check(check_id, params, lhs: SuperForm, rhs: SuperForm) -> CheckResult:
+    """Pass when lhs == rhs; fail with a witness otherwise."""
+    if lhs == rhs:
         return CheckResult(check_id, params, "pass")
-    return CheckResult(check_id, params, "fail", witness=_witness(diff))
+    return CheckResult(check_id, params, "fail", witness=_witness(lhs, rhs))
 
 
 def _signed_check(check_id, params, lhs: SuperForm, rhs: SuperForm, label: str, expected: int):
@@ -135,7 +142,7 @@ def _signed_check(check_id, params, lhs: SuperForm, rhs: SuperForm, label: str, 
     elif lhs == -rhs:
         sign = -1
     else:
-        return CheckResult(check_id, params, "fail", witness=_witness(lhs - rhs))
+        return CheckResult(check_id, params, "fail", witness=_witness(lhs, rhs))
     if sign != expected:
         return CheckResult(
             check_id, params, "fail", sign_sigma=sign,
@@ -157,7 +164,7 @@ def check_theorem(p: int, q: int) -> CheckResult:
 
 def check_km_closed_form(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
-    return _zero_check("km_closed_form", {"p": p, "q": q}, _phi(ctx) - km_closed_form(ctx))
+    return _zero_check("km_closed_form", {"p": p, "q": q}, _phi(ctx), km_closed_form(ctx))
 
 
 def check_curvature(p: int, q: int) -> CheckResult:
@@ -165,7 +172,7 @@ def check_curvature(p: int, q: int) -> CheckResult:
     etas = [eta(ctx, alpha) for alpha in range(1, p + 1)]
     rhs = SuperForm(ctx, (kv for e in etas for kv in e.wedge(e).terms.items()))
     rhs = rhs.scale(Scalar.rational(Fraction(-1, 2)))
-    return _zero_check("curvature", {"p": p, "q": q}, curvature_at_e(ctx) - rhs)
+    return _zero_check("curvature", {"p": p, "q": q}, curvature_at_e(ctx), rhs)
 
 
 def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
@@ -196,7 +203,7 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
         if lhs != rhs:
             return CheckResult(
                 "berezin_combinatorial", params, "fail",
-                witness=f"counts {counts}: " + _witness(lhs - rhs),
+                witness=f"counts {counts}: " + _witness(lhs, rhs),
                 sign_sigma=sign,
             )
     return CheckResult("berezin_combinatorial", params, "pass", sign_sigma=sign)
@@ -220,7 +227,7 @@ def check_hermite_lemma(p: int, q: int) -> CheckResult:
             for k, pg in power.terms.items()
         )
     rhs = SuperForm(ctx, pairs)
-    return _zero_check("hermite_lemma", {"p": p, "q": q}, lhs - rhs)
+    return _zero_check("hermite_lemma", {"p": p, "q": q}, lhs, rhs)
 
 
 def check_howe_hermite(nmax: int) -> CheckResult:
@@ -252,7 +259,7 @@ def check_fiber_restriction(q: int) -> CheckResult:
     expected = SuperForm(
         ctx, {(tuple(ctx.z0), ()): gauss * Scalar.term(Fraction(1), e2=q)}
     )
-    return _zero_check("fiber_restriction", {"q": q}, fiber_umq(q) - expected)
+    return _zero_check("fiber_restriction", {"q": q}, fiber_umq(q), expected)
 
 
 def check_annihilation(q: int) -> CheckResult:
@@ -260,7 +267,7 @@ def check_annihilation(q: int) -> CheckResult:
     om = fiber_omega(ctx)
     two_sqrt_pi = Scalar.term(Fraction(2), epi=1)
     res = fiber_d(om) + om.contract(fiber_section(ctx)).scale(two_sqrt_pi)
-    return _zero_check("annihilation", {"q": q}, res)
+    return _zero_check("annihilation", {"q": q}, res, SuperForm(ctx))
 
 
 def check_transgression(q: int) -> CheckResult:
@@ -301,7 +308,7 @@ def check_delta_limit(t: float, tol: float) -> CheckResult:
 
 def check_closedness(p: int, q: int) -> CheckResult:
     res = exterior_derivative(*_phi_and_gradients(SignatureCtx(p, q)))
-    return _zero_check("closedness", {"p": p, "q": q}, res)
+    return _zero_check("closedness", {"p": p, "q": q}, res, SuperForm(res.ctx))
 
 
 def check_k_invariance(p: int, q: int) -> CheckResult:
@@ -312,7 +319,7 @@ def check_k_invariance(p: int, q: int) -> CheckResult:
         if res:
             return CheckResult(
                 "k_invariance", {"p": p, "q": q}, "fail",
-                witness=f"X{pair}: " + _witness(res),
+                witness=f"X{pair}: " + _witness(res, SuperForm(ctx)),
             )
     return CheckResult("k_invariance", {"p": p, "q": q}, "pass")
 

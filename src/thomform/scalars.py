@@ -2,9 +2,10 @@
 
 Everything here is immutable value data with exact rational arithmetic, and
 every value has one canonical form, so equality means equal functions. A
-`PolyGauss` stores, per Gaussian exponent, {packed-int atom: int numerator}
-over one least denominator ``den`` (gcd 1 with the numerators; 1 for zero),
-with no zero numerator: `==` compares those dicts and ``den``. An atom packs
+`PolyGauss` is P(x) times one Gaussian: it stores its Gaussian exponent
+``g`` ((0,)*n for zero) and {packed-int atom: int numerator} over one least
+denominator ``den`` (gcd 1 with the numerators; 1 for zero), with no zero
+numerator: `==` compares ``g``, the dict and ``den``. An atom packs
 x^mono sqrt2^e2 sqrt(pi)^epi: e2 in {0, 1} in bit 0, then epi + 2^(W-2) and
 the exponents of x_1..x_n in W-bit fields (W = `_W`). A stored field stays
 below its top bit, so adding two atoms never carries into the next field;
@@ -12,10 +13,12 @@ below its top bit, so adding two atoms never carries into the next field;
 
 `_FlatSum` is the one sum: +, -, products, partials, linear fields, wedge, d
 and L_X add int numerators into it, and `result` hands its dicts over as the
-stores after one gcd pass, building no Fraction, Scalar or Poly. `parts`, the
-{exponent: Poly} view that `items`, `str` and `eval` read, is built on first
-read. `_add_into` merges every sparse sum (`Scalar`, `Poly`, `SuperForm`,
-`LieElement`, the flat dicts), dropping what cancels.
+stores after one gcd pass, building no Fraction, Scalar or Poly. A sum holds
+one Gaussian weight: products add weights, zero adds to any weight, and a
+non-zero contribution of another weight raises ValueError naming both.
+`parts`, the {g: Poly} view that `items`, `str` and `eval` read, is built on
+first read; `Poly` is only its record. `_add_into` merges every sparse sum
+(`Scalar`, `SuperForm`, `LieElement`, the flat dicts), dropping what cancels.
 
 Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
@@ -173,41 +176,14 @@ Monomial = tuple[int, ...]
 
 class Poly:
     """Polynomial in x1..xn with Scalar coefficients; keys are exponent tuples.
-    The factor of one Gaussian in a `PolyGauss`'s `parts` view, and the
-    parts a `PolyGauss` is built from: it only stores, adds and prints."""
+    The non-zero record that a `PolyGauss`'s `parts` view holds: it only prints."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | Iterable | None = None):
-        self.n = n
-        items = list(_pairs(terms))
-        if any(len(m) != n for m, _ in items):
-            raise ValueError("monomial length mismatch")
-        self.terms = _add_into({}, items)
-
-    @staticmethod
-    def _of(n: int, terms: dict) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.n, p.terms = n, terms
-        return p
-
-    def _check(self, other: "Poly"):
-        if self.n != other.n:
-            raise ValueError("polynomial dimension mismatch")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        return Poly._of(self.n, _add_into(dict(self.terms), other.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+    def __init__(self, n: int, terms: dict[Monomial, Scalar]):
+        self.n, self.terms = n, terms
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for m in sorted(self.terms, key=lambda m: (sum(m), m)):
             c = self.terms[m]
@@ -249,25 +225,22 @@ def _pack(mono: Monomial, e2: int, epi: int) -> int:
 
 
 class PolyGauss:
-    """Finite sum of P(x) * exp(-pi * sum_i c_i x_i^2) with exact data.
+    """P(x) * exp(-pi * sum_i g_i x_i^2) with exact data.
 
-    ``sums`` maps the diagonal Gaussian exponent vector (c_1..c_n) to {atom:
-    numerator} over the least denominator ``den`` (see the module docstring);
-    ``parts`` is the read-only {exponent: Poly} view of it."""
+    ``g`` is the one diagonal Gaussian exponent vector ((0,)*n for zero) and
+    ``atoms`` maps each atom of P to its numerator over the least
+    denominator ``den`` (see the module docstring); ``parts`` is the
+    read-only {g: Poly} view of it. `PolyGauss(n)` is zero."""
 
-    __slots__ = ("n", "den", "sums", "_parts")
+    __slots__ = ("n", "g", "den", "atoms", "_parts")
 
-    def __init__(self, n: int, parts: Mapping[GaussExp, Poly] | Iterable | None = None):
-        items = list(_pairs(parts))
-        if any(len(g) != n or p.n != n for g, p in items):
-            raise ValueError("dimension mismatch")
-        pg = PolyGauss.from_items(n, ((g, m, c) for g, p in items for m, c in p.terms.items()))
-        self.n, self.den, self.sums, self._parts = n, pg.den, pg.sums, None
+    def __init__(self, n: int):
+        self.n, self.g, self.den, self.atoms, self._parts = n, (0,) * n, 1, {}, None
 
     @staticmethod
-    def _of(n: int, sums: dict, den: int = 1) -> "PolyGauss":
+    def _of(n: int, g: GaussExp, atoms: dict, den: int) -> "PolyGauss":
         pg = PolyGauss.__new__(PolyGauss)
-        pg.n, pg.den, pg.sums, pg._parts = n, den, sums, None
+        pg.n, pg.g, pg.den, pg.atoms, pg._parts = n, g, den, atoms, None
         return pg
 
     # -- constructors -------------------------------------------------
@@ -295,28 +268,29 @@ class PolyGauss:
     @staticmethod
     def from_items(n: int, items: Iterable[tuple[GaussExp, Monomial, Scalar]]) -> "PolyGauss":
         """The sum of (Gaussian exponent, monomial, coefficient) triples, the
-        inverse of `items`; exponent keys must follow `gauss_exp`."""
+        inverse of `items`; exponent keys must follow `gauss_exp`, and every
+        non-zero coefficient must carry the same one."""
         acc = _FlatSum(n)
         for g, mono, c in items:
             if len(g) != n or len(mono) != n:
                 raise ValueError("dimension mismatch")
-            acc._merge(None, g, (
-                (_pack(mono, e2, epi), r.numerator * acc._per(r.denominator))
-                for (e2, epi), r in c.terms.items()
-            ))
+            if c:
+                acc._merge(None, g, (
+                    (_pack(mono, e2, epi), r.numerator * acc._per(r.denominator))
+                    for (e2, epi), r in c.terms.items()
+                ))
         return acc.total()
 
     @property
     def parts(self) -> dict:
-        """{Gaussian exponent: Poly}, built from the store on first read."""
+        """{g: Poly}, one entry (none for zero), built from the store on first read."""
         if self._parts is None:
-            self._parts = {}
-            for g, atoms in self.sums.items():
-                monos: dict = {}
-                for k, v in atoms.items():
-                    f = [(k >> (1 + _W * i)) & _FIELD for i in range(self.n + 1)]
-                    monos.setdefault(tuple(f[1:]), {})[k & 1, f[0] - _BIAS] = Fraction(v, self.den)
-                self._parts[g] = Poly._of(self.n, {m: Scalar._of(s) for m, s in monos.items()})
+            monos: dict = {}
+            for k, v in self.atoms.items():
+                f = [(k >> (1 + _W * i)) & _FIELD for i in range(self.n + 1)]
+                monos.setdefault(tuple(f[1:]), {})[k & 1, f[0] - _BIAS] = Fraction(v, self.den)
+            poly = Poly(self.n, {m: Scalar._of(s) for m, s in monos.items()})
+            self._parts = {self.g: poly} if monos else {}
         return self._parts
 
     def items(self) -> Iterable[tuple[GaussExp, Monomial, Scalar]]:
@@ -333,9 +307,7 @@ class PolyGauss:
         return _FlatSum(self.n).add(None, self).add(None, other).total()
 
     def __neg__(self):
-        return PolyGauss._of(self.n, {
-            g: {k: -v for k, v in atoms.items()} for g, atoms in self.sums.items()
-        }, self.den)
+        return PolyGauss._of(self.n, self.g, {k: -v for k, v in self.atoms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -363,23 +335,22 @@ class PolyGauss:
 
     def _partials(self, indices: Iterable[int]) -> list["PolyGauss"]:
         """[d/dx_i self for i in indices], in one flat sum on integers: P's
-        own partial, and the Gaussian's slope -2 pi c_i x_i P."""
-        n, indices = self.n, tuple(indices)
+        own partial, and the Gaussian's slope -2 pi g_i x_i P."""
+        n, g, terms, indices = self.n, self.g, self.atoms, tuple(indices)
         for i in indices:
             _check_index(i, n)
 
         acc = _FlatSum(n)
-        for g, terms in self.sums.items():
-            lcm = math.lcm(*(c.denominator for c in g))  # of every slope's denominator too
-            for i in indices:
-                at, unit = 1 + _W * i, lcm * acc._per(self.den * lcm)
-                slope = int(-2 * g[i - 1] * unit)
-                acc._merge(i, g, ((k - (1 << at), v * e * unit)
-                                  for k, v in terms.items() if (e := (k >> at) & _FIELD)))
-                if slope:  # x_i sqrt(pi)^2 P
-                    acc._merge(i, g, ((k + (1 << at) + 4, v * slope) for k, v in terms.items()))
+        lcm = math.lcm(*(c.denominator for c in g))  # of every slope's denominator too
+        for i in indices:
+            at, unit = 1 + _W * i, lcm * acc._per(self.den * lcm)
+            slope = int(-2 * g[i - 1] * unit)
+            acc._merge(i, g, ((k - (1 << at), v * e * unit)
+                              for k, v in terms.items() if (e := (k >> at) & _FIELD)))
+            if slope:  # x_i sqrt(pi)^2 P
+                acc._merge(i, g, ((k + (1 << at) + 4, v * slope) for k, v in terms.items()))
         parts = acc.result()
-        return [parts.get(i, PolyGauss._of(n, {})) for i in indices]
+        return [parts.get(i) or PolyGauss(n) for i in indices]
 
     def map_vars(self, mapping: dict[int, int], new_n: int) -> "PolyGauss":
         """Relabel variables: old 1-based index -> new 1-based index."""
@@ -399,50 +370,37 @@ class PolyGauss:
         vv = list(v)
         if len(vv) != self.n:
             raise ValueError("evaluation vector length mismatch")
-        total = 0.0
-        for g, p in self.parts.items():
-            expo = -math.pi * sum(float(c) * x * x for c, x in zip(g, vv))
-            value = 0.0
-            for m, c in p.terms.items():
-                prod = float(c)
-                for x, e in zip(vv, m):
-                    if e:
-                        prod *= x**e
-                value += prod
-            total += value * math.exp(expo)
-        return total
+        value = 0.0
+        for _g, m, c in self.items():
+            prod = float(c)
+            for x, e in zip(vv, m):
+                if e:
+                    prod *= x**e
+            value += prod
+        return value * math.exp(-math.pi * sum(float(c) * x * x for c, x in zip(self.g, vv)))
 
     def __bool__(self):
-        return bool(self.sums)
+        return bool(self.atoms)
 
     def __eq__(self, other):
         return (
-            isinstance(other, PolyGauss) and self.n == other.n
-            and self.den == other.den and self.sums == other.sums
+            isinstance(other, PolyGauss) and self.n == other.n and self.g == other.g
+            and self.den == other.den and self.atoms == other.atoms
         )
 
     def __str__(self) -> str:
-        if not self.sums:
+        if not self.atoms:
             return "0"
-        chunks = []
-        for g in sorted(self.parts):
-            p = self.parts[g]
-            ps = str(p)
-            if any(g):
-                if len(p.terms) > 1:
-                    ps = f"({ps})"
-                quad = "+".join(
-                    f"x{i}^2" if c == 1 else f"{c}*x{i}^2"
-                    for i, c in enumerate(g, start=1)
-                    if c
-                )
-                if ps == "1":
-                    chunks.append(f"exp(-pi*({quad}))")
-                else:
-                    chunks.append(f"{ps} * exp(-pi*({quad}))")
-            else:
-                chunks.append(ps)
-        return " + ".join(chunks)
+        p = self.parts[self.g]
+        ps = str(p)
+        if not any(self.g):
+            return ps
+        if len(p.terms) > 1:
+            ps = f"({ps})"
+        quad = "+".join(
+            f"x{i}^2" if c == 1 else f"{c}*x{i}^2" for i, c in enumerate(self.g, start=1) if c
+        )
+        return f"exp(-pi*({quad}))" if ps == "1" else f"{ps} * exp(-pi*({quad}))"
 
     def __repr__(self):
         return f"PolyGauss({self})"
@@ -456,14 +414,16 @@ def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fracti
 
 
 class _FlatSum:
-    """A sum merged flat on integers over one common denominator ``den``: an int
-    numerator per atom in a dict per (outer key, Gaussian exponent), dropped as
-    it cancels. `result` hands the dicts over as the stores of PolyGauss values."""
+    """A sum merged flat on integers over one common denominator ``den`` and
+    one Gaussian weight ``g``: an int numerator per atom in a dict per outer
+    key, dropped as it cancels. A non-zero contribution of another weight
+    raises ValueError. `result` hands the dicts over as the stores of
+    PolyGauss values."""
 
-    __slots__ = ("n", "den", "sums")
+    __slots__ = ("n", "g", "den", "sums")
 
     def __init__(self, n: int):
-        self.n, self.den, self.sums = n, 1, {}
+        self.n, self.g, self.den, self.sums = n, None, 1, {}
 
     def _per(self, d: int) -> int:
         """den // d. A d that does not divide den first lifts den to their lcm,
@@ -476,16 +436,21 @@ class _FlatSum:
         return self.den // d
 
     def _merge(self, outer, g: GaussExp, items: Iterable[tuple]) -> None:
-        """Add (atom, numerator over den) pairs under (outer, g); drop what cancels."""
-        if not _add_into(self.sums.setdefault((outer, g), {}), items):
-            del self.sums[outer, g]
+        """Add (atom, numerator over den) pairs of weight g under ``outer``;
+        drop what cancels. The first weight is the sum's; another raises."""
+        if g != self.g:
+            if self.g is not None:
+                raise ValueError(f"one sum, two Gaussian weights: {self.g} and {g}")
+            self.g = g
+        if not _add_into(self.sums.setdefault(outer, {}), items):
+            del self.sums[outer]
 
     def add(self, outer, pg: PolyGauss, c=1, shift: int | None = None) -> "_FlatSum":
         """c * pg under ``outer``, times x_shift (1-based) if given."""
-        u = c.numerator * self._per(pg.den * c.denominator)
-        x = 0 if shift is None else 1 << (1 + _W * shift)
-        for g, atoms in pg.sums.items():
-            self._merge(outer, g, ((k + x, v * u) for k, v in atoms.items()))
+        if pg.atoms and c:
+            u = c.numerator * self._per(pg.den * c.denominator)
+            x = 0 if shift is None else 1 << (1 + _W * shift)
+            self._merge(outer, pg.g, ((k + x, v * u) for k, v in pg.atoms.items()))
         return self
 
     def add_field(self, outer, grad: list[PolyGauss], entries: Mapping) -> "_FlatSum":
@@ -495,37 +460,34 @@ class _FlatSum:
         return self
 
     def add_product(self, outer, a: PolyGauss, b: PolyGauss, negate=False) -> "_FlatSum":
-        """a * b under ``outer``, negated if ``negate``: exponents add, atoms add
+        """a * b under ``outer``, negated if ``negate``: weights add, atoms add
         less one epi bias, numerators multiply, and sqrt2 * sqrt2 carries out
         of bit 0 as a factor 2."""
-        m = self._per(a.den * b.den) * (-1 if negate else 1)
-        for ga, ta in a.sums.items():
-            for gb, tb in b.sums.items():
-                self._merge(outer, tuple(map(add, ga, gb)), (
-                    (ka + kb - 2 * (_BIAS + (c := ka & kb & 1)), va * vb * m << c)
-                    for ka, va in ta.items() for kb, vb in tb.items()
-                ))
+        if a.atoms and b.atoms:
+            m = self._per(a.den * b.den) * (-1 if negate else 1)
+            tb = b.atoms.items()
+            self._merge(outer, tuple(map(add, a.g, b.g)), (
+                (ka + kb - 2 * (_BIAS + (c := ka & kb & 1)), va * vb * m << c)
+                for ka, va in a.atoms.items() for kb, vb in tb
+            ))
         return self
 
     def result(self) -> dict:
-        """{outer key: PolyGauss}, owning the dicts (the sum is spent), after one gcd
-        pass that makes each denominator least. An exponent at a field's top bit raises."""
-        top, stores = ((1 << _W * (self.n + 1)) - 1) // _FIELD * (_LOW << 1), {}  # top bits
-        for (outer, g), atoms in self.sums.items():
+        """{outer key: PolyGauss}, owning the dicts (the sum is spent), each
+        over its least denominator. An exponent at a field's top bit raises."""
+        top, out = ((1 << _W * (self.n + 1)) - 1) // _FIELD * (_LOW << 1), {}  # top bits
+        for outer, atoms in self.sums.items():
             if reduce(or_, atoms) & top:
                 raise OverflowError(f"an exponent leaves its {_W}-bit field")
-            stores.setdefault(outer, {})[g] = atoms
-        for outer, sums in stores.items():
-            d = math.gcd(self.den, *(v for atoms in sums.values() for v in atoms.values()))
+            d = math.gcd(self.den, *atoms.values())
             if d > 1:
-                for atoms in sums.values():
-                    atoms.update({k: v // d for k, v in atoms.items()})
-            stores[outer] = PolyGauss._of(self.n, sums, self.den // d)
-        return stores
+                atoms.update({k: v // d for k, v in atoms.items()})
+            out[outer] = PolyGauss._of(self.n, self.g, atoms, self.den // d)
+        return out
 
     def total(self) -> PolyGauss:
         """The value under outer key None."""
-        return self.result().get(None) or PolyGauss._of(self.n, {})
+        return self.result().get(None) or PolyGauss(self.n)
 
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:

@@ -109,6 +109,7 @@ class SuperForm:
         return self + (-other)
 
     def scale(self, c) -> "SuperForm":
+        c = PolyGauss.const(self.ctx.nvars, c) if type(c) is Scalar else c  # packed once
         return SuperForm(self.ctx, ((k, pg * c) for k, pg in self.terms.items()))
 
     def map_coeffs(self, fn) -> "SuperForm":

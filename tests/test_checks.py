@@ -86,6 +86,34 @@ class TestRunAll:
 
 
 class TestWitnesses:
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_sides_of_two_weights_fail_and_name_them(self, signed):
+        from thomform import checks
+        from thomform.scalars import PolyGauss
+        from thomform.superforms import FiberCtx, SuperForm
+
+        ctx = FiberCtx(1)
+        lhs = SuperForm(ctx, {((1,), ()): PolyGauss.gaussian([1])})
+        rhs = SuperForm(ctx, {((1,), ()): PolyGauss.gaussian([2])})
+        if signed:
+            res = checks._signed_check("theorem", {}, lhs, rhs, "sigma", 1)
+        else:
+            res = checks._zero_check("fiber_restriction", {}, lhs, rhs)
+        assert res.status == "fail" and res.witness.endswith("two Gaussian weights: (1,) and (2,)")
+
+    def test_unequal_sides_that_subtract_to_zero_fail(self):
+        # x over the denominator 2 with numerator 2 is x, but not in its
+        # least denominator: the stores compare unequal and subtract to zero
+        from thomform import checks
+        from thomform.scalars import PolyGauss
+        from thomform.superforms import FiberCtx, SuperForm
+
+        ctx, x = FiberCtx(1), PolyGauss.var(1, 1)
+        unreduced = PolyGauss._of(1, x.g, {k: 2 * v for k, v in x.atoms.items()}, 2)
+        lhs, rhs = SuperForm(ctx, {((1,), ()): x}), SuperForm(ctx, {((1,), ()): unreduced})
+        res = checks._signed_check("theorem", {}, lhs, rhs, "sigma", 1)
+        assert res.status == "fail" and "subtract to zero" in res.witness
+
     def test_failing_check_carries_witness(self):
         # delta_limit with an unreachable tolerance must fail with a witness
         res = run_check("delta_limit", t=2.0, tol=1e-12)

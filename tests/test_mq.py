@@ -291,8 +291,8 @@ def euler_vector(ctx: FiberCtx) -> SuperForm:
 @st.composite
 def fiber_forms(draw, q: int, degree: int) -> SuperForm:
     """Up to three terms of dx-degree ``degree`` (any z0 set), each
-    coefficient one to three terms c x^mono exp(-pi sum g_i x_i^2) over
-    mixed Gaussian keys g."""
+    coefficient one to three terms c x^mono exp(-pi sum g_i x_i^2) over one
+    Gaussian key g drawn for the form."""
     ctx = FiberCtx(q)
     subsets = st.lists(st.sampled_from(ctx.z0), unique=True).map(lambda xs: tuple(sorted(xs)))
     dx_sets = st.lists(
@@ -306,7 +306,8 @@ def fiber_forms(draw, q: int, degree: int) -> SuperForm:
         st.integers(0, 1),
         st.integers(-1, 1),
     )
-    coeff = st.lists(st.tuples(gauss.map(gauss_exp), mono, scalar), min_size=1, max_size=3)
+    g = draw(gauss.map(gauss_exp))
+    coeff = st.lists(st.tuples(st.just(g), mono, scalar), min_size=1, max_size=3)
     terms = draw(st.dictionaries(
         st.tuples(dx_sets, subsets), coeff.map(lambda items: PolyGauss.from_items(q, items)),
         max_size=3,

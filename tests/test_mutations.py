@@ -96,11 +96,10 @@ MUTATIONS = {
     "contract_drops_sign": [
         (SuperForm, "contract", {"(before + pos) % 2)": "0)"}),
     ],
-    # the one product rule, behind PolyGauss * PolyGauss and wedge
+    # the one product rule, behind PolyGauss * PolyGauss and wedge: the one
+    # weight sum of a product
     "gaussian_product_keeps_left_weight": [
-        (scalars._FlatSum, "add_product", {
-            "self._merge(outer, tuple(map(add, ga, gb)), (": "self._merge(outer, ga, (",
-        }),
+        (scalars._FlatSum, "add_product", {"tuple(map(add, a.g, b.g))": "a.g"}),
     ],
     "product_skips_the_sqrt2_fold": [
         (scalars._FlatSum, "add_product", {"va * vb * m << c": "va * vb * m"}),
@@ -217,7 +216,8 @@ def test_kernel_faults_reach_their_checks(verdicts):
     """theorem sees the product rule, closedness or k_invariance the
     derivative rule, k_invariance at (2,1) the shared slot moves,
     k_invariance at (2,2) the flat sum's denominator lift, and howe_hermite
-    at nmax = 2 the least denominator that equality compares."""
+    at nmax = 2 the least denominator that equality compares; sides that
+    compare unequal but subtract to zero fail theorem and splitting."""
 
     def failed(name: str) -> set:
         return {key for key, v in verdicts[name].items() if v == "fail"}
@@ -227,7 +227,13 @@ def test_kernel_faults_reach_their_checks(verdicts):
     assert slope & {"closedness", "k_invariance"}, slope
     assert ("k_invariance", (("p", 2), ("q", 1))) in failed("coadjoint_takes_rows_for_columns")
     assert ("k_invariance", (("p", 2), ("q", 2))) in failed("flat_sum_skips_the_rescale")
-    assert ("howe_hermite", (("nmax", 2),)) in failed("flat_result_keeps_unreduced_denominator")
+    unreduced = failed("flat_result_keeps_unreduced_denominator")
+    assert ("howe_hermite", (("nmax", 2),)) in unreduced
+    assert {
+        ("theorem", (("p", 1), ("q", 2))),
+        ("theorem", (("p", 2), ("q", 2))),
+        ("splitting", (("p1", 1), ("p2", 1), ("q1", 1), ("q2", 1))),
+    } <= unreduced
 
 
 def test_the_slot_fault_reaches_transgression_at_q1(verdicts):

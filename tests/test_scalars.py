@@ -6,6 +6,7 @@ import math
 import pathlib
 import re
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -44,15 +45,32 @@ scalars = st.dictionaries(
 
 
 
-def assert_str_faithful(c, atoms, zero):
-    """Over every sum of at most two atoms, shifted by c: two values print
-    the same text exactly when they are equal."""
-    values = [c + v for v in [zero] + atoms + [a + b for a, b in itertools.combinations(atoms, 2)]]
+def shifted_sums(c, atoms, zero) -> list:
+    """c plus each sum of at most two atoms."""
+    return [c + v for v in [zero] + atoms + [a + b for a, b in itertools.combinations(atoms, 2)]]
+
+
+def assert_faithful(values):
+    """Two values print the same text exactly when they are equal."""
     texts = [str(v) for v in values]
     for a, text_a in zip(values, texts):
         for b, text_b in zip(values, texts):
             assert (text_a == text_b) == (a == b), (text_a, text_b)
 
+
+def assert_str_faithful(c, atoms, zero):
+    """Over every sum of at most two atoms, shifted by c: two values print
+    the same text exactly when they are equal."""
+    assert_faithful(shifted_sums(c, atoms, zero))
+
+
+def weighted(g, terms) -> PolyGauss:
+    """The sum of c * x^mono over ``terms`` {mono: Scalar}, times the one
+    Gaussian exp(-pi sum_i g_i x_i^2), in two variables; g is kept as given."""
+    return PolyGauss.from_items(2, ((g, mono, c) for mono, c in terms.items()))
+
+
+ZERO_WEIGHT = (0, 0)
 
 # Each atom differs from another in one printed feature: a rational, a
 # sqrt2 or pi power, a variable exponent, a Gaussian entry, a sum in
@@ -62,17 +80,21 @@ SCALAR_ATOMS = [
     for r, e2, epi in [(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (1, 0, 2), (-1, 0, -1)]
 ]
 POLY_ATOMS = [
-    Poly(2, {m: c})
+    weighted(ZERO_WEIGHT, {m: c})
     for m in [(0, 0), (1, 0), (2, 0), (0, 1)]
     for c in [Scalar.one(), SQRT2, Scalar.one() + SQRT2]
 ]
-ONE_POLY = Poly(2, {(0, 0): Scalar.one()})
-X_POLY = Poly(2, {(1, 0): Scalar.one()})
-POLYGAUSS_ATOMS = [
-    PolyGauss(2, {gauss_exp(g): p})
+# The stored record of x_1, read from the `parts` view.
+X_POLY = PolyGauss.var(2, 1).parts[ZERO_WEIGHT]
+# {weight: atoms of that one weight}
+POLYGAUSS_ATOMS = {
+    gauss_exp(g): [
+        weighted(gauss_exp(g), terms)
+        for terms in [{(0, 0): Scalar.one()}, {(1, 0): Scalar.one()},
+                      {(0, 0): Scalar.one(), (1, 0): Scalar.one()}]
+    ]
     for g in [(0, 0), (1, 0), (2, 0), (Fraction(1, 2), 1)]
-    for p in [ONE_POLY, X_POLY, ONE_POLY + X_POLY]
-]
+}
 
 class TestScalarRing:
     def test_sqrt2_squares_to_two(self):
@@ -120,11 +142,12 @@ class TestScalarRing:
         assert s * s * s * s == Scalar.rational(Fraction(4, 16))
 
 
-polys = st.builds(
-    lambda terms: Poly(2, terms),
-    st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=3
-    ),
+poly_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=3)
+# Polynomials: weight zero.
+polys = poly_terms.map(lambda terms: weighted(ZERO_WEIGHT, terms))
+# One Gaussian weight: one the atoms carry, or any.
+weights = st.one_of(
+    st.sampled_from(list(POLYGAUSS_ATOMS)), st.tuples(fractions, fractions).map(gauss_exp)
 )
 
 
@@ -137,12 +160,21 @@ def monomial(mono: tuple, c: Scalar) -> PolyGauss:
     return out
 
 
-# Polynomials as PolyGauss, with no Gaussian or with one.
-polygausses = st.builds(
-    lambda terms, weight: sum((monomial(m, c) for m, c in terms.items()), PolyGauss(2)) * weight,
-    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=3),
-    st.sampled_from([PolyGauss.one(2), PolyGauss.gaussian([1, Fraction(1, 2)])]),
-)
+# Polynomials as PolyGauss, times one Gaussian weight drawn per example:
+# none, or one.
+def polygausses_at(weight: PolyGauss):
+    return poly_terms.map(
+        lambda terms: sum((monomial(m, c) for m, c in terms.items()), PolyGauss(2)) * weight
+    )
+
+
+one_weight = st.sampled_from([PolyGauss.one(2), PolyGauss.gaussian([1, Fraction(1, 2)])])
+polygausses = one_weight.flatmap(polygausses_at)
+
+
+def same_weight_polygausses(k: int):
+    """k polygausses of one drawn weight."""
+    return one_weight.flatmap(lambda w: st.tuples(*[polygausses_at(w)] * k))
 
 
 class TestPoly:
@@ -150,8 +182,9 @@ class TestPoly:
     algebra, evaluation and constructors are checked on polynomials built
     as `PolyGauss`."""
 
-    @given(polygausses, polygausses)
-    def test_derivative_is_linear(self, a, b):
+    @given(same_weight_polygausses(2))
+    def test_derivative_is_linear(self, ab):
+        a, b = ab
         assert (a + b).derive(1) == a.derive(1) + b.derive(1)
 
     @given(polygausses, polygausses)
@@ -162,8 +195,9 @@ class TestPoly:
     def test_partials_commute(self, a):
         assert a.derive(1).derive(2) == a.derive(2).derive(1)
 
-    @given(polygausses, polygausses, polygausses)
-    def test_product_laws(self, a, b, c):
+    @given(polygausses, same_weight_polygausses(2))
+    def test_product_laws(self, a, bc):
+        b, c = bc
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -176,11 +210,11 @@ class TestPoly:
 
     @given(polys)
     def test_str_is_faithful(self, c):
-        assert_str_faithful(c, POLY_ATOMS, Poly(2))
+        assert_str_faithful(c, POLY_ATOMS, PolyGauss(2))
 
     def test_eval(self):
-        p = Poly(2, {(1, 1): Scalar.one(), (0, 0): Scalar.one()})
-        assert math.isclose(PolyGauss(2, {(0, 0): p}).eval([2.0, 3.0]), 7.0)
+        p = weighted(ZERO_WEIGHT, {(1, 1): Scalar.one(), (0, 0): Scalar.one()})
+        assert math.isclose(p.eval([2.0, 3.0]), 7.0)
 
     @pytest.mark.parametrize("i", [0, 3, -1])
     def test_var_rejects_index_out_of_range(self, i):
@@ -190,7 +224,6 @@ class TestPoly:
     def test_bool_is_non_zero(self):
         x = PolyGauss.var(2, 1)
         assert x and not PolyGauss(2) and not x + -x
-        assert X_POLY and not Poly(2) and not X_POLY + Poly(2, {(1, 0): -Scalar.one()})
 
 
 class TestCanonicalSums:
@@ -203,33 +236,28 @@ class TestCanonicalSums:
         assert Scalar([((0, 0), 1), ((0, 0), -1)]).terms == {}
 
     def test_poly_pairs(self):
-        x = (1, 0)
-        p = Poly(2, [(x, Scalar.one()), ((0, 1), Scalar.one()), (x, -Scalar.one())])
-        assert p == Poly(2, {(0, 1): Scalar.one()}) and list(p.terms) == [(0, 1)]
-        assert Poly(2, iter([(x, Scalar())])).terms == {}
+        x, one, z = (1, 0), Scalar.one(), ZERO_WEIGHT
+        p = PolyGauss.from_items(2, [(z, x, one), (z, (0, 1), one), (z, x, -one)])
+        assert p == PolyGauss.var(2, 2) and [m for _g, m, _c in p.items()] == [(0, 1)]
+        assert not PolyGauss.from_items(2, iter([(z, x, Scalar())]))
 
     def test_poly_checks_every_monomial(self):
-        with pytest.raises(ValueError, match="monomial length"):
-            Poly(2, [((1,), Scalar())])
+        with pytest.raises(ValueError, match="dimension"):
+            PolyGauss.from_items(2, [(ZERO_WEIGHT, (1,), Scalar())])
 
     def test_polygauss_pairs(self):
-        g = (Fraction(1), Fraction(0))
-        x, minus_x = X_POLY, Poly(2, {(1, 0): -Scalar.one()})
-        pg = PolyGauss(2, [(g, x), (g, x), ((Fraction(0),) * 2, x), (g, minus_x + minus_x)])
-        assert pg == PolyGauss.var(2, 1)
-        assert not PolyGauss(2, [(g, x), (g, minus_x)])
+        g, x, one = (1, 0), (1, 0), Scalar.one()
+        pg = PolyGauss.from_items(2, [(g, x, one), (g, x, one), (g, (0, 1), one), (g, x, -2 * one)])
+        assert pg == PolyGauss.gaussian(g) * PolyGauss.var(2, 2)
+        assert not PolyGauss.from_items(2, [(g, x, one), (g, x, -one)])
         with pytest.raises(ValueError, match="dimension"):
-            PolyGauss(2, [((Fraction(0),), Poly(2))])
+            PolyGauss.from_items(2, [((0,), (0, 0), one)])
 
     @given(scalars, scalars)
     def test_sums_stay_canonical(self, a, b):
         for value in (a + b, a * b, a + -a, a * 0):
             assert all(value.terms.values())
-        p, minus_p = Poly(2, {(1, 0): a, (0, 1): b}), Poly(2, {(1, 0): -a, (0, 1): -b})
-        for value in (p + p, p + minus_p):
-            assert all(value.terms.values())
-        assert not p + minus_p
-        pg = PolyGauss(2, {(0, 0): p})
+        pg = weighted(ZERO_WEIGHT, {(1, 0): a, (0, 1): b})
         for value in (pg + pg, pg * pg, pg - pg, -pg, pg.derive(1), pg * Scalar(), pg * 0):
             assert all(value.parts.values())
             assert all(s for poly in value.parts.values() for s in poly.terms.values())
@@ -248,20 +276,92 @@ class TestPolyGauss:
         x = PolyGauss.var(1, 1)
         assert (g * x).derive(1) == g.derive(1) * x + g * x.derive(1)
 
-    @given(st.dictionaries(st.tuples(fractions, fractions), polys, max_size=2))
-    def test_str_is_faithful(self, parts):
-        assert_str_faithful(PolyGauss(2, parts), POLYGAUSS_ATOMS, PolyGauss(2))
+    @given(weights, poly_terms)
+    def test_str_is_faithful(self, g, terms):
+        # c shifts the atoms of its own weight; the others print unshifted
+        values = []
+        for weight, atoms in POLYGAUSS_ATOMS.items():
+            c = weighted(g, terms) if weight == g else PolyGauss(2)
+            values += shifted_sums(c, atoms, PolyGauss(2))
+        if g not in POLYGAUSS_ATOMS:
+            values.append(weighted(g, terms))
+        assert_faithful(values)
 
-    @given(st.dictionaries(st.tuples(fractions, fractions), polys, max_size=2))
-    def test_items_round_trip(self, parts):
-        pg = PolyGauss(2, parts)
+    @given(weights, poly_terms)
+    def test_items_round_trip(self, g, terms):
+        pg = weighted(g, terms)
         assert PolyGauss.from_items(2, pg.items()) == pg
         assert len(list(pg.items())) == sum(len(p.terms) for p in pg.parts.values())
+        assert len(pg.parts) == (1 if pg else 0)
 
     def test_map_vars(self):
         g = PolyGauss.gaussian([Fraction(1)]) * PolyGauss.var(1, 1)
         h = g.map_vars({1: 3}, 3)
         assert math.isclose(h.eval([9.0, 9.0, 0.5]), g.eval([0.5]))
+
+
+class TestOneWeight:
+    """A value, and a sum, carries one Gaussian weight: products add
+    weights, zero adds to any weight, and a sum of two weights raises
+    ValueError naming both."""
+
+    G, H = (1, 0), (Fraction(1, 2), 2)
+
+    def test_a_sum_of_two_weights_raises(self):
+        a = PolyGauss.gaussian(self.G) * PolyGauss.var(2, 1)
+        b = PolyGauss.gaussian(self.H)
+        for two_weights in (lambda: a + b, lambda: b - a, lambda: a + PolyGauss.one(2)):
+            with pytest.raises(ValueError, match="two Gaussian weights"):
+                two_weights()
+        with pytest.raises(ValueError, match=re.escape(f"{self.G} and {gauss_exp(self.H)}")):
+            a + b
+        with pytest.raises(ValueError, match="two Gaussian weights"):
+            PolyGauss.from_items(2, [(g, (0, 0), Scalar.one()) for g in (self.G, self.H)])
+
+    def test_a_sum_of_two_weights_raises_across_outer_keys(self):
+        a, b = PolyGauss.gaussian(self.G), PolyGauss.gaussian(self.H)
+        with pytest.raises(ValueError, match="two Gaussian weights"):
+            _FlatSum(2).add(0, a).add(1, b)
+        with pytest.raises(ValueError, match="two Gaussian weights"):
+            _FlatSum(2).add_product(0, a, a).add_product(1, a, b)
+
+    def test_superforms_of_two_weights_do_not_add_or_wedge(self):
+        from thomform.superforms import FiberCtx, SuperForm
+
+        ctx = FiberCtx(2)
+        a = SuperForm(ctx, {((1,), ()): PolyGauss.gaussian(self.G)})
+        b = SuperForm(ctx, {((1,), ()): PolyGauss.gaussian(self.H)})
+        with pytest.raises(ValueError, match="two Gaussian weights"):
+            a + b
+        # the wedge lands both products in one sum, under different keys
+        mixed = SuperForm(ctx, {
+            ((1,), ()): PolyGauss.gaussian(self.G), ((2,), ()): PolyGauss.gaussian(self.H),
+        })
+        with pytest.raises(ValueError, match="two Gaussian weights"):
+            mixed.wedge(SuperForm.one(ctx))
+        assert a.wedge(SuperForm.generator(ctx, 2)) == SuperForm(
+            ctx, {((1, 2), ()): PolyGauss.gaussian(self.G)}
+        )
+
+    def test_products_add_weights(self):
+        a = PolyGauss.gaussian(self.G) * PolyGauss.var(2, 2)
+        b = PolyGauss.gaussian(self.H) * Scalar.term(3, e2=1)
+        product = a * b
+        assert product.g == gauss_exp([Fraction(3, 2), 2]) and set(product.parts) == {product.g}
+        expected = PolyGauss.gaussian([Fraction(3, 2), 2]) * PolyGauss.var(2, 2)
+        assert product == expected * Scalar.term(3, e2=1)
+        assert (a * PolyGauss.var(2, 1)).g == a.g
+
+    def test_zero_adds_to_any_weight(self):
+        zero = PolyGauss(2)
+        g, h = PolyGauss.gaussian(self.G), PolyGauss.gaussian(self.H)
+        assert zero.g == (0, 0) and zero.parts == {} and list(zero.items()) == []
+        assert zero + g == g + zero == g and zero - h == -h
+        cancelled = g - g  # a zero reached from weight G adds to weight H
+        assert not cancelled and cancelled + h == h == h + cancelled
+        assert not zero * g and (zero * g).g == (0, 0) and zero * g + h == h
+        assert not g * 0 and g * 0 + h == h
+        assert linear_field([zero, zero], {(1, 2): 1}) == zero
 
 
 class TestGaussMoment:
@@ -323,6 +423,7 @@ class TestHoweShift:
 
 
 gauss_entries = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]))
+gauss_weights = st.tuples(gauss_entries, gauss_entries).map(gauss_exp)
 
 
 class TestMixedTypeProducts:
@@ -334,13 +435,13 @@ class TestMixedTypeProducts:
     @pytest.mark.parametrize("n", [2, 3])
     def test_scalar_times_poly(self, n):
         x = PolyGauss.var(n, 1)
-        expected = PolyGauss(n, {(0,) * n: Poly(n, {(1,) + (0,) * (n - 1): SQRT2})})
+        expected = PolyGauss.from_items(n, [((0,) * n, (1,) + (0,) * (n - 1), SQRT2)])
         assert SQRT2 * x == expected == x * SQRT2
 
     def test_scalar_times_polygauss(self):
         g = PolyGauss.gaussian([1, 1])
         assert Scalar.one() * g == g
-        assert SQRT2 * g == g * SQRT2 == PolyGauss(2, {gauss_exp([1, 1]): Poly(2, {(0, 0): SQRT2})})
+        assert SQRT2 * g == g * SQRT2 == weighted((1, 1), {(0, 0): SQRT2})
 
     def test_scalar_times_stored_poly_is_a_type_error(self):
         for scale in (SQRT2, 2, Fraction(1, 2)):
@@ -356,7 +457,7 @@ class TestMixedTypeProducts:
     def test_poly_times_poly_is_a_type_error(self):
         # a product of polynomials is taken on PolyGauss only
         with pytest.raises(TypeError):
-            X_POLY * Poly(2, {(0, 1): Scalar.one()})
+            X_POLY * PolyGauss.var(2, 2).parts[ZERO_WEIGHT]
 
     def test_poly_times_polygauss_is_a_type_error(self):
         x, g = X_POLY, PolyGauss.gaussian([1, 1])
@@ -390,19 +491,16 @@ class TestKernelReferences:
             assert entry == Fraction(value)
             assert (type(entry) is int) == (Fraction(value).denominator == 1)
 
-    @given(
-        st.dictionaries(st.tuples(gauss_entries, gauss_entries), polys, max_size=2),
-        st.dictionaries(st.tuples(gauss_entries, gauss_entries), polys, max_size=2),
-    )
-    def test_int_and_fraction_keys_agree(self, a_parts, b_parts):
-        def both(parts):
-            as_fraction = {tuple(map(Fraction, g)): p for g, p in parts.items()}
-            as_int = {gauss_exp(g): p for g, p in parts.items()}
-            return PolyGauss(2, as_fraction), PolyGauss(2, as_int)
+    @given(gauss_weights, poly_terms, gauss_weights, poly_terms)
+    def test_int_and_fraction_keys_agree(self, ga, a_terms, gb, b_terms):
+        def both(g, terms):
+            return weighted(tuple(map(Fraction, g)), terms), weighted(g, terms)
 
-        (af, ai), (bf, bi) = both(a_parts), both(b_parts)
+        # a sum takes b at a's weight, a product at its own
+        (af, ai), (sf, si), (bf, bi) = both(ga, a_terms), both(ga, b_terms), both(gb, b_terms)
         assert af == ai and str(af) == str(ai)
-        for f, i in [(af + bf, ai + bi), (af + bi, ai + bf), (af * bf, ai * bi), (af * bi, ai * bf)]:
+        pairs = [(af + sf, ai + si), (af + si, ai + sf), (af * bf, ai * bi), (af * bi, ai * bf)]
+        for f, i in pairs:
             assert f == i and str(f) == str(i)
 
     def test_constructed_forms_store_fractions_in_lowest_terms(self):
@@ -426,14 +524,20 @@ class TestKernelReferences:
             )
 
     def test_constructed_forms_have_int_keys(self):
-        from thomform.km import km_form_at_e
+        """Every constructed form carries one Gaussian weight over all its
+        coefficients, with int entries."""
+        from thomform.km import km_closed_form, km_form_at_e
         from thomform.liealg import SignatureCtx
-        from thomform.mq import fiber_umq, mq_phi_at_e
+        from thomform.mq import fiber_transgression, fiber_umq, mq_phi0_at_e, mq_phi_at_e
 
-        ctx = SignatureCtx(2, 2)
-        for form in (km_form_at_e(ctx), mq_phi_at_e(ctx), fiber_umq(3)):
-            keys = [g for pg in form.terms.values() for g in pg.parts]
-            assert keys and all(type(c) is int for g in keys for c in g)
+        ctxs = [SignatureCtx(p, n - p) for n in range(2, 7) for p in range(1, n)]
+        forms = [
+            build(ctx) for ctx in ctxs
+            for build in (km_form_at_e, km_closed_form, mq_phi0_at_e, mq_phi_at_e)
+        ] + [build(q) for q in range(1, 6) for build in (fiber_umq, fiber_transgression)]
+        for form in forms:
+            keys = {g for pg in form.terms.values() for g in pg.parts}
+            assert len(keys) == 1 and all(type(c) is int for g in keys for c in g), keys
 
 
 def general_sum(a: Scalar, b: Scalar) -> Scalar:
@@ -483,15 +587,16 @@ class TestSingleTermFastPaths:
         assert (a + b).terms == {} and not a + b
 
     @given(
-        st.dictionaries(st.tuples(gauss_entries, gauss_entries), polys, max_size=2),
+        gauss_weights,
+        poly_terms,
         st.dictionaries(
             st.tuples(st.integers(1, 2), st.integers(1, 2)),
             st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]),
             max_size=3,
         ),
     )
-    def test_linear_field(self, parts, entries):
-        grad = PolyGauss(2, parts).gradient()
+    def test_linear_field(self, g, terms, entries):
+        grad = weighted(g, terms).gradient()
         expected = PolyGauss.from_items(2, (
             (g, tuple(e + (i == l - 1) for i, e in enumerate(mono)),
              general_product(s, Scalar.rational(c)))
@@ -501,25 +606,38 @@ class TestSingleTermFastPaths:
         assert linear_field(grad, entries) == expected
 
 
-# Coefficients whose rationals have denominators 1-7, so that the common
-# denominator of a flat sum is lifted mid-sum, with negative sqrt2 powers.
-flat_coefficients = st.lists(st.tuples(
-    st.tuples(gauss_entries, gauss_entries),
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-3, 2),
-    st.integers(-1, 1),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
-), min_size=1, max_size=3).map(lambda atoms: PolyGauss.from_items(2, (
-    (gauss_exp(g), mono, Scalar.term(r, e2=e2, epi=epi)) for g, mono, e2, epi, r in atoms
-)))
-flat_ops = st.lists(st.one_of(
-    st.tuples(
-        st.just("add"), st.integers(0, 1), flat_coefficients,
-        st.fractions(min_value=-3, max_value=3, max_denominator=7),
-        st.sampled_from([None, 1, 2]),
-    ),
-    st.tuples(st.just("product"), st.integers(0, 1), flat_coefficients, flat_coefficients, st.booleans()),
-), min_size=1, max_size=6)
+def flat_coefficients(g):
+    """Coefficients of the one Gaussian weight g whose rationals have
+    denominators 1-7, so that the common denominator of a flat sum is lifted
+    mid-sum, with negative sqrt2 powers."""
+    return st.lists(st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 2),
+        st.integers(-1, 1),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    ), min_size=1, max_size=3).map(lambda atoms: PolyGauss.from_items(2, (
+        (g, mono, Scalar.term(r, e2=e2, epi=epi)) for mono, e2, epi, r in atoms
+    )))
+
+
+def flat_ops_at(g):
+    """Adds and products into one sum of weight g: a product's factors draw
+    one weight and the other is what completes it to g."""
+    product = gauss_weights.flatmap(lambda ga: st.tuples(
+        st.just("product"), st.integers(0, 1), flat_coefficients(ga),
+        flat_coefficients(gauss_exp(map(sub, g, ga))), st.booleans(),
+    ))
+    return st.lists(st.one_of(
+        st.tuples(
+            st.just("add"), st.integers(0, 1), flat_coefficients(g),
+            st.fractions(min_value=-3, max_value=3, max_denominator=7),
+            st.sampled_from([None, 1, 2]),
+        ),
+        product,
+    ), min_size=1, max_size=6)
+
+
+flat_ops = gauss_weights.flatmap(flat_ops_at)
 
 
 def fraction_atoms(ops) -> dict:
@@ -582,8 +700,9 @@ class TestIntegerFlatSum:
         } == fraction_atoms(ops)
 
     @settings(max_examples=30, deadline=None)
-    @given(flat_ops, flat_ops)
-    def test_a_sum_and_its_negation_cancel(self, ops, more):
+    @given(gauss_weights.flatmap(lambda g: st.tuples(flat_ops_at(g), flat_ops_at(g))))
+    def test_a_sum_and_its_negation_cancel(self, ops_more):
+        ops, more = ops_more
         assert flat_sum(ops + more + negated(ops)).result() == flat_sum(more).result()
         assert flat_sum(ops + negated(ops)).result() == {}
 
@@ -636,13 +755,13 @@ class TestExponentFields:
 
 
 def test_poly_only_stores():
-    """`Poly` defines no arithmetic except the `+` that merges two parts
-    under one Gaussian key; `PolyGauss` computes on its terms."""
+    """`Poly` is the record of the `parts` view: its fields and its text;
+    `PolyGauss` computes on its store."""
     defined = {
         name for name, member in vars(Poly).items()
         if inspect.isfunction(member) or isinstance(member, staticmethod)
     }
-    assert defined == {"__init__", "_of", "_check", "__add__", "__bool__", "__eq__", "__str__"}
+    assert defined == {"__init__", "__str__"}
 
 
 def test_only_scalars_knows_the_coefficient_format():

@@ -43,16 +43,15 @@ def to_sympy(pg: PolyGauss):
 
 
 def random_polygauss(rng: random.Random) -> PolyGauss:
-    """One or two Gaussian parts, each over one to three random terms
+    """One random Gaussian weight over one to five random terms
     r sqrt2^e2 sqrtpi^epi x^mono with e2 in {0, 1}."""
     entries = [0, 1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    g = gauss_exp(rng.choice(entries) for _ in range(N))
     items = []
-    for _ in range(rng.randint(1, 2)):
-        g = gauss_exp(rng.choice(entries) for _ in range(N))
-        for _ in range(rng.randint(1, 3)):
-            mono = tuple(rng.randint(0, 2) for _ in range(N))
-            r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            items.append((g, mono, Scalar.term(r, e2=rng.randint(0, 1), epi=rng.randint(-1, 1))))
+    for _ in range(rng.randint(1, 5)):
+        mono = tuple(rng.randint(0, 2) for _ in range(N))
+        r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        items.append((g, mono, Scalar.term(r, e2=rng.randint(0, 1), epi=rng.randint(-1, 1))))
     return PolyGauss.from_items(N, items)
 
 
