@@ -32,7 +32,6 @@ from .km import (
 from .liealg import LieElement, SignatureCtx, curvature_at_e, eta
 from .mq import (
     _contract_euler,
-    fiber_d,
     fiber_euler,
     fiber_integrate,
     fiber_omega,
@@ -215,7 +214,7 @@ def check_hermite_lemma(p: int, q: int) -> CheckResult:
     ctx = SignatureCtx(p, q)
     e1 = eta(ctx, 1)
     x = PolyGauss.var(ctx.nvars, 1)
-    arg = e1.map_coeffs(lambda pg: pg * x * Scalar.rational(2)) - e1.wedge(e1)
+    arg = e1.scale(x * 2) - e1.wedge(e1)
     lhs = arg.exp_even()
     power = SuperForm.one(ctx)
     pairs = list(power.terms.items())
@@ -266,7 +265,8 @@ def check_annihilation(q: int) -> CheckResult:
     ctx = FiberCtx(q)
     om = fiber_omega(ctx)
     two_sqrt_pi = Scalar.term(Fraction(2), epi=1)
-    res = fiber_d(om) + om.contract(fiber_section(ctx)).scale(two_sqrt_pi)
+    res = exterior_derivative(om, coefficient_gradients(om))
+    res = res + om.contract(fiber_section(ctx)).scale(two_sqrt_pi)
     return _zero_check("annihilation", {"q": q}, res, SuperForm(ctx))
 
 
@@ -274,7 +274,8 @@ def check_transgression(q: int) -> CheckResult:
     """L_E U = epsilon d psi, psi = i_E U, E the Euler field: the scaling family
     t d/dt (t*U) = epsilon d(t*psi) at t = 1, and at every t > 0 its pullback."""
     u = fiber_umq(q)
-    lhs, rhs = fiber_euler(u), fiber_d(_contract_euler(u))
+    psi = _contract_euler(u)
+    lhs, rhs = fiber_euler(u), exterior_derivative(psi, coefficient_gradients(psi))
     return _signed_check("transgression", {"q": q}, lhs, rhs, "epsilon", EPSILON_TRANSGRESSION)
 
 

@@ -7,10 +7,12 @@ expansion directly. The two must agree coefficient-by-coefficient, exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
-from .liealg import LieElement, SignatureCtx, _action_field, _slot_moves, schwartz_action
+from .liealg import LieElement, SignatureCtx, _slot_moves, schwartz_action
 from .scalars import PolyGauss, Scalar, _FlatSum, howe_shift
 from .superforms import SuperForm, merge_sorted, sort_with_sign
 
@@ -37,11 +39,6 @@ def hermite_scaled(n: int, nvars: int, var: int) -> PolyGauss:
     return _hermite(n, nvars, var, 1, 1)
 
 
-def gaussian_plus(ctx: SignatureCtx) -> PolyGauss:
-    """exp(-pi (x_1^2 + ... + x_n^2)), the majorant Gaussian."""
-    return PolyGauss.gaussian([Fraction(1)] * ctx.nvars)
-
-
 def _omega_key(p: int, alphas: tuple[int, ...]) -> tuple[tuple, int]:
     """The sorted key and sign of omega_{alpha_1, p+1} ^ ... ^ omega_{alpha_q, p+q}."""
     return sort_with_sign(tuple((a, p + 1 + k) for k, a in enumerate(alphas)))
@@ -60,33 +57,39 @@ def _graded_counts(p: int, q: int) -> list[tuple[int, ...]]:
     return sorted((c for c in boxed if 0 < sum(c) <= q), key=sum)
 
 
+def _omega_form(ctx: SignatureCtx, coeffs: dict[tuple[int, ...], PolyGauss]) -> SuperForm:
+    """Sum over (alpha_1..alpha_q) in [1,p]^q of omega_{alpha_1,p+1} ^ ... ^
+    omega_{alpha_q,p+q} (x) coeffs[n], n the tuple's count vector. Each coefficient
+    is negated at most once: the tuples of one count vector and sign share one object."""
+    p, signed = ctx.p, {}
+
+    def term(alphas: tuple[int, ...]):
+        sorted_i, sign = _omega_key(p, alphas)
+        key = (tuple(map(alphas.count, range(1, p + 1))), sign)
+        if key not in signed:
+            signed[key] = coeffs[key[0]] if sign > 0 else -coeffs[key[0]]
+        return (sorted_i, ()), signed[key]
+
+    return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=ctx.q)))
+
+
 def km_form_at_e(ctx: SignatureCtx) -> SuperForm:
     """Apply the operator product: 2^{-q} prod_mu (sum_alpha A_{alpha mu})
     to exp(-pi |x|^2), where A_{alpha mu} = omega_{alpha mu} (x)
     (x_alpha - (1/2pi) d/dx_alpha) acting on coefficients.
 
     The tuple (alpha_1..alpha_q) gives omega_{alpha_1, p+1} ^ ... ^
-    omega_{alpha_q, p+q}, sorted by `_omega_key`. The shifts in distinct
-    x_alpha commute, so its coefficient depends only on the count vector
-    (n_alpha): each is one `howe_shift` of the coefficient one count
-    smaller, in the index it adds, C(p+q, q) - 1 shifts in all. Tuples of
-    one count vector and sign share one coefficient object.
+    omega_{alpha_q, p+q}. The shifts in distinct x_alpha commute, so its
+    coefficient depends only on the count vector (n_alpha): each is one
+    `howe_shift` of the coefficient one count smaller, in the index it
+    adds, C(p+q, q) - 1 shifts in all; `_omega_form` places them.
     """
-    p = ctx.p
     scale = Scalar.term(Fraction(1), e2=-2 * ctx.q)  # 2^{-q}
-    built = {((0,) * p, 1): gaussian_plus(ctx) * scale}
-    for counts in _graded_counts(p, ctx.q):
+    built = {(0,) * ctx.p: PolyGauss.gaussian([1] * ctx.nvars) * scale}
+    for counts in _graded_counts(ctx.p, ctx.q):
         alpha, fewer = _one_fewer(counts)
-        built[counts, 1] = howe_shift(built[fewer, 1], alpha)
-
-    def term(alphas: tuple[int, ...]):
-        sorted_i, sign = _omega_key(p, alphas)
-        key = (tuple(map(alphas.count, range(1, p + 1))), sign)
-        if key not in built:
-            built[key] = -built[key[0], 1]
-        return (sorted_i, ()), built[key]
-
-    return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=ctx.q)))
+        built[counts] = howe_shift(built[fewer], alpha)
+    return _omega_form(ctx, built)
 
 
 def km_closed_form(ctx: SignatureCtx) -> SuperForm:
@@ -96,46 +99,32 @@ def km_closed_form(ctx: SignatureCtx) -> SuperForm:
           (x) prod_alpha H_{n_alpha}(sqrt(2 pi) x_alpha) exp(-pi |x|^2)
 
     where n_alpha counts occurrences of alpha in the tuple. The coefficient
-    depends on the tuple only through (n_alpha), so it is built and negated
-    once per count vector, and each Hermite factor once per (n, alpha).
+    depends on the tuple only through (n_alpha), so it is built once per
+    count vector, and each Hermite factor once per (n, alpha).
     """
     p, q = ctx.p, ctx.q
     pref = Scalar.term(Fraction(1), e2=-3 * q, epi=-q)  # 2^{-q} (2pi)^{-q/2}
-    weight = gaussian_plus(ctx) * pref
-    by_counts: dict[tuple[int, ...], dict[int, PolyGauss]] = {}
-    hermites: dict[tuple[int, int], PolyGauss] = {}
-
-    def term(alphas: tuple[int, ...]):
-        counts = tuple(map(alphas.count, range(1, p + 1)))
-        if counts not in by_counts:
-            pg = weight
-            for alpha, n in enumerate(counts, start=1):
-                if n:
-                    if (n, alpha) not in hermites:
-                        hermites[n, alpha] = hermite_scaled(n, ctx.nvars, alpha)
-                    pg = pg * hermites[n, alpha]
-            by_counts[counts] = {1: pg, -1: -pg}
-        sorted_i, sign = _omega_key(p, alphas)
-        return (sorted_i, ()), by_counts[counts][sign]
-
-    return SuperForm(ctx, map(term, itertools.product(range(1, p + 1), repeat=q)))
+    weight = PolyGauss.gaussian([1] * ctx.nvars) * pref
+    factor = functools.cache(lambda n, alpha: hermite_scaled(n, ctx.nvars, alpha))
+    return _omega_form(ctx, {
+        counts: math.prod((factor(n, a) for a, n in enumerate(counts, 1) if n), start=weight)
+        for counts in _graded_counts(p, q) if sum(counts) == q
+    })
 
 
 def exterior_derivative(a: SuperForm, grads: dict) -> SuperForm:
-    """Invariant exterior derivative at the base point:
-    d = sum over p-pairs of (omega_{alpha mu} ^ .) composed with the
-    infinitesimal action of X_{alpha mu} on coefficients. ``grads`` is
-    `coefficient_gradients(a)`, so every p-pair shares one gradient.
-    """
+    """d = sum over the generators w of `ctx.d_fields()` of (w ^ .) composed
+    with w's field on coefficients: X_{alpha mu}'s action for omega_{alpha mu}
+    at the base point, d/dx_i for dx_i on a fiber. ``grads`` is
+    `coefficient_gradients(a)`, so every generator shares one gradient."""
     ctx = a.ctx
-    fields = [(pair, _action_field(LieElement.basis(ctx, *pair))) for pair in ctx.p_pairs()]
-    signed = [(pair, {1: f, -1: {kl: -c for kl, c in f.items()}}) for pair, f in fields]
+    signed = [(gen, {1: f, -1: {kl: -c for kl, c in f.items()}}) for gen, f in ctx.d_fields()]
     acc = _FlatSum(ctx.nvars)
     for i_set, j_set in a.terms:
-        # merge_sorted counts pair from after i_set; d puts it in front
+        # merge_sorted counts gen from after i_set; d puts it in front
         parity = -1 if len(i_set) % 2 else 1
-        for pair, field in signed:
-            new_i, sign = merge_sorted(i_set, (pair,))
+        for gen, field in signed:
+            new_i, sign = merge_sorted(i_set, (gen,))
             if sign:
                 acc.add_field((new_i, j_set), grads[i_set, j_set], field[sign * parity])
     return SuperForm._of(ctx, acc.result())

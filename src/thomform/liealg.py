@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import PolyGauss, Scalar, _add_into, _pairs, linear_field
+from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs
 from .superforms import Key, SuperForm, merge_sorted
 
 Pair = tuple[int, int]
@@ -77,6 +77,10 @@ class SignatureCtx:
 
     def gen_str(self, g) -> str:
         return f"w[{g[0]},{g[1]}]"
+
+    def d_fields(self) -> list[tuple[Pair, dict[Pair, Fraction]]]:
+        """Each generator omega_{alpha mu} of d, with the action field of X_{alpha mu}."""
+        return [(pair, _action_field(LieElement.basis(self, *pair))) for pair in self.p_pairs()]
 
 
 class LieElement:
@@ -198,7 +202,7 @@ def schwartz_action(x: LieElement, grad: list[PolyGauss]) -> PolyGauss:
     """
     if len(grad) != x.ctx.n:
         raise ValueError("dimension mismatch")
-    return linear_field(grad, _action_field(x))
+    return _FlatSum(len(grad)).add_field(None, grad, _action_field(x)).total()
 
 
 def _slot_moves(x: LieElement, a: SuperForm) -> Iterator[tuple[Key, PolyGauss, Fraction]]:

@@ -2,7 +2,8 @@
 
 `mq_phi0_at_e` and `mq_phi_at_e` build the form at the basepoint over the
 full signature context; the `fiber_*` functions work on a single fiber R^q
-(coframe dx_1..dx_q), where `_euler` states the Euler field. The basepoint
+(coframe dx_1..dx_q), where `_euler` states the Euler field; their d is
+`km.exterior_derivative`, through `FiberCtx.d_fields`. The basepoint
 forms and `fiber_umq` are all built by `_thom`, the one Berezin-exponential
 builder, which forms exp(a) as the product over z0 columns mu of (1 + a_mu).
 """
@@ -138,15 +139,6 @@ def fiber_euler(a: SuperForm) -> SuperForm:
         if key[0]:
             acc.add(key, pg, len(key[0]))
     return SuperForm._of(ctx, acc.result())
-
-
-def fiber_d(a: SuperForm) -> SuperForm:
-    """Exterior derivative d = sum_i dx_i ^ d/dx_i on a fiber."""
-    ctx = a.ctx
-    return SuperForm(ctx, itertools.chain.from_iterable(
-        SuperForm.generator(ctx, i).wedge(a.map_coeffs(lambda pg: pg.derive(i))).terms.items()
-        for i in ctx.z0
-    ))
 
 
 def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:

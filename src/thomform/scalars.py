@@ -26,8 +26,8 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
-`gaussian` and `from_items`, and use `items`, `derive`, `gradient` and
-`linear_field`.
+`gaussian` and `from_items`, use `items`, `derive` and `gradient`, and sum
+through `_FlatSum` (a linear field of a gradient through `add_field`).
 """
 
 from __future__ import annotations
@@ -406,13 +406,6 @@ class PolyGauss:
         return f"PolyGauss({self})"
 
 
-def linear_field(grad: list[PolyGauss], entries: Mapping[tuple[int, int], Fraction]) -> PolyGauss:
-    """sum_{k,l} c_kl x_l d/dx_k f, for ``grad`` = f.gradient() and ``entries``
-    {(k, l): c_kl} (1-based): x_l shifts exponents, so one gradient serves
-    every field."""
-    return _FlatSum(len(grad)).add_field(None, grad, entries).total()
-
-
 class _FlatSum:
     """A sum merged flat on integers over one common denominator ``den`` and
     one Gaussian weight ``g``: an int numerator per atom in a dict per outer
@@ -454,7 +447,8 @@ class _FlatSum:
         return self
 
     def add_field(self, outer, grad: list[PolyGauss], entries: Mapping) -> "_FlatSum":
-        """sum_{k,l} c_kl x_l d/dx_k f under ``outer``, for ``grad`` = f.gradient()."""
+        """sum_{k,l} c_kl x_l d/dx_k f under ``outer``, for ``grad`` = f.gradient()
+        and ``entries`` {(k, l): c_kl}; l = None is no x_l factor: {(k, None): 1} is d/dx_k."""
         for (k, l), c in entries.items():
             self.add(outer, grad[k - 1], c, l)
         return self

@@ -44,6 +44,14 @@ def sort_with_sign(seq: tuple) -> tuple[tuple, int]:
     return merge_sorted((), seq)
 
 
+def _one_weight(terms: dict) -> dict:
+    """``terms``; coefficients of two Gaussian weights raise ValueError naming both."""
+    weights = dict.fromkeys(pg.g for pg in terms.values())
+    if len(weights) > 1:
+        raise ValueError("one form, two Gaussian weights: {} and {}".format(*weights))
+    return terms
+
+
 @dataclass(frozen=True)
 class FiberCtx:
     """Context for forms on a single fiber R^q with coframe dx_1..dx_q and
@@ -62,15 +70,19 @@ class FiberCtx:
     def gen_str(self, g) -> str:
         return f"dx[{g}]"
 
+    def d_fields(self) -> list[tuple[int, dict]]:
+        """Each generator dx_i of d, with d/dx_i as the field {(i, None): 1}."""
+        return [(i, {(i, None): 1}) for i in self.z0]
+
 
 class SuperForm:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms: Mapping[Key, PolyGauss] | Iterable | None = None):
         self.ctx = ctx
-        self.terms = _add_into(
+        self.terms = _one_weight(_add_into(
             {}, (((tuple(i_set), tuple(j_set)), pg) for (i_set, j_set), pg in _pairs(terms))
-        )
+        ))
         for key, pg in self.terms.items():
             if pg.n != ctx.nvars:
                 raise ValueError("coefficient dimension mismatch")
@@ -88,11 +100,6 @@ class SuperForm:
     def one(ctx) -> "SuperForm":
         return SuperForm(ctx, {((), ()): PolyGauss.one(ctx.nvars)})
 
-    @staticmethod
-    def generator(ctx, gen) -> "SuperForm":
-        """A single one-form generator (bidegree (1,0))."""
-        return SuperForm(ctx, {((gen,), ()): PolyGauss.one(ctx.nvars)})
-
     # -- linear structure -----------------------------------------------
     def _check(self, other: "SuperForm"):
         if self.ctx != other.ctx:
@@ -100,7 +107,8 @@ class SuperForm:
 
     def __add__(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-        return SuperForm._of(self.ctx, _add_into(dict(self.terms), other.terms.items()))
+        terms = _add_into(dict(self.terms), other.terms.items())
+        return SuperForm._of(self.ctx, _one_weight(terms))
 
     def __neg__(self):
         return SuperForm._of(self.ctx, {k: -pg for k, pg in self.terms.items()})
@@ -111,9 +119,6 @@ class SuperForm:
     def scale(self, c) -> "SuperForm":
         c = PolyGauss.const(self.ctx.nvars, c) if type(c) is Scalar else c  # packed once
         return SuperForm(self.ctx, ((k, pg * c) for k, pg in self.terms.items()))
-
-    def map_coeffs(self, fn) -> "SuperForm":
-        return SuperForm(self.ctx, ((k, fn(pg)) for k, pg in self.terms.items()))
 
     def __eq__(self, other):
         return (

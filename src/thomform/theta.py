@@ -289,8 +289,9 @@ def theta_partial_sum(
 
     The form is built once per sum. The vectors (the box scan of
     `enumerate_vectors`) are evaluated together: one matrix product gives
-    every point, `gram_values` gives every Q(v,v) exactly, and each key's
-    coefficient, its terms turned to floats once, is evaluated over all
+    every point, `gram_values` gives every Q(v,v) exactly, the form's one
+    Gaussian weight is evaluated once, and each key's coefficient, its
+    terms turned to floats once, is evaluated over all
     points and reduced by two dot products with the cosines and sines of
     the phases.
     """
@@ -308,14 +309,13 @@ def theta_partial_sum(
     points = math.sqrt(y) * (u @ dl.transform.T)
     angle = math.pi * x * gram_values(dl.spec, vecs)
     cos, sin = np.cos(angle), np.sin(angle)
-    weights: dict[tuple, np.ndarray] = {}  # Gaussian exponent -> e^{-pi sum g_i x_i^2}
+    g = next(iter(km.terms.values())).g  # the form's one Gaussian weight
+    weight = np.exp(-math.pi * (points * points @ np.array(g, dtype=float)))
     sums: dict[tuple, complex] = {}
     for (i_set, _j), pg in km.terms.items():
         vals = np.zeros(len(vecs))
-        for g, mono, c in pg.items():
-            if g not in weights:
-                weights[g] = np.exp(-math.pi * (points * points @ np.array(g, dtype=float)))
-            term = float(c) * weights[g]
+        for _g, mono, c in pg.items():
+            term = float(c) * weight
             for i, e in enumerate(mono):
                 if e:
                     term = term * points[:, i] ** e

@@ -4,7 +4,26 @@ library operator from its definition, independently of the flat kernel."""
 from fractions import Fraction
 
 from thomform.liealg import LieElement, bracket
+from thomform.scalars import PolyGauss
 from thomform.superforms import SuperForm, sort_with_sign
+
+
+def generator(ctx, gen) -> SuperForm:
+    """A single one-form generator, bidegree (1,0)."""
+    return SuperForm(ctx, {((gen,), ()): PolyGauss.one(ctx.nvars)})
+
+
+def fiber_d(a: SuperForm) -> SuperForm:
+    """d = sum_i dx_i ^ d/dx_i on a fiber, as q wedges of a generator on
+    the form with each coefficient differentiated."""
+    ctx = a.ctx
+    return SuperForm(ctx, (
+        kv
+        for i in ctx.z0
+        for kv in generator(ctx, i).wedge(
+            SuperForm(ctx, ((k, pg.derive(i)) for k, pg in a.terms.items()))
+        ).terms.items()
+    ))
 
 
 def bracket_dual_coadjoint_action(x, a):

@@ -133,14 +133,17 @@ class TestWitnesses:
         assert res.witness.startswith("f=1: integral ")
 
     def test_transgression_fails_with_a_stray_term_in_d_psi(self, monkeypatch):
-        # a term of d psi that L_E U lacks is a failure with a witness
+        # a term of d psi that L_E U lacks, of d psi's weight, is a failure
+        # with a witness
         import thomform.checks as checks
-        from thomform.superforms import SuperForm
+        from thomform.scalars import PolyGauss
+        from thomform.superforms import FiberCtx, SuperForm
 
-        real = checks.fiber_d
-        monkeypatch.setattr(checks, "fiber_d", lambda a: real(a) + SuperForm.one(a.ctx))
+        real = checks.exterior_derivative
+        stray = SuperForm(FiberCtx(1), {((), ()): PolyGauss.gaussian([2])})
+        monkeypatch.setattr(checks, "exterior_derivative", lambda a, grads: real(a, grads) + stray)
         res = run_check("transgression", q=1)
-        assert res.status == "fail" and res.witness == "-1"
+        assert res.status == "fail" and res.witness == "-1 * exp(-pi*(2*x1^2))"
 
     @pytest.mark.parametrize("t", [float("inf"), float("nan"), "100"])
     def test_delta_limit_rejects_non_finite_t(self, t):

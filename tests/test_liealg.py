@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import bracket_dual_coadjoint_action
+from references import bracket_dual_coadjoint_action, generator
 from thomform import km, liealg
 from thomform.liealg import (
     LieElement,
@@ -229,7 +229,7 @@ class TestCoadjointAction:
         ctx = SignatureCtx(2, 2)
         x = LieElement(ctx, {(1, 2): 1, (3, 4): 1})
         a = eta(ctx, 1)
-        b = eta(ctx, 2) + SuperForm.generator(ctx, (1, 3))
+        b = eta(ctx, 2) + generator(ctx, (1, 3))
         lhs = slot_action(x, a.wedge(b))
         rhs = slot_action(x, a).wedge(b) + a.wedge(slot_action(x, b))
         assert lhs == rhs

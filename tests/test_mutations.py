@@ -108,6 +108,10 @@ MUTATIONS = {
     "linear_field_drops_its_coefficient": [
         (scalars._FlatSum, "add_field", {"grad[k - 1], c, l)": "grad[k - 1], 1, l)"}),
     ],
+    # the one d of both spaces: the sign of moving its generator into place
+    "d_drops_the_merge_sign": [
+        (km, "exterior_derivative", {"field[sign * parity]": "field[parity]"}),
+    ],
     # a denominator that does not divide the common one lifts it, and the
     # numerators already stored must be rescaled with it
     "flat_sum_skips_the_rescale": [
@@ -234,6 +238,13 @@ def test_kernel_faults_reach_their_checks(verdicts):
         ("theorem", (("p", 2), ("q", 2))),
         ("splitting", (("p1", 1), ("p2", 1), ("q1", 1), ("q2", 1))),
     } <= unreduced
+
+
+def test_the_d_fault_reaches_both_spaces(verdicts):
+    """One d serves the symmetric space and the fiber: a fault in it fails
+    closedness at (2,1) and transgression at q = 2."""
+    assert verdicts["d_drops_the_merge_sign"][("closedness", (("p", 2), ("q", 1)))] == "fail"
+    assert verdicts["d_drops_the_merge_sign"][("transgression", (("q", 2),))] == "fail"
 
 
 def test_the_slot_fault_reaches_transgression_at_q1(verdicts):

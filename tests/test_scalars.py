@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import thomform
+from references import generator
 from thomform.scalars import (
     NotRepresentable,
     Poly,
@@ -26,7 +27,6 @@ from thomform.scalars import (
     gauss_exp,
     gauss_moment,
     howe_shift,
-    linear_field,
     sqrt_in_ring,
 )
 
@@ -333,13 +333,18 @@ class TestOneWeight:
         b = SuperForm(ctx, {((1,), ()): PolyGauss.gaussian(self.H)})
         with pytest.raises(ValueError, match="two Gaussian weights"):
             a + b
-        # the wedge lands both products in one sum, under different keys
-        mixed = SuperForm(ctx, {
-            ((1,), ()): PolyGauss.gaussian(self.G), ((2,), ()): PolyGauss.gaussian(self.H),
-        })
+        # under disjoint keys a form of two weights is refused where it is built
+        mixed = {((1,), ()): PolyGauss.gaussian(self.G), ((2,), ()): PolyGauss.gaussian(self.H)}
+        both = re.escape(f"two Gaussian weights: {self.G} and {gauss_exp(self.H)}")
+        with pytest.raises(ValueError, match=both):
+            SuperForm(ctx, mixed)
+        with pytest.raises(ValueError, match=both):
+            a + SuperForm(ctx, {((2,), ()): PolyGauss.gaussian(self.H)})
+        # a store of two weights, which only `_of` holds: the wedge lands both
+        # products in one sum, under different keys
         with pytest.raises(ValueError, match="two Gaussian weights"):
-            mixed.wedge(SuperForm.one(ctx))
-        assert a.wedge(SuperForm.generator(ctx, 2)) == SuperForm(
+            SuperForm._of(ctx, mixed).wedge(SuperForm.one(ctx))
+        assert a.wedge(generator(ctx, 2)) == SuperForm(
             ctx, {((1, 2), ()): PolyGauss.gaussian(self.G)}
         )
 
@@ -361,7 +366,7 @@ class TestOneWeight:
         assert not cancelled and cancelled + h == h == h + cancelled
         assert not zero * g and (zero * g).g == (0, 0) and zero * g + h == h
         assert not g * 0 and g * 0 + h == h
-        assert linear_field([zero, zero], {(1, 2): 1}) == zero
+        assert _FlatSum(2).add_field(None, [zero, zero], {(1, 2): 1}).total() == zero
 
 
 class TestGaussMoment:
@@ -603,7 +608,7 @@ class TestSingleTermFastPaths:
             for (k, l), c in entries.items()
             for g, mono, s in grad[k - 1].items()
         ))
-        assert linear_field(grad, entries) == expected
+        assert _FlatSum(2).add_field(None, grad, entries).total() == expected
 
 
 def flat_coefficients(g):
@@ -746,7 +751,7 @@ class TestExponentFields:
             lambda: top * x,
             lambda: x * top,
             lambda: (top * PolyGauss.gaussian([1] * n)).derive(1),
-            lambda: linear_field([top] * n, {(1, 1): 1}),
+            lambda: _FlatSum(n).add_field(None, [top] * n, {(1, 1): 1}).total(),
             lambda: packed((0,) * n, EPI - 1) * Scalar.term(1, epi=1),
             lambda: packed((0,) * n, -EPI) * Scalar.term(1, epi=-1),
         ):

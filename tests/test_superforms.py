@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import generator
 from thomform.km import km_form_at_e
 from thomform.liealg import SignatureCtx, eta
 from thomform.mq import mq_phi_at_e
@@ -108,7 +109,7 @@ class TestWedge:
 
     def test_graded_commutativity(self):
         # total degrees 1 and 1 -> anticommute
-        a = SuperForm.generator(CTX, 1)
+        a = generator(CTX, 1)
         b = SuperForm(CTX, {((), (2,)): PolyGauss.one(CTX.nvars)})
         assert a.wedge(b) == b.wedge(a).scale(Scalar.rational(-1))
 
@@ -156,8 +157,8 @@ class TestContract:
                 for i in ctx.z0
             },
         )
-        a = SuperForm.generator(ctx, 1)
-        b = SuperForm.generator(ctx, 2)
+        a = generator(ctx, 1)
+        b = generator(ctx, 2)
         ab = a.wedge(b)
         lhs = ab.contract(s)
         rhs = a.contract(s).wedge(b) - a.wedge(b.contract(s))
@@ -175,8 +176,8 @@ class TestContract:
         ctx = FiberCtx(2)
         one = PolyGauss.one(2)
         dx1_dx2 = SuperForm(ctx, {((1, 2), ()): one})
-        assert dx1_dx2.contract(SuperForm.generator(ctx, 1)) == SuperForm.generator(ctx, 2)
-        assert dx1_dx2.contract(SuperForm.generator(ctx, 2)) == -SuperForm.generator(ctx, 1)
+        assert dx1_dx2.contract(generator(ctx, 1)) == generator(ctx, 2)
+        assert dx1_dx2.contract(generator(ctx, 2)) == -generator(ctx, 1)
 
     def test_counts_the_one_form_slots_before_the_fiber_slots(self):
         # dx1 ^ e1: removing e1 passes one slot, removing dx1 none
@@ -184,9 +185,9 @@ class TestContract:
         one = PolyGauss.one(2)
         a = SuperForm(ctx, {((1,), (1,)): one})
         e1 = SuperForm(ctx, {((), (1,)): one})
-        assert a.contract(e1) == -SuperForm.generator(ctx, 1)
-        assert a.contract(SuperForm.generator(ctx, 1)) == e1
-        assert a.contract(e1 + SuperForm.generator(ctx, 1)) == e1 - SuperForm.generator(ctx, 1)
+        assert a.contract(e1) == -generator(ctx, 1)
+        assert a.contract(generator(ctx, 1)) == e1
+        assert a.contract(e1 + generator(ctx, 1)) == e1 - generator(ctx, 1)
 
     def test_is_an_odd_derivation_on_the_one_form_factor(self):
         ctx = FiberCtx(2)
@@ -225,7 +226,7 @@ class TestExpEven:
     def test_rejects_off_diagonal(self):
         ctx = FiberCtx(2)
         with pytest.raises(ValueError):
-            SuperForm.generator(ctx, 1).exp_even()
+            generator(ctx, 1).exp_even()
         # a (0,0) term is not nilpotent: a Gaussian is multiplied in by the caller
         quad = PolyGauss.var(2, 1) * PolyGauss.var(2, 1) * Scalar.term(Fraction(-2), epi=2)
         with pytest.raises(ValueError, match="nilpotent"):

@@ -16,10 +16,17 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from thomform.km import hermite, hermite_scaled, km_closed_form, km_form_at_e
+from thomform.km import (
+    coefficient_gradients,
+    exterior_derivative,
+    hermite,
+    hermite_scaled,
+    km_closed_form,
+    km_form_at_e,
+)
 from thomform.liealg import SignatureCtx
 from thomform.mq import fiber_transgression, fiber_umq
-from thomform.scalars import PolyGauss, Scalar, gauss_exp, gauss_moment, linear_field
+from thomform.scalars import PolyGauss, Scalar, _FlatSum, gauss_exp, gauss_moment
 
 N = 3  # variables
 X = sympy.symbols(f"x1:{N + 1}")
@@ -81,7 +88,7 @@ def test_linear_field(seed):
     expected = sum(
         rational(c) * X[l - 1] * sympy.diff(f, X[k - 1]) for (k, l), c in entries.items()
     )
-    assert_same(to_sympy(linear_field(pg.gradient(), entries)), expected)
+    assert_same(to_sympy(_FlatSum(N).add_field(None, pg.gradient(), entries).total()), expected)
 
 
 @pytest.mark.parametrize("n", range(0, 11))
@@ -187,6 +194,20 @@ def sympy_fiber_d(form: dict, xs) -> dict:
                 sign = (-1) ** sum(j < i for j in i_set)
                 out[key] = out.get(key, 0) + sign * sympy.diff(f, x)
     return out
+
+
+@pytest.mark.parametrize("q", range(1, 4))
+def test_exterior_derivative_on_a_fiber(q):
+    """The one d, through `FiberCtx.d_fields`, on psi against sympy's d."""
+    psi, xs = fiber_transgression(q), sympy.symbols(f"x1:{q + 1}")
+    ours = exterior_derivative(psi, coefficient_gradients(psi))
+    theirs = sympy_fiber_d({i: exact_to_sympy(pg, xs) for (i, _j), pg in psi.terms.items()}, xs)
+    assert all(j_set == () for _i, j_set in ours.terms)
+    weight = sympy.exp(2 * sympy.pi * sum(x**2 for x in xs))  # psi's Gaussian, undone
+    for key in {i for i, _j in ours.terms} | set(theirs):
+        pg = ours.terms.get((key, ()))
+        diff = ((exact_to_sympy(pg, xs) if pg else 0) - theirs.get(key, 0)) * weight
+        assert sympy.expand(sympy.powsimp(sympy.expand(diff))) == 0, key
 
 
 def t_family_residual(u, psi, t_slots: bool = True) -> dict:
