@@ -32,6 +32,7 @@ from .km import (
 from .liealg import LieElement, SignatureCtx, curvature_at_e, eta
 from .mq import (
     _contract_euler,
+    _exp,
     fiber_euler,
     fiber_integrate,
     fiber_omega,
@@ -210,12 +211,11 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
 
 def check_hermite_lemma(p: int, q: int) -> CheckResult:
     """exp(2 x eta - eta^2) = sum_n H_n(x)/n! eta^n for eta of bidegree (1,1),
-    as an identity in the super algebra with a polynomial parameter x."""
+    as an identity in the super algebra with a polynomial parameter x. The
+    left side is built by `_exp`, the exponential behind every Thom form."""
     ctx = SignatureCtx(p, q)
-    e1 = eta(ctx, 1)
-    x = PolyGauss.var(ctx.nvars, 1)
-    arg = e1.scale(x * 2) - e1.wedge(e1)
-    lhs = arg.exp_even()
+    e1, one = eta(ctx, 1), PolyGauss.one(ctx.nvars)
+    lhs = _exp(e1.scale(PolyGauss.var(ctx.nvars, 1) * 2), -e1.wedge(e1), one, range(q + 1))
     power = SuperForm.one(ctx)
     pairs = list(power.terms.items())
     for n in range(1, q + 1):

@@ -4,8 +4,10 @@
 full signature context; the `fiber_*` functions work on a single fiber R^q
 (coframe dx_1..dx_q), where `_euler` states the Euler field; their d is
 `km.exterior_derivative`, through `FiberCtx.d_fields`. The basepoint
-forms and `fiber_umq` are all built by `_thom`, the one Berezin-exponential
-builder, which forms exp(a) as the product over z0 columns mu of (1 + a_mu).
+forms and `fiber_umq` are all built by `_thom`, the Berezin integral of
+`_exp`, the one exponential: it forms exp(a) as the product over z0 columns
+mu of (1 + a_mu), times sum_b r^b / b!, and builds only the z0 degrees asked
+for (`_thom` the top one, the hermite_lemma check every one).
 """
 
 from __future__ import annotations
@@ -25,30 +27,36 @@ def mq_prefactor(q: int) -> Scalar:
     return Scalar.term(Fraction(sign), e2=-q, epi=-q)
 
 
-def _thom(a: SuperForm, r: SuperForm, gauss: list) -> SuperForm:
-    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(a + r)
-    for a of bidegree (1,1) and r of bidegree (2,2). Both are even, so they
-    commute, and the top z0 degree q of exp(a + r), the only one the
-    Berezin integral keeps, is sum_b [exp a]_(q-2b) ^ r^b / b!, [exp a]_k
-    the part of z0 degree k: only that sum is built, in one flat sum. The
-    columns a_mu of a (its terms with J = (mu,)) are even and square to
-    zero, so exp a = prod_mu (1 + a_mu), one wedge per column. The Gaussian
-    commutes with everything, so it and 1/b! scale each r^b.
+def _exp(a: SuperForm, r: SuperForm, weight, degrees) -> SuperForm:
+    """weight * the terms of exp(a + r) of z0 degree in ``degrees``, for a of
+    bidegree (1,1) and r of bidegree (2,2). Both are even, so they commute,
+    and the part of z0 degree k is sum_b [exp a]_(k-2b) ^ r^b / b!, [exp a]_j
+    the part of z0 degree j: only those parts are built, in one flat sum. The
+    columns a_mu of a (its terms with J = (mu,)) are even and square to zero,
+    so exp a = prod_mu (1 + a_mu), one wedge per column. ``weight`` (a
+    `Scalar` or a `PolyGauss`) commutes with everything, so it and 1/b!
+    scale each r^b.
     """
     ctx, q = a.ctx, len(a.ctx.z0)
-    weight = PolyGauss.gaussian(gauss) * mq_prefactor(q)
     exp_a = one = SuperForm.one(ctx)
     for mu in ctx.z0:
         a_mu = SuperForm._of(ctx, {key: pg for key, pg in a.terms.items() if key[1] == (mu,)})
         # exp_a ^ (1 + a_mu): the two parts' z0 sets differ, so nothing merges
         exp_a = exp_a + exp_a.wedge(a_mu)
-    top = _FlatSum(ctx.nvars)
+    acc = _FlatSum(ctx.nvars)
     r_pow = itertools.accumulate([r] * (q // 2), SuperForm.wedge, initial=one)
     for b, r_b in enumerate(r_pow):
-        part = {key: pg for key, pg in exp_a.terms.items() if len(key[1]) == q - 2 * b}
+        part = {key: pg for key, pg in exp_a.terms.items() if len(key[1]) + 2 * b in degrees}
         scaled = r_b.scale(weight * Fraction(1, math.factorial(b)))
-        SuperForm._of(ctx, part)._wedge_into(scaled, top)
-    return SuperForm._of(ctx, top.result()).berezin()
+        SuperForm._of(ctx, part)._wedge_into(scaled, acc)
+    return SuperForm._of(ctx, acc.result())
+
+
+def _thom(a: SuperForm, r: SuperForm, gauss: list) -> SuperForm:
+    """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(a + r):
+    the Berezin integral keeps only the top z0 degree q, so `_exp` builds only that."""
+    q = len(a.ctx.z0)
+    return _exp(a, r, PolyGauss.gaussian(gauss) * mq_prefactor(q), (q,)).berezin()
 
 
 def _basepoint_thom(ctx: SignatureCtx, gauss: list) -> SuperForm:
@@ -148,14 +156,10 @@ def fiber_scale_pullback(a: SuperForm, t: Fraction) -> SuperForm:
         raise ValueError("scaling parameter must be positive")
 
     def pull(pg: PolyGauss, slots: int) -> PolyGauss:
-        # each monomial gains t^(degree), each dx-slot one more t
-        return PolyGauss.from_items(a.ctx.nvars, (
-            (
-                gauss_exp([c * t * t for c in g]),
-                mono,
-                coeff * Scalar.rational(t ** (sum(mono) + slots)),
-            )
-            for g, mono, coeff in pg.items()
+        # the weight gains t^2, each monomial t^(degree), each dx-slot one more t
+        return PolyGauss.from_items(a.ctx.nvars, gauss_exp([c * t * t for c in pg.g]), (
+            (mono, coeff * Scalar.rational(t ** (sum(mono) + slots)))
+            for mono, coeff in pg.items()
         ))
 
     return SuperForm(a.ctx, ((key, pull(pg, len(key[0]))) for key, pg in a.terms.items()))
@@ -170,8 +174,8 @@ def fiber_integrate(a: SuperForm) -> Scalar:
         for (i_set, j_set), pg in a.terms.items():
             if i_set != top or j_set:
                 continue
-            for g, mono, val in pg.items():
-                for e, c in zip(mono, g):
+            for mono, val in pg.items():
+                for e, c in zip(mono, pg.g):
                     val = val * gauss_moment(e, c)
                 yield val
 

@@ -26,7 +26,8 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
-`gaussian` and `from_items`, use `items`, `derive` and `gradient`, and sum
+`gaussian` and `from_items` (the weight once, then (monomial, coefficient)
+pairs), use `g`, `items` (those pairs), `derive` and `gradient`, and sum
 through `_FlatSum` (a linear field of a gradient through `add_field`).
 """
 
@@ -246,7 +247,7 @@ class PolyGauss:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(n: int, c: Scalar) -> "PolyGauss":
-        return PolyGauss.from_items(n, [((0,) * n, (0,) * n, c)])
+        return PolyGauss.from_items(n, (0,) * n, [((0,) * n, c)])
 
     @staticmethod
     def one(n: int) -> "PolyGauss":
@@ -257,22 +258,24 @@ class PolyGauss:
         """The coordinate x_i (1-based) in n variables."""
         _check_index(i, n)
         mono = tuple(int(j == i) for j in range(1, n + 1))
-        return PolyGauss.from_items(n, [((0,) * n, mono, ONE)])
+        return PolyGauss.from_items(n, (0,) * n, [(mono, ONE)])
 
     @staticmethod
     def gaussian(coeffs: Iterable) -> "PolyGauss":
         """exp(-pi sum_i coeffs[i] x_i^2)."""
         g = gauss_exp(coeffs)
-        return PolyGauss.from_items(len(g), [(g, (0,) * len(g), ONE)])
+        return PolyGauss.from_items(len(g), g, [((0,) * len(g), ONE)])
 
     @staticmethod
-    def from_items(n: int, items: Iterable[tuple[GaussExp, Monomial, Scalar]]) -> "PolyGauss":
-        """The sum of (Gaussian exponent, monomial, coefficient) triples, the
-        inverse of `items`; exponent keys must follow `gauss_exp`, and every
-        non-zero coefficient must carry the same one."""
+    def from_items(n: int, g: GaussExp, items: Iterable[tuple[Monomial, Scalar]]) -> "PolyGauss":
+        """exp(-pi sum_i g_i x_i^2) times the sum of (monomial, coefficient)
+        pairs: the inverse of `items`, given the weight ``g`` once, as
+        `gauss_exp` keys it."""
+        if len(g) != n:
+            raise ValueError("dimension mismatch")
         acc = _FlatSum(n)
-        for g, mono, c in items:
-            if len(g) != n or len(mono) != n:
+        for mono, c in items:
+            if len(mono) != n:
                 raise ValueError("dimension mismatch")
             if c:
                 acc._merge(None, g, (
@@ -293,9 +296,9 @@ class PolyGauss:
             self._parts = {self.g: poly} if monos else {}
         return self._parts
 
-    def items(self) -> Iterable[tuple[GaussExp, Monomial, Scalar]]:
-        """Every term c * x^mono * exp(-pi sum_i g_i x_i^2) as (g, mono, c)."""
-        return ((g, mono, c) for g, p in self.parts.items() for mono, c in p.terms.items())
+    def items(self) -> Iterable[tuple[Monomial, Scalar]]:
+        """Every term c * x^mono of P as (mono, c); the one weight is ``g``."""
+        return (pair for p in self.parts.values() for pair in p.terms.items())
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "PolyGauss"):
@@ -362,16 +365,15 @@ class PolyGauss:
                     m2[mapping[i] - 1] = e
             return tuple(m2)
 
-        return PolyGauss.from_items(
-            new_n, ((relabel(g), relabel(m), c) for g, m, c in self.items())
-        )
+        pairs = ((relabel(m), c) for m, c in self.items())
+        return PolyGauss.from_items(new_n, relabel(self.g), pairs)
 
     def eval(self, v: Iterable[float]) -> float:
         vv = list(v)
         if len(vv) != self.n:
             raise ValueError("evaluation vector length mismatch")
         value = 0.0
-        for _g, m, c in self.items():
+        for m, c in self.items():
             prod = float(c)
             for x, e in zip(vv, m):
                 if e:
@@ -485,9 +487,10 @@ class _FlatSum:
 
 
 def howe_shift(a: PolyGauss, i: int) -> PolyGauss:
-    """Apply x_i - (1/(2 pi)) d/dx_i."""
-    shift = a * PolyGauss.var(a.n, i)
-    return shift - a.derive(i) * Scalar.term(Fraction(1, 2), epi=-2)
+    """Apply x_i - (1/(2 pi)) d/dx_i, in one flat sum."""
+    half_over_pi = PolyGauss.const(a.n, Scalar.term(Fraction(1, 2), epi=-2))
+    acc = _FlatSum(a.n).add(None, a, 1, i)
+    return acc.add_product(None, a.derive(i), half_over_pi, negate=True).total()
 
 
 class NotRepresentable(ValueError):

@@ -7,14 +7,15 @@ Koszul rule (w (x) s) ^ (e (x) t) = (-1)^(jk) (w ^ e) (x) (s ^ t).
 
 The same class serves both the symmetric-space algebra (generators are
 (alpha, mu) pairs for omega_{alpha mu}) and fiber forms (generators are
-integers for dx_i); only the context differs.
+integers for dx_i); only the context differs. The class has no exponential:
+`mq._exp` builds exp(a + r) from wedges, and `sizes` and `str` read each
+coefficient through `PolyGauss.items`, its (monomial, coefficient) pairs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs
@@ -133,7 +134,7 @@ class SuperForm:
     def sizes(self) -> tuple[int, int, int]:
         """(exterior terms, monomials, largest numerator or denominator
         bit length over all coefficients)."""
-        coeffs = [c for pg in self.terms.values() for _g, _mono, c in pg.items()]
+        coeffs = [c for pg in self.terms.values() for _mono, c in pg.items()]
         return len(self.terms), len(coeffs), max(map(Scalar.bit_height, coeffs), default=0)
 
     # -- products --------------------------------------------------------
@@ -189,23 +190,6 @@ class SuperForm:
                         key = (rest, j_set) if factor == 0 else (i_set, rest)
                         acc.add_product(key, pg, coeffs[(factor, g)], (before + pos) % 2)
         return SuperForm._of(self.ctx, acc.result())
-
-    def exp_even(self) -> "SuperForm":
-        """Exponential of a nilpotent even element: every term must have
-        bidegree (k,k) with k >= 1, so the series is the finite sum up to
-        z0-degree q. Its library caller is the hermite_lemma check."""
-        if any(len(i_set) != len(j_set) or not j_set for i_set, j_set in self.terms):
-            raise ValueError("exp argument must be nilpotent: bidegree (k,k) with k >= 1")
-        power = SuperForm.one(self.ctx)
-        terms = dict(power.terms)
-        fact = 1
-        for k in range(1, len(self.ctx.z0) + 1):
-            power = power.wedge(self)
-            if not power:
-                break
-            fact *= k
-            _add_into(terms, power.scale(Fraction(1, fact)).terms.items())
-        return SuperForm._of(self.ctx, terms)
 
     # -- text / json -------------------------------------------------------
     def _key_str(self, i_set: tuple, j_set: tuple) -> str:

@@ -12,7 +12,8 @@ at once, in float64. Q(v,v) is exact: integer numerators over the lcm of
 the gram denominators. Enumeration is still a box scan: Fincke-Pohst
 enumeration returns the same vectors but makes the benchmark's theta body
 shorter than its speed-sampling interval, which it cannot yet time.
-`gram_value` and `PolyGauss.eval` stay the exact and per-vector references.
+Gram entries, and the congruence built from them, must fit a float;
+`diagonalize_gram` raises ValueError naming any that does not.
 """
 
 from __future__ import annotations
@@ -146,10 +147,23 @@ def _congruence_diagonalize(g: list[list[Fraction]]) -> tuple[list[list[Fraction
     return s, [a[i][i] for i in range(n)]
 
 
+def _float(x: Fraction, name: str) -> float:
+    """float(x); a ValueError names ``name`` if x overflows or a non-zero x rounds to 0."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f) or (x and not f):
+        raise ValueError(f"{name} does not fit a float")
+    return f
+
+
 def diagonalize_gram(spec: LatticeSpec) -> DiagonalizedLattice:
     """Transform T with T^T diag(+1^p, -1^q) T = gram (to 1e-10)."""
     n = spec.p + spec.q
     g = [[Fraction(e) for e in row] for row in spec.gram]  # int / int would divide in floats
+    for i, j in itertools.product(range(n), repeat=2):
+        _float(g[i][j], f"gram[{i}][{j}]")
     s, d = _congruence_diagonalize(g)
     pos = [i for i in range(n) if d[i] > 0]
     neg = [i for i in range(n) if d[i] < 0]
@@ -158,8 +172,8 @@ def diagonalize_gram(spec: LatticeSpec) -> DiagonalizedLattice:
             f"gram signature is ({len(pos)},{len(neg)}), expected ({spec.p},{spec.q})"
         )
     order = pos + neg
-    s_np = np.array([[float(s[i][j]) for j in order] for i in range(n)])
-    scale = np.diag([math.sqrt(abs(float(d[j]))) for j in order])
+    s_np = np.array([[_float(s[i][j], f"S[{i}][{j}] of S^T G S") for j in order] for i in range(n)])
+    scale = np.diag([math.sqrt(abs(_float(d[j], f"(S^T G S)[{j}][{j}]"))) for j in order])
     transform = scale @ np.linalg.inv(s_np)
     for i in range(n):  # deterministic row signs: first nonzero entry positive
         row = transform[i]  # nonzero relative to the row, so any scale has a lead
@@ -207,18 +221,6 @@ def enumerate_vectors(dl: DiagonalizedLattice, bound: float) -> list[tuple[int, 
     return out
 
 
-def gram_value(spec: LatticeSpec, u: tuple[int, ...]) -> Fraction:
-    """Q(v,v) = u^T G u, exactly."""
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, uj in enumerate(u):
-            if uj:
-                total += spec.gram[i][j] * ui * uj
-    return total
-
-
 def tail_estimate(dl: DiagonalizedLattice, km: SuperForm, y: float, bound: float) -> float:
     """Upper bound for the omitted terms with Q+(v,v) > bound.
 
@@ -236,7 +238,7 @@ def tail_estimate(dl: DiagonalizedLattice, km: SuperForm, y: float, bound: float
     cp = 0.0
     deg = 0
     for pg in km.terms.values():
-        for _g, mono, c in pg.items():
+        for mono, c in pg.items():
             cp += abs(float(c))
             deg = max(deg, sum(mono))
     a = majorant_matrix(dl)
@@ -267,8 +269,8 @@ def gram_values(spec: LatticeSpec, vecs: list[tuple[int, ...]]) -> np.ndarray:
 
     With D the lcm of the gram denominators, D*Q(v,v) = u^T (D G) u is an
     integer, computed in Python ints (object arrays), so no entry can
-    overflow; num / D rounds the exact quotient once, as float(gram_value)
-    does.
+    overflow; num / D rounds the exact quotient once, as float() of the
+    exact Fraction u^T G u does.
     """
     d = math.lcm(*(e.denominator for row in spec.gram for e in row))
     dg = np.array([[e.numerator * (d // e.denominator) for e in row] for row in spec.gram],
@@ -314,7 +316,7 @@ def theta_partial_sum(
     sums: dict[tuple, complex] = {}
     for (i_set, _j), pg in km.terms.items():
         vals = np.zeros(len(vecs))
-        for _g, mono, c in pg.items():
+        for mono, c in pg.items():
             term = float(c) * weight
             for i, e in enumerate(mono):
                 if e:

@@ -4,7 +4,7 @@ library operator from its definition, independently of the flat kernel."""
 from fractions import Fraction
 
 from thomform.liealg import LieElement, bracket
-from thomform.scalars import PolyGauss
+from thomform.scalars import PolyGauss, _add_into
 from thomform.superforms import SuperForm, sort_with_sign
 
 
@@ -24,6 +24,36 @@ def fiber_d(a: SuperForm) -> SuperForm:
             SuperForm(ctx, ((k, pg.derive(i)) for k, pg in a.terms.items()))
         ).terms.items()
     ))
+
+
+def exp_even(a: SuperForm) -> SuperForm:
+    """exp(a) as the power series sum_k a^k / k!, for a nilpotent even a:
+    every term must have bidegree (k,k) with k >= 1, so the series stops at
+    z0 degree q. The reference for `mq._exp`'s column product."""
+    if any(len(i_set) != len(j_set) or not j_set for i_set, j_set in a.terms):
+        raise ValueError("exp argument must be nilpotent: bidegree (k,k) with k >= 1")
+    power = SuperForm.one(a.ctx)
+    terms = dict(power.terms)
+    fact = 1
+    for k in range(1, len(a.ctx.z0) + 1):
+        power = power.wedge(a)
+        if not power:
+            break
+        fact *= k
+        _add_into(terms, power.scale(Fraction(1, fact)).terms.items())
+    return SuperForm(a.ctx, terms)
+
+
+def gram_value(spec, u: tuple[int, ...]) -> Fraction:
+    """Q(v,v) = u^T G u, exactly, for a `theta.LatticeSpec`."""
+    total = Fraction(0)
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, uj in enumerate(u):
+            if uj:
+                total += spec.gram[i][j] * ui * uj
+    return total
 
 
 def bracket_dual_coadjoint_action(x, a):

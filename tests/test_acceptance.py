@@ -208,9 +208,9 @@ class TestAcceptance:
 
         import numpy as np
 
+        from references import gram_value
         from thomform.km import km_form_at_e
         from thomform.liealg import SignatureCtx
-        from thomform.theta import gram_value
 
         start = time.perf_counter()
         spec = LatticeSpec(

@@ -247,6 +247,16 @@ class TestTheta:
         assert res.stdout == ""
         assert "lattice = " in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("entry", [str(10**400), f"1/{10**400}"], ids=["huge", "tiny"])
+    def test_gram_entry_past_a_float_exits_2(self, tmp_path, entry):
+        data = {"label": "far", "p": 1, "q": 1, "gram": [["0", entry], [entry, "0"]]}
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(data))
+        res = run("theta", "--lattice", str(path), "--tau", "1i", "--bound", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: gram[0][1] does not fit a float\n"
+
     def test_bound_past_the_box_limit_exits_2(self, lattice_file):
         res = run("theta", "--lattice", lattice_file, "--tau", "1i", "--bound", "1e300")
         assert res.returncode == 2

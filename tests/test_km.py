@@ -297,7 +297,7 @@ def rich_coefficients(n: int, g):
         st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple),
         scalars,
     ), min_size=1, max_size=4)
-    return atoms.map(lambda mc: PolyGauss.from_items(n, ((g, mono, c) for mono, c in mc)))
+    return atoms.map(lambda mc: PolyGauss.from_items(n, g, mc))
 
 
 def rich_forms(ctx: SignatureCtx):
@@ -312,25 +312,23 @@ def rich_forms(ctx: SignatureCtx):
 
 def items_product(a: PolyGauss, b: PolyGauss) -> PolyGauss:
     """a * b term by term through `items`: exponents add, `Scalar` multiplies."""
-    return PolyGauss.from_items(a.n, (
-        (gauss_exp(map(add, ga, gb)), tuple(map(add, ma, mb)), ca * cb)
-        for ga, ma, ca in a.items()
-        for gb, mb, cb in b.items()
+    return PolyGauss.from_items(a.n, gauss_exp(map(add, a.g, b.g)), (
+        (tuple(map(add, ma, mb)), ca * cb) for ma, ca in a.items() for mb, cb in b.items()
     ))
 
 
 def items_derive(f: PolyGauss, i: int) -> PolyGauss:
     """d/dx_i through `items`: x^m exp(-pi sum_j g_j x_j^2) gives
     m_i x^(m - e_i) - 2 pi g_i x^(m + e_i), times the same Gaussian."""
-    k = i - 1
+    k, g = i - 1, f.g
 
     def terms():
-        for g, m, c in f.items():
+        for m, c in f.items():
             if m[k]:
-                yield g, m[:k] + (m[k] - 1,) + m[k + 1 :], c * m[k]
-            yield g, m[:k] + (m[k] + 1,) + m[k + 1 :], c * Scalar.term(-2 * g[k], epi=2)
+                yield m[:k] + (m[k] - 1,) + m[k + 1 :], c * m[k]
+            yield m[:k] + (m[k] + 1,) + m[k + 1 :], c * Scalar.term(-2 * g[k], epi=2)
 
-    return PolyGauss.from_items(f.n, terms())
+    return PolyGauss.from_items(f.n, g, terms())
 
 
 def koszul_wedge(a: SuperForm, b: SuperForm) -> SuperForm:

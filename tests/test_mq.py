@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import exp_even
 from references import fiber_d as wedge_fiber_d
 from thomform.liealg import SignatureCtx, curvature_at_e, eta
 from thomform.km import coefficient_gradients, exterior_derivative, km_form_at_e
 from thomform.mq import (
+    _exp,
     _thom,
     fiber_euler,
     fiber_integrate,
@@ -75,12 +77,12 @@ class TestBasepointForm:
 
 def berezin_exponential(a: SuperForm, gauss: list) -> SuperForm:
     """(-1)^{q(q+1)/2} (2 pi)^{-q/2} exp(-pi sum_i gauss[i] x_i^2) int^B exp(a),
-    through the whole exp_even(a), every z0 degree expanded: the reference
-    for the top-degree builder."""
+    through the whole power series exp_even(a), every z0 degree expanded:
+    the reference for the top-degree builder."""
     q = len(a.ctx.z0)
     sign = -1 if (q * (q + 1) // 2) % 2 else 1
     weight = PolyGauss.gaussian(gauss) * Scalar.term(sign, e2=-q, epi=-q)
-    return a.exp_even().berezin().scale(weight)
+    return exp_even(a).berezin().scale(weight)
 
 
 def basepoint_exponent(ctx: SignatureCtx) -> SuperForm:
@@ -110,31 +112,17 @@ class TestTopDegreeExponential:
         a = SuperForm(ctx, {((i,), (i,)): minus_two_sqrt_pi for i in ctx.z0})
         assert fiber_umq(q) == berezin_exponential(a, [2] * q)
 
-    def test_no_thom_form_calls_exp_even(self, monkeypatch):
-        calls = []
-        real = SuperForm.exp_even
-
-        def counting(self):
-            calls.append(self.ctx)
-            return real(self)
-
-        monkeypatch.setattr(SuperForm, "exp_even", counting)
-        mq_phi0_at_e(SignatureCtx(2, 3))
-        mq_phi_at_e(SignatureCtx(2, 3))
-        fiber_umq(3)
-        assert calls == []
-
 
 @st.composite
-def thom_exponents(draw):
+def thom_exponents(draw, q=None):
     """(a, r, gauss): a of bidegree (1,1) with up to three terms per z0
     column, r of bidegree (2,2), both with polynomial coefficients, over a
-    small fiber or signature context."""
+    small fiber or signature context with q z0 indices (1-3 if not given)."""
+    q = q or draw(st.integers(1, 3))
     if draw(st.booleans()):
-        q = draw(st.integers(1, 3))
         ctx, gens = FiberCtx(q), list(range(1, q + 1))
     else:
-        ctx = SignatureCtx(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+        ctx = SignatureCtx(draw(st.integers(1, 2)), q)
         gens = ctx.p_pairs()
     n = ctx.nvars
 
@@ -171,6 +159,31 @@ class TestThomFactorization:
         # exp(a) as prod_mu (1 + a_mu) against a^k / k! term by term
         a, r, gauss = drawn
         assert _thom(a, r, gauss) == berezin_exponential(a + r, gauss)
+
+
+class TestExp:
+    """`_exp` over every z0 degree is weight times the power series exp_even,
+    and over some degrees, those degrees of it."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_hermite_argument(self, p, q):
+        ctx = SignatureCtx(p, q)
+        e1 = eta(ctx, 1)
+        a, r = e1.scale(PolyGauss.var(ctx.nvars, 1) * 2), -e1.wedge(e1)
+        assert _exp(a, r, PolyGauss.one(ctx.nvars), range(q + 1)) == exp_even(a + r)
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_drawn_pairs(self, q, data):
+        a, r, gauss = data.draw(thom_exponents(q))
+        weight = PolyGauss.gaussian(gauss) * Scalar.term(Fraction(3, 2), e2=1)
+        full = exp_even(a + r).scale(weight)
+        assert _exp(a, r, weight, range(q + 1)) == full
+        degrees = data.draw(st.sets(st.integers(0, q)))
+        part = SuperForm(a.ctx, ((k, pg) for k, pg in full.terms.items() if len(k[1]) in degrees))
+        assert _exp(a, r, weight, degrees) == part
 
 
 class TestFiberUmq:
@@ -312,9 +325,9 @@ def fiber_forms(draw, q: int, degree: int) -> SuperForm:
         st.integers(-1, 1),
     )
     g = draw(gauss.map(gauss_exp))
-    coeff = st.lists(st.tuples(st.just(g), mono, scalar), min_size=1, max_size=3)
+    coeff = st.lists(st.tuples(mono, scalar), min_size=1, max_size=3)
     terms = draw(st.dictionaries(
-        st.tuples(dx_sets, subsets), coeff.map(lambda items: PolyGauss.from_items(q, items)),
+        st.tuples(dx_sets, subsets), coeff.map(lambda pairs: PolyGauss.from_items(q, g, pairs)),
         max_size=3,
     ))
     return SuperForm(ctx, terms)
@@ -346,7 +359,7 @@ class TestEulerField:
     def test_homogeneous_polynomial_forms_scale_by_their_degree(self, mono, i_set):
         # x^mono dx_I is homogeneous of degree |mono| + |I| under x -> t x
         ctx = FiberCtx(2)
-        a = SuperForm(ctx, {(i_set, ()): PolyGauss.from_items(2, [((0, 0), mono, Scalar.one())])})
+        a = SuperForm(ctx, {(i_set, ()): PolyGauss.from_items(2, (0, 0), [(mono, Scalar.one())])})
         assert fiber_euler(a) == a.scale(sum(mono) + len(i_set))
 
     def test_gaussian_slope(self):

@@ -54,15 +54,16 @@ MUTATIONS = {
     "mq_prefactor_sign_flipped": [
         (mq, "mq_prefactor", {"sign = -1 if": "sign = 1 if"}),
     ],
-    "exp_even_drops_factorials": [
-        (SuperForm, "exp_even", {"power.scale(Fraction(1, fact)).terms": "power.terms"}),
+    # the 1/b! of r^b / b! in the one exponential: b! = 1 for b <= 1, so
+    # only q >= 4 sees it; SIZES holds (1,4) for it
+    "exp_drops_the_r_power_factorials": [
+        (mq, "_exp", {"weight * Fraction(1, math.factorial(b))": "weight"}),
     ],
-    # the one Berezin-exponential builder of the basepoint and fiber forms:
+    # the one exponential of the Thom forms and the Hermite lemma:
     # exp(a) = prod_mu (1 + a_mu) carries the 1/k! of a^k / k!, and doubling
-    # each column scales z0 degree k by 2^k (dropping 1/b! alone is silent
-    # at q <= 2, where b! = 1)
+    # each column scales z0 degree k by 2^k
     "top_degree_drops_factorials": [
-        (mq, "_thom", {
+        (mq, "_exp", {
             "exp_a + exp_a.wedge(a_mu)": "exp_a + exp_a.wedge(a_mu).scale(2)",
         }),
     ],
@@ -128,8 +129,9 @@ MUTATIONS = {
 def _sizes(cid: str) -> list[dict]:
     """The smallest legal parameters of ``cid`` first, then the next sizes up."""
     spec = CHECKS[cid]
-    if spec is SIGNATURE:
-        return [{"p": 1, "q": 1}, {"p": 1, "q": 2}, {"p": 2, "q": 1}, {"p": 2, "q": 2}]
+    if spec is SIGNATURE:  # (1,4): the first r^2, where 1/b! is not 1
+        return [{"p": 1, "q": 1}, {"p": 1, "q": 2}, {"p": 2, "q": 1}, {"p": 2, "q": 2},
+                {"p": 1, "q": 4}]
     if spec is FIBER:
         return [{"q": 1}, {"q": 2}]
     if cid == "howe_hermite":
@@ -214,6 +216,17 @@ def test_the_top_degree_fault_reaches_the_basepoint_and_fiber_forms(verdicts):
     failed = {cid for (cid, _), v in verdicts["top_degree_drops_factorials"].items() if v == "fail"}
     assert "theorem" in failed
     assert failed & {"fiber_integral", "fiber_restriction"}, failed
+
+
+def test_the_thom_forms_and_the_hermite_lemma_share_one_exponential(verdicts):
+    """A fault in `_exp` fails the theorem and the Hermite lemma alike: the
+    doubled column at (1,1), the dropped 1/b! at (1,4) and not below."""
+    one_one, one_four = (("p", 1), ("q", 1)), (("p", 1), ("q", 4))
+    assert verdicts["top_degree_drops_factorials"][("hermite_lemma", one_one)] == "fail"
+    b_fact = verdicts["exp_drops_the_r_power_factorials"]
+    for cid in ("theorem", "hermite_lemma"):
+        assert b_fact[(cid, one_four)] == "fail"
+        assert {b_fact[(cid, tuple(sorted(s.items())))] for s in SIZES[cid][:4]} == {"pass"}
 
 
 def test_kernel_faults_reach_their_checks(verdicts):

@@ -24,7 +24,6 @@ from thomform.checks import run_all, run_check
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 KEPT = {
-    "theta.gram_value": "the exact value behind test_acceptance.py::test_13_theta",
     "SuperForm.sizes": "the sizes interface (terms, monomials, bit height) for the benchmark",
     "Scalar.bit_height": "the coefficient bit height that SuperForm.sizes reports",
 }

@@ -42,9 +42,9 @@ def rational(r) -> sympy.Rational:
 def to_sympy(pg: PolyGauss):
     """sum c x^mono exp(-pi sum_j g_j x_j^2)."""
     total = 0
-    for g, mono, c in pg.items():
+    exponent = sum(rational(cj) * x**2 for cj, x in zip(pg.g, X))
+    for mono, c in pg.items():
         coeff = sum(rational(r) * S2**e2 * SPI**epi for (e2, epi), r in c.terms.items())
-        exponent = sum(rational(cj) * x**2 for cj, x in zip(g, X))
         total += coeff * sympy.Mul(*(x**e for x, e in zip(X, mono))) * sympy.exp(-PI * exponent)
     return total
 
@@ -58,8 +58,8 @@ def random_polygauss(rng: random.Random) -> PolyGauss:
     for _ in range(rng.randint(1, 5)):
         mono = tuple(rng.randint(0, 2) for _ in range(N))
         r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        items.append((g, mono, Scalar.term(r, e2=rng.randint(0, 1), epi=rng.randint(-1, 1))))
-    return PolyGauss.from_items(N, items)
+        items.append((mono, Scalar.term(r, e2=rng.randint(0, 1), epi=rng.randint(-1, 1))))
+    return PolyGauss.from_items(N, g, items)
 
 
 def assert_same(ours, theirs):
@@ -144,12 +144,12 @@ def howe_form_reference(p: int, q: int) -> tuple[tuple, dict]:
 def exact_to_sympy(pg: PolyGauss, xs):
     """sum c x^mono exp(-pi sum g x^2) with sympy's own sqrt(2) and sqrt(pi)."""
     total = 0
-    for g, mono, c in pg.items():
+    weight = sympy.exp(-sympy.pi * sum(rational(cj) * x**2 for cj, x in zip(pg.g, xs)))
+    for mono, c in pg.items():
         coeff = sum(
             rational(r) * sympy.sqrt(2) ** e2 * sympy.sqrt(sympy.pi) ** epi
             for (e2, epi), r in c.terms.items()
         )
-        weight = sympy.exp(-sympy.pi * sum(rational(cj) * x**2 for cj, x in zip(g, xs)))
         total += coeff * sympy.Mul(*(x**e for x, e in zip(xs, mono))) * weight
     return total
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from references import gram_value
 from thomform.km import km_form_at_e
 from thomform.liealg import SignatureCtx
 from thomform.theta import (
@@ -18,7 +19,6 @@ from thomform.theta import (
     LatticeSpec,
     diagonalize_gram,
     enumerate_vectors,
-    gram_value,
     gram_values,
     majorant_matrix,
     tail_estimate,
@@ -76,6 +76,17 @@ class TestDiagonalize:
     def test_signature_mismatch_rejected(self):
         with pytest.raises(ValueError):
             diagonalize_gram(LatticeSpec("bad", 2, 0, frac_gram([[1, 0], [0, -1]])))
+
+    @pytest.mark.parametrize("gram,name", [
+        ([[0, 10**400], [10**400, 0]], "gram[0][1]"),
+        ([[0, Fraction(1, 10**400)], [Fraction(1, 10**400), 0]], "gram[0][1]"),
+        # entries that fit a float, and an entry of S or of S^T G S that does not
+        ([[Fraction(1, 10**300), 10**10], [10**10, 0]], "S[0][1] of S^T G S"),
+        ([[2, 10**300], [10**300, 1]], "(S^T G S)[1][1]"),
+    ], ids=["huge", "tiny", "congruence", "diagonal"])
+    def test_a_value_past_a_float_is_named(self, gram, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} does not fit a float")):
+            diagonalize_gram(LatticeSpec("far", 1, 1, frac_gram(gram)))
 
     def test_from_json(self):
         spec = LatticeSpec.from_json(
@@ -322,8 +333,8 @@ class TestThetaSum:
         dl = diagonalize_gram(HYPERBOLIC)
         km = km_form_at_e(SignatureCtx(1, 1))
         y, bound = 1e-4, 4.0
-        cp = sum(abs(float(c)) for pg in km.terms.values() for _g, _m, c in pg.items())
-        deg = max(sum(m) for pg in km.terms.values() for _g, m, _c in pg.items())
+        cp = sum(abs(float(c)) for pg in km.terms.values() for _m, c in pg.items())
+        deg = max(sum(m) for pg in km.terms.values() for m, _c in pg.items())
         lmin = min(np.linalg.eigvalsh(majorant_matrix(dl)))
         series, k, term = 0.0, math.floor(bound), 1.0
         while term >= 1e-30 * max(series, 1.0):
