@@ -23,7 +23,6 @@ from .km import (
     _one_fewer,
     coefficient_gradients,
     exterior_derivative,
-    hermite,
     hermite_scaled,
     km_closed_form,
     km_form_at_e,
@@ -115,7 +114,7 @@ def _phi_and_gradients(ctx: SignatureCtx) -> tuple[SuperForm, dict]:
 
 def _witness(lhs: SuperForm, rhs: SuperForm) -> str:
     """Canonical text of the first term of lhs - rhs, for sides that compare
-    unequal; sides of two Gaussian weights do not subtract, and name them."""
+    unequal; sides of two weights or grades do not subtract, and name them."""
     try:
         diff = lhs - rhs
     except ValueError as exc:
@@ -210,21 +209,20 @@ def check_berezin_combinatorial(p: int, q: int) -> CheckResult:
 
 
 def check_hermite_lemma(p: int, q: int) -> CheckResult:
-    """exp(2 x eta - eta^2) = sum_n H_n(x)/n! eta^n for eta of bidegree (1,1),
-    as an identity in the super algebra with a polynomial parameter x. The
-    left side is built by `_exp`, the exponential behind every Thom form."""
+    """exp(2 y eta - eta^2) = sum_n H_n(y)/n! eta^n for eta of bidegree (1,1),
+    as an identity in the super algebra with the polynomial parameter
+    y = sqrt(2 pi) x_1. The left side is built by `_exp`, the exponential
+    behind every Thom form; the right by `km_closed_form`'s `hermite_scaled`."""
     ctx = SignatureCtx(p, q)
     e1, one = eta(ctx, 1), PolyGauss.one(ctx.nvars)
-    lhs = _exp(e1.scale(PolyGauss.var(ctx.nvars, 1) * 2), -e1.wedge(e1), one, range(q + 1))
+    two_y = PolyGauss.var(ctx.nvars, 1) * Scalar.term(2, e2=1, epi=1)
+    lhs = _exp(e1.scale(two_y), -e1.wedge(e1), one, range(q + 1))
     power = SuperForm.one(ctx)
     pairs = list(power.terms.items())
     for n in range(1, q + 1):
         power = power.wedge(e1)
-        hn = hermite(n, ctx.nvars, 1)
-        pairs += (
-            (k, pg * hn * Scalar.rational(Fraction(1, math.factorial(n))))
-            for k, pg in power.terms.items()
-        )
+        hn = hermite_scaled(n, ctx.nvars, 1) * Scalar.rational(Fraction(1, math.factorial(n)))
+        pairs += ((k, pg * hn) for k, pg in power.terms.items())
     rhs = SuperForm(ctx, pairs)
     return _zero_check("hermite_lemma", {"p": p, "q": q}, lhs, rhs)
 
@@ -284,9 +282,10 @@ def check_delta_limit(t: float, tol: float) -> CheckResult:
 
     t*U is the library's `fiber_scale_pullback(fiber_umq(1), t)`; its dx_1
     coefficient is integrated against each test function through its own
-    `eval`. The exact error at finite t is of order 1/(4 pi t^2) (about
-    8e-6 at t=100 for the Gaussian test function), so the default
-    tolerance is the tight O(1/t^2) envelope 1e-5 at t=100.
+    `eval`, in s = t r, where its spike has unit width at every t. The
+    exact error at finite t is of order 1/(4 pi t^2) (about 8e-6 at t=100
+    for the Gaussian test function), so the default tolerance is the tight
+    O(1/t^2) envelope 1e-5 at t=100.
     """
     from scipy.integrate import quad
 
@@ -297,8 +296,12 @@ def check_delta_limit(t: float, tol: float) -> CheckResult:
         ("exp(-r^2)", lambda r: math.exp(-r * r)),
     ]
     density = fiber_scale_pullback(fiber_umq(1), Fraction(t)).terms[((1,), ())]
+    try:
+        density.eval([0.0])
+    except OverflowError:
+        raise ValueError(f"delta_limit: t = {t!r} is out of range; t*U is past floats") from None
     for name, f in tests:
-        val, _err = quad(lambda r: density.eval([r]) * f(r), -math.inf, math.inf)
+        val, _err = quad(lambda s: density.eval([s / t]) * f(s / t) / t, -math.inf, math.inf)
         if abs(val - f(0.0)) > tol:
             return CheckResult(
                 "delta_limit", params, "fail",

@@ -1,8 +1,8 @@
 """The positive-degree Schwartz form on p* (x) Lambda z0, two ways.
 
 `km_form_at_e` applies the product of annihilation-style raising operators
-to the standard Gaussian; `km_closed_form` evaluates the Hermite-polynomial
-expansion directly. The two must agree coefficient-by-coefficient, exactly.
+to the standard Gaussian; `km_closed_form` expands it in `hermite_scaled`,
+the one Hermite polynomial. The two must agree exactly, term by term.
 """
 
 from __future__ import annotations
@@ -17,26 +17,16 @@ from .scalars import PolyGauss, Scalar, _FlatSum, howe_shift
 from .superforms import SuperForm, merge_sorted, sort_with_sign
 
 
-def _hermite(n: int, nvars: int, var: int, e2: int, epi: int) -> PolyGauss:
-    """H_n(s x_var) for s = sqrt(2)^e2 sqrt(pi)^epi, from the three-term
-    recurrence in y = s x: H_{k+1} = 2 y H_k - 2k H_{k-1}."""
+def hermite_scaled(n: int, nvars: int, var: int) -> PolyGauss:
+    """H_n(y) at y = sqrt(2 pi) x_var, of the one grade (n mod 2, 0), from the
+    three-term recurrence H_{k+1} = 2 y H_k - 2k H_{k-1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
     prev, h = PolyGauss(nvars), PolyGauss.one(nvars)
-    y2 = PolyGauss.var(nvars, var) * Scalar.term(2, e2=e2, epi=epi)
+    y2 = PolyGauss.var(nvars, var) * Scalar.term(2, e2=1, epi=1)
     for k in range(n):
         prev, h = h, y2 * h - prev * (2 * k)
     return h
-
-
-def hermite(n: int, nvars: int = 1, var: int = 1) -> PolyGauss:
-    """Physicists' Hermite polynomial H_n in the given variable."""
-    return _hermite(n, nvars, var, 0, 0)
-
-
-def hermite_scaled(n: int, nvars: int, var: int) -> PolyGauss:
-    """H_n(sqrt(2 pi) x_var), with coefficients in the ring."""
-    return _hermite(n, nvars, var, 1, 1)
 
 
 def _omega_key(p: int, alphas: tuple[int, ...]) -> tuple[tuple, int]:

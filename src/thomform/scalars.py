@@ -2,20 +2,24 @@
 
 Everything here is immutable value data with exact rational arithmetic, and
 every value has one canonical form, so equality means equal functions. A
-`PolyGauss` is P(x) times one Gaussian: it stores its Gaussian exponent
-``g`` ((0,)*n for zero) and {packed-int atom: int numerator} over one least
-denominator ``den`` (gcd 1 with the numerators; 1 for zero), with no zero
-numerator: `==` compares ``g``, the dict and ``den``. An atom packs
-x^mono sqrt2^e2 sqrt(pi)^epi: e2 in {0, 1} in bit 0, then epi + 2^(W-2) and
-the exponents of x_1..x_n in W-bit fields (W = `_W`). A stored field stays
-below its top bit, so adding two atoms never carries into the next field;
-`_pack` and `_FlatSum.result` raise OverflowError for an exponent that leaves it.
+`PolyGauss` is sqrt2^e2 sqrt(pi)^gamma times a rational polynomial in
+y = sqrt(pi) x, times one Gaussian. It stores its Gaussian exponent ``g``,
+its grade ``s`` = (e2, gamma) with e2 in {0, 1} ((0,)*n and (0, 0) for
+zero) and {packed-int atom: int numerator} over one least denominator
+``den`` (gcd 1 with the numerators; 1 for zero), with no zero numerator:
+`==` compares all four. The atom of x^m packs only the exponents of
+x_1..x_n, in W-bit fields (W = `_W`); its term is
+(v/den) sqrt2^e2 sqrt(pi)^(gamma + |m|) x^m. A stored field stays below its
+top bit, so adding two atoms never carries into the next field; `_pack` and
+`_FlatSum.result` raise OverflowError for an exponent that leaves it.
 
 `_FlatSum` is the one sum: +, -, products, partials, linear fields, wedge, d
 and L_X add int numerators into it, and `result` hands its dicts over as the
 stores after one gcd pass, building no Fraction, Scalar or Poly. A sum holds
-one Gaussian weight: products add weights, zero adds to any weight, and a
-non-zero contribution of another weight raises ValueError naming both.
+one Gaussian weight, and one grade per outer key: products add both and fold
+sqrt2 * sqrt2 into their multiplier once, d/dx_i puts a value one grade up
+and a factor x_i one grade down, zero adds to any, and a non-zero
+contribution of another weight or grade raises ValueError naming both.
 `parts`, the {g: Poly} view that `items`, `str` and `eval` read, is built on
 first read; `Poly` is only its record. `_add_into` merges every sparse sum
 (`Scalar`, `SuperForm`, `LieElement`, the flat dicts), dropping what cancels.
@@ -27,8 +31,9 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
 `gaussian` and `from_items` (the weight once, then (monomial, coefficient)
-pairs), use `g`, `items` (those pairs), `derive` and `gradient`, and sum
-through `_FlatSum` (a linear field of a gradient through `add_field`).
+pairs of one grade), use `g`, `items` (those pairs), `derive` and
+`gradient`, and sum through `_FlatSum` (a linear field of a gradient
+through `add_field`).
 """
 
 from __future__ import annotations
@@ -211,37 +216,32 @@ def gauss_exp(coeffs: Iterable) -> GaussExp:
     return tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, coeffs))
 
 
-_W = 16  # bits per field of an atom
+_W = 16  # bits per exponent field of an atom
 _LOW = 1 << (_W - 1)  # every stored field value is below this
-_BIAS = _LOW >> 1  # the epi field stores epi + _BIAS
 _FIELD = (1 << _W) - 1
 
 
-def _pack(mono: Monomial, e2: int, epi: int) -> int:
-    """The atom of x^mono sqrt2^e2 sqrt(pi)^epi, for e2 in {0, 1}."""
-    fields = (epi + _BIAS, *mono)
-    if reduce(or_, fields) & -_LOW:
-        raise OverflowError(f"x^{mono} sqrt(pi)^{epi}: an exponent leaves its {_W}-bit field")
-    return sum((f << (1 + _W * i) for i, f in enumerate(fields)), e2)
+def _pack(mono: Monomial) -> int:
+    """The atom of x^mono: the exponent of x_i in field i - 1."""
+    if reduce(or_, mono, 0) & -_LOW:
+        raise OverflowError(f"x^{mono}: an exponent leaves its {_W}-bit field")
+    return sum(e << _W * i for i, e in enumerate(mono))
 
 
 class PolyGauss:
-    """P(x) * exp(-pi * sum_i g_i x_i^2) with exact data.
+    """P(x) * exp(-pi * sum_i g_i x_i^2) with exact data: the weight ``g``, the
+    grade ``s`` of P and its ``atoms`` over ``den`` (see the module docstring);
+    ``parts`` is the read-only {g: Poly} view of it. `PolyGauss(n)` is zero."""
 
-    ``g`` is the one diagonal Gaussian exponent vector ((0,)*n for zero) and
-    ``atoms`` maps each atom of P to its numerator over the least
-    denominator ``den`` (see the module docstring); ``parts`` is the
-    read-only {g: Poly} view of it. `PolyGauss(n)` is zero."""
-
-    __slots__ = ("n", "g", "den", "atoms", "_parts")
+    __slots__ = ("n", "g", "s", "den", "atoms", "_parts")
 
     def __init__(self, n: int):
-        self.n, self.g, self.den, self.atoms, self._parts = n, (0,) * n, 1, {}, None
+        self.n, self.g, self.s, self.den, self.atoms, self._parts = n, (0,) * n, (0, 0), 1, {}, None
 
     @staticmethod
-    def _of(n: int, g: GaussExp, atoms: dict, den: int) -> "PolyGauss":
+    def _of(n: int, g: GaussExp, s: tuple[int, int], atoms: dict, den: int) -> "PolyGauss":
         pg = PolyGauss.__new__(PolyGauss)
-        pg.n, pg.g, pg.den, pg.atoms, pg._parts = n, g, den, atoms, None
+        pg.n, pg.g, pg.s, pg.den, pg.atoms, pg._parts = n, g, s, den, atoms, None
         return pg
 
     # -- constructors -------------------------------------------------
@@ -270,30 +270,28 @@ class PolyGauss:
     def from_items(n: int, g: GaussExp, items: Iterable[tuple[Monomial, Scalar]]) -> "PolyGauss":
         """exp(-pi sum_i g_i x_i^2) times the sum of (monomial, coefficient)
         pairs: the inverse of `items`, given the weight ``g`` once, as
-        `gauss_exp` keys it."""
+        `gauss_exp` keys it. The term r sqrt2^e2 sqrt(pi)^epi of x^m has the
+        grade (e2, epi - |m|); two grades raise ValueError."""
         if len(g) != n:
             raise ValueError("dimension mismatch")
         acc = _FlatSum(n)
         for mono, c in items:
             if len(mono) != n:
                 raise ValueError("dimension mismatch")
-            if c:
-                acc._merge(None, g, (
-                    (_pack(mono, e2, epi), r.numerator * acc._per(r.denominator))
-                    for (e2, epi), r in c.terms.items()
-                ))
+            for (e2, epi), r in c.terms.items():
+                pair = (_pack(mono), r.numerator * acc._per(r.denominator))
+                acc._merge(None, g, (e2, epi - sum(mono)), (pair,))
         return acc.total()
 
     @property
     def parts(self) -> dict:
         """{g: Poly}, one entry (none for zero), built from the store on first read."""
         if self._parts is None:
-            monos: dict = {}
+            (e2, gamma), terms = self.s, {}
             for k, v in self.atoms.items():
-                f = [(k >> (1 + _W * i)) & _FIELD for i in range(self.n + 1)]
-                monos.setdefault(tuple(f[1:]), {})[k & 1, f[0] - _BIAS] = Fraction(v, self.den)
-            poly = Poly(self.n, {m: Scalar._of(s) for m, s in monos.items()})
-            self._parts = {self.g: poly} if monos else {}
+                mono = tuple((k >> _W * i) & _FIELD for i in range(self.n))
+                terms[mono] = Scalar._of({(e2, gamma + sum(mono)): Fraction(v, self.den)})
+            self._parts = {self.g: Poly(self.n, terms)} if terms else {}
         return self._parts
 
     def items(self) -> Iterable[tuple[Monomial, Scalar]]:
@@ -310,7 +308,7 @@ class PolyGauss:
         return _FlatSum(self.n).add(None, self).add(None, other).total()
 
     def __neg__(self):
-        return PolyGauss._of(self.n, self.g, {k: -v for k, v in self.atoms.items()}, self.den)
+        return PolyGauss._of(self.n, self.g, self.s, {k: -v for k, v in self.atoms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -338,20 +336,21 @@ class PolyGauss:
 
     def _partials(self, indices: Iterable[int]) -> list["PolyGauss"]:
         """[d/dx_i self for i in indices], in one flat sum on integers: P's
-        own partial, and the Gaussian's slope -2 pi g_i x_i P."""
+        own partial, and the Gaussian's slope -2 pi g_i x_i P, both one
+        grade up, since d/dx_i = sqrt(pi) d/dy_i."""
         n, g, terms, indices = self.n, self.g, self.atoms, tuple(indices)
         for i in indices:
             _check_index(i, n)
 
-        acc = _FlatSum(n)
+        acc, up = _FlatSum(n), (self.s[0], self.s[1] + 1)
         lcm = math.lcm(*(c.denominator for c in g))  # of every slope's denominator too
         for i in indices:
-            at, unit = 1 + _W * i, lcm * acc._per(self.den * lcm)
+            at, unit = _W * (i - 1), lcm * acc._per(self.den * lcm)
             slope = int(-2 * g[i - 1] * unit)
-            acc._merge(i, g, ((k - (1 << at), v * e * unit)
-                              for k, v in terms.items() if (e := (k >> at) & _FIELD)))
-            if slope:  # x_i sqrt(pi)^2 P
-                acc._merge(i, g, ((k + (1 << at) + 4, v * slope) for k, v in terms.items()))
+            acc._merge(i, g, up, ((k - (1 << at), v * e * unit)
+                                  for k, v in terms.items() if (e := (k >> at) & _FIELD)))
+            if slope:  # pi x_i P
+                acc._merge(i, g, up, ((k + (1 << at), v * slope) for k, v in terms.items()))
         parts = acc.result()
         return [parts.get(i) or PolyGauss(n) for i in indices]
 
@@ -387,7 +386,7 @@ class PolyGauss:
     def __eq__(self, other):
         return (
             isinstance(other, PolyGauss) and self.n == other.n and self.g == other.g
-            and self.den == other.den and self.atoms == other.atoms
+            and self.s == other.s and self.den == other.den and self.atoms == other.atoms
         )
 
     def __str__(self) -> str:
@@ -410,42 +409,49 @@ class PolyGauss:
 
 class _FlatSum:
     """A sum merged flat on integers over one common denominator ``den`` and
-    one Gaussian weight ``g``: an int numerator per atom in a dict per outer
-    key, dropped as it cancels. A non-zero contribution of another weight
-    raises ValueError. `result` hands the dicts over as the stores of
-    PolyGauss values."""
+    one Gaussian weight ``g``: per outer key, one grade and an int numerator
+    per atom in a dict, dropped as it cancels. Another weight, or another
+    grade under one key, raises ValueError. `result` hands the dicts over as
+    the stores of PolyGauss values."""
 
     __slots__ = ("n", "g", "den", "sums")
 
     def __init__(self, n: int):
-        self.n, self.g, self.den, self.sums = n, None, 1, {}
+        self.n, self.g, self.den, self.sums = n, None, 1, {}  # sums: {outer: (grade, atoms)}
 
     def _per(self, d: int) -> int:
         """den // d. A d that does not divide den first lifts den to their lcm,
         and every stored numerator by the same factor."""
         if self.den % d:
             lift = d // math.gcd(self.den, d)
-            for atoms in self.sums.values():
+            for _s, atoms in self.sums.values():
                 atoms.update({key: v * lift for key, v in atoms.items()})
             self.den *= lift
         return self.den // d
 
-    def _merge(self, outer, g: GaussExp, items: Iterable[tuple]) -> None:
-        """Add (atom, numerator over den) pairs of weight g under ``outer``;
-        drop what cancels. The first weight is the sum's; another raises."""
+    def _merge(self, outer, g: GaussExp, s: tuple[int, int], items: Iterable[tuple]) -> None:
+        """Add (atom, numerator over den) pairs of weight g and grade s under
+        ``outer``; drop what cancels. The first weight is the sum's and the
+        first grade the outer key's; another raises."""
         if g != self.g:
             if self.g is not None:
                 raise ValueError(f"one sum, two Gaussian weights: {self.g} and {g}")
             self.g = g
-        if not _add_into(self.sums.setdefault(outer, {}), items):
+        entry = self.sums.get(outer)
+        if entry is None:
+            entry = self.sums[outer] = (s, {})
+        elif entry[0] != s:
+            raise ValueError(f"one coefficient, two grades: {entry[0]} and {s}")
+        if not _add_into(entry[1], items):
             del self.sums[outer]
 
     def add(self, outer, pg: PolyGauss, c=1, shift: int | None = None) -> "_FlatSum":
-        """c * pg under ``outer``, times x_shift (1-based) if given."""
+        """c * pg under ``outer``, times x_shift (1-based) if given, which
+        puts it one grade down."""
         if pg.atoms and c:
             u = c.numerator * self._per(pg.den * c.denominator)
-            x = 0 if shift is None else 1 << (1 + _W * shift)
-            self._merge(outer, pg.g, ((k + x, v * u) for k, v in pg.atoms.items()))
+            x, s = (0, pg.s) if shift is None else (1 << _W * (shift - 1), (pg.s[0], pg.s[1] - 1))
+            self._merge(outer, pg.g, s, ((k + x, v * u) for k, v in pg.atoms.items()))
         return self
 
     def add_field(self, outer, grad: list[PolyGauss], entries: Mapping) -> "_FlatSum":
@@ -456,29 +462,29 @@ class _FlatSum:
         return self
 
     def add_product(self, outer, a: PolyGauss, b: PolyGauss, negate=False) -> "_FlatSum":
-        """a * b under ``outer``, negated if ``negate``: weights add, atoms add
-        less one epi bias, numerators multiply, and sqrt2 * sqrt2 carries out
-        of bit 0 as a factor 2."""
+        """a * b under ``outer``, negated if ``negate``: weights, grades and
+        atoms add, numerators multiply, and sqrt2 * sqrt2 of the two grades
+        is a factor 2 of the one multiplier."""
         if a.atoms and b.atoms:
-            m = self._per(a.den * b.den) * (-1 if negate else 1)
+            (a2, api), (b2, bpi) = a.s, b.s
+            m = (self._per(a.den * b.den) << (a2 & b2)) * (-1 if negate else 1)
             tb = b.atoms.items()
-            self._merge(outer, tuple(map(add, a.g, b.g)), (
-                (ka + kb - 2 * (_BIAS + (c := ka & kb & 1)), va * vb * m << c)
-                for ka, va in a.atoms.items() for kb, vb in tb
+            self._merge(outer, tuple(map(add, a.g, b.g)), (a2 ^ b2, api + bpi), (
+                (ka + kb, va * vb * m) for ka, va in a.atoms.items() for kb, vb in tb
             ))
         return self
 
     def result(self) -> dict:
         """{outer key: PolyGauss}, owning the dicts (the sum is spent), each
         over its least denominator. An exponent at a field's top bit raises."""
-        top, out = ((1 << _W * (self.n + 1)) - 1) // _FIELD * (_LOW << 1), {}  # top bits
-        for outer, atoms in self.sums.items():
+        top, out = ((1 << _W * self.n) - 1) // _FIELD * _LOW, {}  # every field's top bit
+        for outer, (s, atoms) in self.sums.items():
             if reduce(or_, atoms) & top:
                 raise OverflowError(f"an exponent leaves its {_W}-bit field")
             d = math.gcd(self.den, *atoms.values())
             if d > 1:
                 atoms.update({k: v // d for k, v in atoms.items()})
-            out[outer] = PolyGauss._of(self.n, self.g, atoms, self.den // d)
+            out[outer] = PolyGauss._of(self.n, self.g, s, atoms, self.den // d)
         return out
 
     def total(self) -> PolyGauss:

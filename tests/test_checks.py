@@ -109,7 +109,7 @@ class TestWitnesses:
         from thomform.superforms import FiberCtx, SuperForm
 
         ctx, x = FiberCtx(1), PolyGauss.var(1, 1)
-        unreduced = PolyGauss._of(1, x.g, {k: 2 * v for k, v in x.atoms.items()}, 2)
+        unreduced = PolyGauss._of(1, x.g, x.s, {k: 2 * v for k, v in x.atoms.items()}, 2)
         lhs, rhs = SuperForm(ctx, {((1,), ()): x}), SuperForm(ctx, {((1,), ()): unreduced})
         res = checks._signed_check("theorem", {}, lhs, rhs, "sigma", 1)
         assert res.status == "fail" and "subtract to zero" in res.witness
@@ -149,6 +149,16 @@ class TestWitnesses:
     def test_delta_limit_rejects_non_finite_t(self, t):
         with pytest.raises(ValueError, match="delta_limit"):
             run_check("delta_limit", t=t)
+
+    @pytest.mark.parametrize("t", [1e4, 1e6])
+    def test_delta_limit_sees_the_narrow_spike(self, t):
+        # the spike of t*U has width ~1/t; the error is far below tol
+        assert run_check("delta_limit", t=t, tol=1e-8).passed
+
+    def test_delta_limit_rejects_a_t_past_floats(self):
+        # the weight 2 t^2 of t*U at t = 1e200 is no float
+        with pytest.raises(ValueError, match=r"delta_limit: t = 1e\+200 is out of range"):
+            run_check("delta_limit", t=1e200)
 
 
 class TestSignLedger:

@@ -1,12 +1,15 @@
 """Command-line surface: output stability, exit codes, schema."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from thomform import cli
 from thomform.checks import CHECK_IDS, run_check
 
 CMD = [sys.executable, "-m", "thomform"]
@@ -14,7 +17,27 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    """`thomform` with ``args``, run in this process through `cli.main`: its
+    exit code and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(CMD + list(args), code, out.getvalue(), err.getvalue())
+
+
+class TestModule:
+    """`python -m thomform` runs `cli.main` and exits with its code."""
+
+    def test_a_command_exits_0(self):
+        res = subprocess.run(CMD + ["emit", "km", "--p", "1", "--q", "1"],
+                             capture_output=True, text=True)
+        assert res.returncode == 0
+        assert res.stdout.strip() == "x1 * exp(-pi*(x1^2+x2^2)) w[1,2]"
+
+    def test_a_usage_error_exits_2(self):
+        res = subprocess.run(CMD + ["frobnicate"], capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stdout == "" and res.stderr.startswith("usage: thomform ")
 
 
 class TestEmit:

@@ -15,7 +15,7 @@ from thomform import km
 from thomform.km import (
     coefficient_gradients,
     exterior_derivative,
-    hermite,
+    hermite_scaled,
     km_closed_form,
     km_form_at_e,
     lie_derivative,
@@ -28,21 +28,23 @@ SIGS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 2)]
 
 
 class TestHermite:
+    """`hermite_scaled` is H_n(y) at y = sqrt(2 pi) x."""
+
+    Y = PolyGauss.var(1, 1) * Scalar.term(1, e2=1, epi=1)
+
     def test_first_three(self):
-        x = PolyGauss.var(1, 1)
-        assert hermite(0) == PolyGauss.one(1)
-        assert hermite(1) == x * Scalar.rational(2)
-        assert hermite(2) == x * x * Scalar.rational(4) - PolyGauss.const(
+        y = self.Y
+        assert hermite_scaled(0, 1, 1) == PolyGauss.one(1)
+        assert hermite_scaled(1, 1, 1) == y * Scalar.rational(2)
+        assert hermite_scaled(2, 1, 1) == y * y * Scalar.rational(4) - PolyGauss.const(
             1, Scalar.rational(2)
         )
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_three_term_recurrence(self, n):
-        # H_{n+1} = 2x H_n - 2n H_{n-1}
-        x2 = PolyGauss.var(1, 1) * Scalar.rational(2)
-        assert hermite(n + 1) == x2 * hermite(n) - hermite(n - 1) * Scalar.rational(
-            2 * n
-        )
+        # H_{n+1} = 2y H_n - 2n H_{n-1}
+        y2, h = self.Y * Scalar.rational(2), lambda k: hermite_scaled(k, 1, 1)
+        assert h(n + 1) == y2 * h(n) - h(n - 1) * Scalar.rational(2 * n)
 
 
 class TestValueExamples:
@@ -242,7 +244,7 @@ class TestSharedCoefficients:
     def test_lie_derivative_under_p_block_generators(self, p, q):
         ctx = SignatureCtx(p, q)
         f = PolyGauss.gaussian([1] * ctx.nvars) * PolyGauss.var(ctx.nvars, 1) * Fraction(3, 7)
-        g = f * PolyGauss.var(ctx.nvars, 2) * Fraction(-2, 5)
+        g = f * PolyGauss.var(ctx.nvars, 2) * Scalar.term(Fraction(-2, 5), epi=1)  # one grade
         keys = list(km_closed_form(ctx).terms)
         a = SuperForm(ctx, {key: (f, g)[k % 2] for k, key in enumerate(keys)})
         grads = coefficient_gradients(a)
@@ -285,28 +287,31 @@ def rich_weights(n: int):
     ).map(gauss_exp)
 
 
-def rich_coefficients(n: int, g):
-    """Coefficients no constructed form has, over the one weight g: several
-    monomials, and two-term scalars in sqrt2 and sqrt(pi) powers."""
-    scalars = st.dictionaries(
-        st.tuples(st.integers(-1, 2), st.integers(-2, 2)),
-        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
-        min_size=1, max_size=2,
-    ).map(Scalar)
+# One grade (e2, gamma), drawn per example; e2 past {0, 1} folds into the rational.
+rich_grades = st.tuples(st.integers(-1, 2), st.integers(-2, 2))
+
+
+def rich_coefficients(n: int, g, s):
+    """Coefficients no constructed form has, over the one weight g and the
+    one grade s = (e2, gamma): several monomials x^m, each with a drawn
+    rational times sqrt2^e2 sqrt(pi)^(gamma + |m|)."""
+    e2, gamma = s
     atoms = st.lists(st.tuples(
         st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple),
-        scalars,
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
     ), min_size=1, max_size=4)
-    return atoms.map(lambda mc: PolyGauss.from_items(n, g, mc))
+    return atoms.map(lambda mr: PolyGauss.from_items(n, g, (
+        (m, Scalar.term(r, e2=e2, epi=gamma + sum(m))) for m, r in mr
+    )))
 
 
 def rich_forms(ctx: SignatureCtx):
     """Sums of omega_I (x) e_J, |I|, |J| <= 2, with `rich_coefficients` of
-    one drawn weight."""
+    one drawn weight and grade."""
     slots = st.sets(st.sampled_from(ctx.p_pairs()), max_size=2).map(sorted).map(tuple)
     z0 = st.sets(st.sampled_from(ctx.z0), max_size=2).map(sorted).map(tuple)
-    return rich_weights(ctx.nvars).flatmap(lambda g: st.dictionaries(
-        st.tuples(slots, z0), rich_coefficients(ctx.nvars, g), min_size=1, max_size=3
+    return st.tuples(rich_weights(ctx.nvars), rich_grades).flatmap(lambda gs: st.dictionaries(
+        st.tuples(slots, z0), rich_coefficients(ctx.nvars, *gs), min_size=1, max_size=3
     )).map(lambda terms: SuperForm(ctx, terms))
 
 
@@ -355,7 +360,8 @@ class TestKernelOnDrawnForms:
         assert a.wedge(b) == koszul_wedge(a, b)
 
     @settings(max_examples=25, deadline=None)
-    @given(rich_weights(DRAWN.nvars).flatmap(lambda g: rich_coefficients(DRAWN.nvars, g)))
+    @given(st.tuples(rich_weights(DRAWN.nvars), rich_grades).flatmap(
+        lambda gs: rich_coefficients(DRAWN.nvars, *gs)))
     def test_gradient(self, f):
         grad = f.gradient()
         assert grad == [f.derive(i) for i in range(1, f.n + 1)]

@@ -116,8 +116,9 @@ class TestTopDegreeExponential:
 @st.composite
 def thom_exponents(draw, q=None):
     """(a, r, gauss): a of bidegree (1,1) with up to three terms per z0
-    column, r of bidegree (2,2), both with polynomial coefficients, over a
-    small fiber or signature context with q z0 indices (1-3 if not given)."""
+    column, r of bidegree (2,2), both with coefficients that are linear
+    polynomials in y = sqrt(pi) x, of grade (0, 0), over a small fiber or
+    signature context with q z0 indices (1-3 if not given)."""
     q = q or draw(st.integers(1, 3))
     if draw(st.booleans()):
         ctx, gens = FiberCtx(q), list(range(1, q + 1))
@@ -131,7 +132,7 @@ def thom_exponents(draw, q=None):
         slopes = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         pg = PolyGauss.const(n, Scalar.rational(const))
         for i, c in enumerate(slopes, start=1):
-            pg = pg + PolyGauss.var(n, i) * Scalar.rational(c)
+            pg = pg + PolyGauss.var(n, i) * Scalar.term(c, epi=1)
         return pg
 
     def subsets(pool, k):
@@ -170,7 +171,8 @@ class TestExp:
     def test_hermite_argument(self, p, q):
         ctx = SignatureCtx(p, q)
         e1 = eta(ctx, 1)
-        a, r = e1.scale(PolyGauss.var(ctx.nvars, 1) * 2), -e1.wedge(e1)
+        two_y = PolyGauss.var(ctx.nvars, 1) * Scalar.term(2, e2=1, epi=1)  # y = sqrt(2 pi) x1
+        a, r = e1.scale(two_y), -e1.wedge(e1)
         assert _exp(a, r, PolyGauss.one(ctx.nvars), range(q + 1)) == exp_even(a + r)
 
     @pytest.mark.parametrize("q", range(1, 6))
@@ -310,7 +312,8 @@ def euler_vector(ctx: FiberCtx) -> SuperForm:
 def fiber_forms(draw, q: int, degree: int) -> SuperForm:
     """Up to three terms of dx-degree ``degree`` (any z0 set), each
     coefficient one to three terms c x^mono exp(-pi sum g_i x_i^2) over one
-    Gaussian key g drawn for the form."""
+    Gaussian key g and one grade (e2, gamma) drawn for the form: c is a
+    rational times sqrt2^e2 sqrt(pi)^(gamma + |mono|)."""
     ctx = FiberCtx(q)
     subsets = st.lists(st.sampled_from(ctx.z0), unique=True).map(lambda xs: tuple(sorted(xs)))
     dx_sets = st.lists(
@@ -318,14 +321,12 @@ def fiber_forms(draw, q: int, degree: int) -> SuperForm:
     ).map(lambda xs: tuple(sorted(xs)))
     gauss = st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=q, max_size=q)
     mono = st.lists(st.integers(0, 2), min_size=q, max_size=q).map(tuple)
-    scalar = st.builds(
-        lambda r, e2, epi: Scalar.term(r, e2=e2, epi=epi),
-        st.fractions(min_value=-5, max_value=5, max_denominator=4),
-        st.integers(0, 1),
-        st.integers(-1, 1),
-    )
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     g = draw(gauss.map(gauss_exp))
-    coeff = st.lists(st.tuples(mono, scalar), min_size=1, max_size=3)
+    e2, gamma = draw(st.integers(0, 1)), draw(st.integers(-1, 1))
+    coeff = st.lists(st.tuples(mono, rational), min_size=1, max_size=3).map(lambda pairs: (
+        (m, Scalar.term(r, e2=e2, epi=gamma + sum(m))) for m, r in pairs
+    ))
     terms = draw(st.dictionaries(
         st.tuples(dx_sets, subsets), coeff.map(lambda pairs: PolyGauss.from_items(q, g, pairs)),
         max_size=3,

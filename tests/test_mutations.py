@@ -54,6 +54,12 @@ MUTATIONS = {
     "mq_prefactor_sign_flipped": [
         (mq, "mq_prefactor", {"sign = -1 if": "sign = 1 if"}),
     ],
+    # the Thom form one (2 pi)^(q/2) too large: at (1,1) its coefficients sit
+    # one grade above the Howe form's, so the sides do not subtract, and the
+    # witness names the two grades
+    "mq_prefactor_drops_the_pi_power": [
+        (mq, "mq_prefactor", {"epi=-q": "epi=0"}),
+    ],
     # the 1/b! of r^b / b! in the one exponential: b! = 1 for b <= 1, so
     # only q >= 4 sees it; SIZES holds (1,4) for it
     "exp_drops_the_r_power_factorials": [
@@ -102,8 +108,9 @@ MUTATIONS = {
     "gaussian_product_keeps_left_weight": [
         (scalars._FlatSum, "add_product", {"tuple(map(add, a.g, b.g))": "a.g"}),
     ],
+    # sqrt2 * sqrt2 of the two grades, folded once per product
     "product_skips_the_sqrt2_fold": [
-        (scalars._FlatSum, "add_product", {"va * vb * m << c": "va * vb * m"}),
+        (scalars._FlatSum, "add_product", {" << (a2 & b2)": ""}),
     ],
     # the field of d and of L_X: x_l d/dx_k with c_kl dropped
     "linear_field_drops_its_coefficient": [
@@ -258,6 +265,18 @@ def test_the_d_fault_reaches_both_spaces(verdicts):
     closedness at (2,1) and transgression at q = 2."""
     assert verdicts["d_drops_the_merge_sign"][("closedness", (("p", 2), ("q", 1)))] == "fail"
     assert verdicts["d_drops_the_merge_sign"][("transgression", (("q", 2),))] == "fail"
+
+
+def test_a_dropped_pi_power_fails_theorem_with_two_grades():
+    """Sides one grade apart do not subtract: theorem fails, and does not
+    raise, with a witness that names both grades."""
+    with pytest.MonkeyPatch.context() as mp:
+        for edit in MUTATIONS["mq_prefactor_drops_the_pi_power"]:
+            _mutate(mp, *edit)
+        for p, q in [(1, 1), (1, 2), (2, 2)]:
+            res = run_check("theorem", p=p, q=q)
+            assert res.status == "fail", (p, q)
+            assert res.witness.startswith("one coefficient, two grades: "), res.witness
 
 
 def test_the_slot_fault_reaches_transgression_at_q1(verdicts):

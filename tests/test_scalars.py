@@ -64,10 +64,28 @@ def assert_str_faithful(c, atoms, zero):
     assert_faithful(shifted_sums(c, atoms, zero))
 
 
+def assert_grouped_str_faithful(c: PolyGauss, groups: dict, key):
+    """Over every sum of at most two atoms of one group of ``groups`` {key:
+    atoms}, shifted by c in the group of c's ``key``, and c itself when no
+    group has its key: two values print the same text exactly when they are
+    equal. Values of two groups do not add."""
+    zero = PolyGauss(2)
+    values = [] if key(c) in groups else [c]
+    for k, atoms in groups.items():
+        values += shifted_sums(c if key(c) == k else zero, atoms, zero)
+    assert_faithful(values)
+
+
+# The term of x^mono of the coordinate y_i = sqrt(pi) x_i reads in y: c * y^mono.
+def in_y(mono: tuple, c: Scalar) -> Scalar:
+    return c * Scalar.term(1, epi=sum(mono))
+
+
 def weighted(g, terms) -> PolyGauss:
-    """The sum of c * x^mono over ``terms`` {mono: Scalar}, times the one
-    Gaussian exp(-pi sum_i g_i x_i^2), in two variables; g is kept as given."""
-    return PolyGauss.from_items(2, g, terms.items())
+    """The sum of c * y^mono over ``terms`` {mono: Scalar}, y = sqrt(pi) x,
+    times the one Gaussian exp(-pi sum_i g_i x_i^2), in two variables; g is
+    kept as given. Coefficients c of one grade give one grade."""
+    return PolyGauss.from_items(2, g, ((m, in_y(m, c)) for m, c in terms.items()))
 
 
 ZERO_WEIGHT = (0, 0)
@@ -79,16 +97,16 @@ SCALAR_ATOMS = [
     Scalar.term(r, e2=e2, epi=epi)
     for r, e2, epi in [(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (1, 0, 2), (-1, 0, -1)]
 ]
-POLY_ATOMS = [
-    weighted(ZERO_WEIGHT, {m: c})
-    for m in [(0, 0), (1, 0), (2, 0), (0, 1)]
-    for c in [Scalar.one(), SQRT2, Scalar.one() + SQRT2]
-]
+# {grade: atoms of that one grade}
+POLY_ATOMS = {
+    PolyGauss.const(2, c).s: [weighted(ZERO_WEIGHT, {m: c}) for m in [(0, 0), (1, 0), (2, 0), (0, 1)]]
+    for c in [Scalar.one(), SQRT2, Scalar.term(1, epi=1)]
+}
 # The stored record of x_1, read from the `parts` view.
 X_POLY = PolyGauss.var(2, 1).parts[ZERO_WEIGHT]
-# {weight: atoms of that one weight}
+# {(weight, grade): atoms of that one weight and grade (0, 0)}
 POLYGAUSS_ATOMS = {
-    gauss_exp(g): [
+    (gauss_exp(g), (0, 0)): [
         weighted(gauss_exp(g), terms)
         for terms in [{(0, 0): Scalar.one()}, {(1, 0): Scalar.one()},
                       {(0, 0): Scalar.one(), (1, 0): Scalar.one()}]
@@ -142,39 +160,55 @@ class TestScalarRing:
         assert s * s * s * s == Scalar.rational(Fraction(4, 16))
 
 
-poly_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=3)
-# Polynomials: weight zero.
+# One grade (e2, gamma), drawn per example.
+grades = st.tuples(st.integers(0, 1), st.integers(-1, 1))
+
+
+def poly_terms_at(s):
+    """{monomial: coefficient}, each coefficient of the one grade s, read in y."""
+    e2, gamma = s
+    return st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        fractions.map(lambda r: Scalar.term(r, e2=e2, epi=gamma)),
+        max_size=3,
+    )
+
+
+poly_terms = grades.flatmap(poly_terms_at)
+# Polynomials in y: weight zero, one grade.
 polys = poly_terms.map(lambda terms: weighted(ZERO_WEIGHT, terms))
 # One Gaussian weight: one the atoms carry, or any.
 weights = st.one_of(
-    st.sampled_from(list(POLYGAUSS_ATOMS)), st.tuples(fractions, fractions).map(gauss_exp)
+    st.sampled_from([g for g, _s in POLYGAUSS_ATOMS]),
+    st.tuples(fractions, fractions).map(gauss_exp),
 )
 
 
 def monomial(mono: tuple, c: Scalar) -> PolyGauss:
-    """c * x^mono in two variables, from `PolyGauss.const` and `PolyGauss.var`."""
+    """c * y^mono in two variables, y_i = sqrt(pi) x_i, from `PolyGauss.const`
+    and `PolyGauss.var`."""
     out = PolyGauss.const(2, c)
     for i, e in enumerate(mono, start=1):
         for _ in range(e):
-            out = out * PolyGauss.var(2, i)
+            out = out * PolyGauss.var(2, i) * Scalar.term(1, epi=1)
     return out
 
 
-# Polynomials as PolyGauss, times one Gaussian weight drawn per example:
-# none, or one.
-def polygausses_at(weight: PolyGauss):
-    return poly_terms.map(
+# Polynomials in y as PolyGauss, of one grade, times one Gaussian weight
+# drawn per example: none, or one.
+def polygausses_at(weight: PolyGauss, s):
+    return poly_terms_at(s).map(
         lambda terms: sum((monomial(m, c) for m, c in terms.items()), PolyGauss(2)) * weight
     )
 
 
 one_weight = st.sampled_from([PolyGauss.one(2), PolyGauss.gaussian([1, Fraction(1, 2)])])
-polygausses = one_weight.flatmap(polygausses_at)
+polygausses = st.tuples(one_weight, grades).flatmap(lambda ws: polygausses_at(*ws))
 
 
 def same_weight_polygausses(k: int):
-    """k polygausses of one drawn weight."""
-    return one_weight.flatmap(lambda w: st.tuples(*[polygausses_at(w)] * k))
+    """k polygausses of one drawn weight and grade."""
+    return st.tuples(one_weight, grades).flatmap(lambda ws: st.tuples(*[polygausses_at(*ws)] * k))
 
 
 class TestPoly:
@@ -210,11 +244,13 @@ class TestPoly:
 
     @given(polys)
     def test_str_is_faithful(self, c):
-        assert_str_faithful(c, POLY_ATOMS, PolyGauss(2))
+        # c shifts the atoms of its own grade; the others print unshifted
+        assert_grouped_str_faithful(c, POLY_ATOMS, lambda v: v.s)
 
     def test_eval(self):
+        # y1 y2 + 1 = pi x1 x2 + 1
         p = weighted(ZERO_WEIGHT, {(1, 1): Scalar.one(), (0, 0): Scalar.one()})
-        assert math.isclose(p.eval([2.0, 3.0]), 7.0)
+        assert math.isclose(p.eval([2.0, 3.0]), 6 * math.pi + 1)
 
     @pytest.mark.parametrize("i", [0, 3, -1])
     def test_var_rejects_index_out_of_range(self, i):
@@ -253,11 +289,10 @@ class TestCanonicalSums:
         with pytest.raises(ValueError, match="dimension"):
             PolyGauss.from_items(2, (0,), [((0, 0), one)])
 
-    @given(scalars, scalars)
-    def test_sums_stay_canonical(self, a, b):
+    @given(scalars, scalars, polys)
+    def test_sums_stay_canonical(self, a, b, pg):
         for value in (a + b, a * b, a + -a, a * 0):
             assert all(value.terms.values())
-        pg = weighted(ZERO_WEIGHT, {(1, 0): a, (0, 1): b})
         for value in (pg + pg, pg * pg, pg - pg, -pg, pg.derive(1), pg * Scalar(), pg * 0):
             assert all(value.parts.values())
             assert all(s for poly in value.parts.values() for s in poly.terms.values())
@@ -278,14 +313,8 @@ class TestPolyGauss:
 
     @given(weights, poly_terms)
     def test_str_is_faithful(self, g, terms):
-        # c shifts the atoms of its own weight; the others print unshifted
-        values = []
-        for weight, atoms in POLYGAUSS_ATOMS.items():
-            c = weighted(g, terms) if weight == g else PolyGauss(2)
-            values += shifted_sums(c, atoms, PolyGauss(2))
-        if g not in POLYGAUSS_ATOMS:
-            values.append(weighted(g, terms))
-        assert_faithful(values)
+        # c shifts the atoms of its own weight and grade; the others print unshifted
+        assert_grouped_str_faithful(weighted(g, terms), POLYGAUSS_ATOMS, lambda v: (v.g, v.s))
 
     @given(weights, poly_terms)
     def test_items_round_trip(self, g, terms):
@@ -365,6 +394,70 @@ class TestOneWeight:
         assert not zero * g and (zero * g).g == (0, 0) and zero * g + h == h
         assert not g * 0 and g * 0 + h == h
         assert _FlatSum(2).add_field(None, [zero, zero], {(1, 2): 1}).total() == zero
+
+
+class TestOneGrade:
+    """A coefficient carries one grade (e2, gamma): its term at x^m is a
+    rational times sqrt2^e2 sqrt(pi)^(gamma + |m|). Products add grades,
+    d/dx_i puts a value one grade up and a factor x_i one grade down, zero
+    adds to any grade, and a sum of two grades under one outer key raises
+    ValueError naming both."""
+
+    X, ONE = PolyGauss.var(2, 1), PolyGauss.one(2)  # grades (0, -1) and (0, 0)
+    Y = X * Scalar.term(1, epi=1)  # y_1 = sqrt(pi) x_1: grade (0, 0)
+
+    def test_from_items_of_two_grades_raises(self):
+        one = Scalar.one()
+        with pytest.raises(ValueError, match=re.escape("two grades: (0, 0) and (0, -1)")):
+            PolyGauss.from_items(2, ZERO_WEIGHT, [((0, 0), one), ((1, 0), one)])
+        with pytest.raises(ValueError, match="two grades"):
+            PolyGauss.const(2, one + SQRT2)
+        # x^m with sqrt(pi)^|m| is one grade
+        same = PolyGauss.from_items(2, ZERO_WEIGHT, [((0, 0), one), ((1, 0), in_y((1, 0), one))])
+        assert same == self.ONE + self.Y and same.s == (0, 0)
+
+    def test_a_sum_of_two_grades_raises(self):
+        for two_grades in (
+            lambda: self.X + self.ONE, lambda: self.X - self.Y,
+            lambda: self.ONE + SQRT2 * self.ONE, lambda: self.ONE + self.ONE * Scalar.term(1, epi=2),
+        ):
+            with pytest.raises(ValueError, match="two grades"):
+                two_grades()
+        with pytest.raises(ValueError, match=re.escape("(0, -1) and (0, 0)")):
+            self.X + self.Y
+
+    def test_a_product_sum_of_two_grades_raises(self):
+        with pytest.raises(ValueError, match="two grades"):
+            _FlatSum(2).add_product(0, self.ONE, self.ONE).add_product(0, self.ONE, self.X)
+        # each outer key holds its own grade
+        sums = _FlatSum(2).add_product(0, self.ONE, self.ONE).add_product(1, self.ONE, self.X)
+        assert sums.result() == {0: self.ONE, 1: self.X}
+
+    def test_superforms_of_two_grades_do_not_build_or_add(self):
+        from thomform.superforms import FiberCtx, SuperForm
+
+        ctx, key = FiberCtx(2), ((1,), ())
+        with pytest.raises(ValueError, match="two grades"):
+            SuperForm(ctx, [(key, self.ONE), (key, self.X)])
+        with pytest.raises(ValueError, match="two grades"):
+            SuperForm(ctx, {key: self.ONE}) + SuperForm(ctx, {key: self.X})
+        # under two keys, two grades
+        both = SuperForm(ctx, {key: self.ONE, ((2,), ()): self.X})
+        assert {pg.s for pg in both.terms.values()} == {(0, 0), (0, -1)}
+
+    def test_grades_move_by_degree(self):
+        f = PolyGauss.gaussian([1, 2]) * Scalar.term(3, e2=1) * self.Y
+        assert f.s == (1, 0)
+        assert [d.s for d in f.gradient()] == [(1, 1), (1, 1)]
+        assert _FlatSum(2).add(None, f, 1, 2).total().s == (1, -1)
+        assert (f * f).s == (0, 0)  # sqrt2 * sqrt2 folds into the rational
+        assert (f * f) == PolyGauss.gaussian([2, 4]) * self.Y * self.Y * 18
+        assert howe_shift(f, 1).s == (1, -1)
+
+    def test_zero_adds_to_any_grade(self):
+        cancelled = self.X - self.X
+        assert not cancelled and cancelled + self.ONE == self.ONE == self.ONE + cancelled
+        assert PolyGauss(2).s == (0, 0) and PolyGauss(2) + self.X == self.X
 
 
 class TestGaussMoment:
@@ -494,8 +587,11 @@ class TestKernelReferences:
             assert entry == Fraction(value)
             assert (type(entry) is int) == (Fraction(value).denominator == 1)
 
-    @given(gauss_weights, poly_terms, gauss_weights, poly_terms)
-    def test_int_and_fraction_keys_agree(self, ga, a_terms, gb, b_terms):
+    @given(gauss_weights, grades.flatmap(lambda s: st.tuples(*[poly_terms_at(s)] * 2)),
+           gauss_weights)
+    def test_int_and_fraction_keys_agree(self, ga, ab_terms, gb):
+        a_terms, b_terms = ab_terms
+
         def both(g, terms):
             return weighted(tuple(map(Fraction, g)), terms), weighted(g, terms)
 
@@ -609,38 +705,52 @@ class TestSingleTermFastPaths:
         assert _FlatSum(2).add_field(None, grad, entries).total() == expected
 
 
-def flat_coefficients(g):
-    """Coefficients of the one Gaussian weight g whose rationals have
-    denominators 1-7, so that the common denominator of a flat sum is lifted
-    mid-sum, with negative sqrt2 powers."""
+# A grade (e2, gamma) with negative sqrt2 powers, folded where it is stored.
+flat_grades = st.tuples(st.integers(-3, 2), st.integers(-1, 1))
+
+
+def flat_coefficients(g, s):
+    """Coefficients of the one Gaussian weight g and the one grade s whose
+    rationals have denominators 1-7, so that the common denominator of a
+    flat sum is lifted mid-sum."""
+    e2, gamma = s
     return st.lists(st.tuples(
         st.tuples(st.integers(0, 2), st.integers(0, 2)),
-        st.integers(-3, 2),
-        st.integers(-1, 1),
         st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
     ), min_size=1, max_size=3).map(lambda atoms: PolyGauss.from_items(2, g, (
-        (mono, Scalar.term(r, e2=e2, epi=epi)) for mono, e2, epi, r in atoms
+        (mono, Scalar.term(r, e2=e2, epi=gamma + sum(mono))) for mono, r in atoms
     )))
 
 
-def flat_ops_at(g):
-    """Adds and products into one sum of weight g: a product's factors draw
-    one weight and the other is what completes it to g."""
-    product = gauss_weights.flatmap(lambda ga: st.tuples(
-        st.just("product"), st.integers(0, 1), flat_coefficients(ga),
-        flat_coefficients(gauss_exp(map(sub, g, ga))), st.booleans(),
-    ))
+def flat_ops_at(g, outer_grades):
+    """Adds and products into one sum of weight g, of grade
+    ``outer_grades[outer]`` under each outer key: an add with a shift takes
+    a coefficient one grade up, and a product's factors draw one weight and
+    grade and the other is what completes them to g and the outer's grade."""
+
+    def add(outer, shift):
+        e2, gamma = outer_grades[outer]
+        return st.tuples(
+            st.just("add"), st.just(outer), flat_coefficients(g, (e2, gamma + bool(shift))),
+            st.fractions(min_value=-3, max_value=3, max_denominator=7), st.just(shift),
+        )
+
+    def product(outer, ga, sa):
+        return st.tuples(
+            st.just("product"), st.just(outer), flat_coefficients(ga, sa),
+            flat_coefficients(gauss_exp(map(sub, g, ga)), tuple(map(sub, outer_grades[outer], sa))),
+            st.booleans(),
+        )
+
     return st.lists(st.one_of(
-        st.tuples(
-            st.just("add"), st.integers(0, 1), flat_coefficients(g),
-            st.fractions(min_value=-3, max_value=3, max_denominator=7),
-            st.sampled_from([None, 1, 2]),
-        ),
-        product,
+        st.tuples(st.integers(0, 1), st.sampled_from([None, 1, 2])).flatmap(lambda os: add(*os)),
+        st.tuples(st.integers(0, 1), gauss_weights, flat_grades).flatmap(lambda x: product(*x)),
     ), min_size=1, max_size=6)
 
 
-flat_ops = gauss_weights.flatmap(flat_ops_at)
+# One weight, and one grade per outer key 0 and 1.
+flat_sums = st.tuples(gauss_weights, st.tuples(flat_grades, flat_grades))
+flat_ops = flat_sums.flatmap(lambda gs: flat_ops_at(*gs))
 
 
 def fraction_atoms(ops) -> dict:
@@ -704,7 +814,7 @@ class TestIntegerFlatSum:
         } == fraction_atoms(ops)
 
     @settings(max_examples=30, deadline=None)
-    @given(gauss_weights.flatmap(lambda g: st.tuples(flat_ops_at(g), flat_ops_at(g))))
+    @given(flat_sums.flatmap(lambda gs: st.tuples(flat_ops_at(*gs), flat_ops_at(*gs))))
     def test_a_sum_and_its_negation_cancel(self, ops_more):
         ops, more = ops_more
         assert flat_sum(ops + more + negated(ops)).result() == flat_sum(more).result()
@@ -718,7 +828,6 @@ class TestIntegerFlatSum:
 
 
 FIELD = 1 << (_W - 1)  # every stored exponent field of an atom is below this
-EPI = FIELD // 2  # sqrt(pi)^epi is stored for -EPI <= epi < EPI
 
 
 def packed(mono: tuple, epi: int = 0) -> PolyGauss:
@@ -726,20 +835,20 @@ def packed(mono: tuple, epi: int = 0) -> PolyGauss:
 
 
 class TestExponentFields:
-    """An exponent that leaves its field of an atom raises OverflowError,
-    where it is packed and where a sum of atoms is handed over; it never
-    carries or borrows into the next field."""
+    """An exponent of x that leaves its field of an atom raises
+    OverflowError, where it is packed and where a sum of atoms is handed
+    over; it never carries or borrows into the next field. The sqrt(pi)
+    power is the grade's, stored once and unbounded."""
 
     @pytest.mark.parametrize("mono,epi", [
-        ((FIELD, 0), 0), ((0, FIELD), 0), ((0, 2 * FIELD), 0), ((0, -1), 0), ((0, 0), EPI),
-        ((0, 0), -EPI - 1), ((0,), -2 * FIELD),
+        ((FIELD, 0), 0), ((0, FIELD), 0), ((0, 2 * FIELD), 0), ((0, -1), 0),
     ])
     def test_packing_refuses_an_exponent_past_its_field(self, mono, epi):
         with pytest.raises(OverflowError):
             packed(mono, epi)
 
     def test_the_extreme_exponents_are_stored(self):
-        for mono, epi in [((FIELD - 1, FIELD - 1), EPI - 1), ((0, 1), -EPI)]:
+        for mono, epi in [((FIELD - 1, FIELD - 1), 2 * FIELD), ((0, 1), -2 * FIELD)]:
             assert list(packed(mono, epi).items()) == [(mono, Scalar.term(1, epi=epi))]
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -751,8 +860,6 @@ class TestExponentFields:
             lambda: x * top,
             lambda: (top * PolyGauss.gaussian([1] * n)).derive(1),
             lambda: _FlatSum(n).add_field(None, [top] * n, {(1, 1): 1}).total(),
-            lambda: packed((0,) * n, EPI - 1) * Scalar.term(1, epi=1),
-            lambda: packed((0,) * n, -EPI) * Scalar.term(1, epi=-1),
         ):
             with pytest.raises(OverflowError):
                 overflow()

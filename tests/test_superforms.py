@@ -256,7 +256,7 @@ def benchmark_form_sizes():
 class TestSizes:
     def test_counts(self):
         one = PolyGauss.one(CTX.nvars)
-        x = PolyGauss.var(CTX.nvars, 1) * Scalar.rational(Fraction(-5, 12))
+        x = PolyGauss.var(CTX.nvars, 1) * Scalar.term(Fraction(-5, 12), epi=1)  # in y, as 1
         f = SuperForm(CTX, {((1,), ()): one + x, ((2,), (3,)): x})
         assert f.sizes() == (2, 3, 4)  # 12 has 4 bits
         assert SuperForm(CTX).sizes() == (0, 0, 0)

@@ -19,7 +19,6 @@ import sympy
 from thomform.km import (
     coefficient_gradients,
     exterior_derivative,
-    hermite,
     hermite_scaled,
     km_closed_form,
     km_form_at_e,
@@ -50,15 +49,16 @@ def to_sympy(pg: PolyGauss):
 
 
 def random_polygauss(rng: random.Random) -> PolyGauss:
-    """One random Gaussian weight over one to five random terms
-    r sqrt2^e2 sqrtpi^epi x^mono with e2 in {0, 1}."""
+    """One random Gaussian weight and one random grade (e2, gamma), e2 in
+    {0, 1}, over one to five random terms r sqrt2^e2 sqrtpi^(gamma + |mono|) x^mono."""
     entries = [0, 1, 2, Fraction(1, 2), Fraction(-3, 4)]
     g = gauss_exp(rng.choice(entries) for _ in range(N))
+    e2, gamma = rng.randint(0, 1), rng.randint(-1, 1)
     items = []
     for _ in range(rng.randint(1, 5)):
         mono = tuple(rng.randint(0, 2) for _ in range(N))
         r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        items.append((mono, Scalar.term(r, e2=rng.randint(0, 1), epi=rng.randint(-1, 1))))
+        items.append((mono, Scalar.term(r, e2=e2, epi=gamma + sum(mono))))
     return PolyGauss.from_items(N, g, items)
 
 
@@ -93,7 +93,10 @@ def test_linear_field(seed):
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_hermite(n):
-    assert_same(to_sympy(hermite(n, N, 2)), sympy.hermite(n, X[1]))
+    """Read in y = sqrt(2 pi) x2, `hermite_scaled` is sympy's H_n(y)."""
+    y = sympy.Symbol("y")
+    ours = to_sympy(hermite_scaled(n, N, 2)).subs(X[1], y / (S2 * SPI))
+    assert_same(ours.subs(S2, sympy.sqrt(2)), sympy.hermite(n, y))
 
 
 @pytest.mark.parametrize("n", range(0, 11))
