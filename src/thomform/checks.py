@@ -40,7 +40,7 @@ from .mq import (
     fiber_umq,
     mq_phi_at_e,
 )
-from .scalars import PolyGauss, Scalar, howe_shift
+from .scalars import Inhomogeneous, PolyGauss, Scalar, howe_shift
 from .superforms import FiberCtx, SuperForm
 
 MAX_PQ = 8
@@ -117,7 +117,7 @@ def _witness(lhs: SuperForm, rhs: SuperForm) -> str:
     unequal; sides of two weights or grades do not subtract, and name them."""
     try:
         diff = lhs - rhs
-    except ValueError as exc:
+    except Inhomogeneous as exc:
         return str(exc)
     if not diff:
         return "the sides compare unequal but subtract to zero: a store is not canonical"
@@ -515,12 +515,16 @@ CHECK_IDS = list(CHECKS)
 
 
 def run_check(check_id: str, **params) -> CheckResult:
-    """Run one named check; see CHECKS for the ids and their parameters."""
+    """Run one named check; see CHECKS for the ids and their parameters. A
+    construction that mixes weights or grades fails it, naming both."""
     start = time.perf_counter()
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id: {check_id}")
     values = CHECKS[check_id].validate(check_id, params)
-    res = globals()[f"check_{check_id}"](**values)
+    try:
+        res = globals()[f"check_{check_id}"](**values)
+    except Inhomogeneous as exc:
+        res = CheckResult(check_id, values, "fail", witness=str(exc))
     res.elapsed = time.perf_counter() - start
     return res
 

@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .liealg import SignatureCtx, curvature_at_e
+from .liealg import SignatureCtx, curvature_at_e, eta
 from .scalars import PolyGauss, Scalar, _FlatSum, gauss_exp, gauss_moment
 from .superforms import FiberCtx, SuperForm
 
@@ -27,15 +27,14 @@ def mq_prefactor(q: int) -> Scalar:
     return Scalar.term(Fraction(sign), e2=-q, epi=-q)
 
 
-def _exp(a: SuperForm, r: SuperForm, weight, degrees) -> SuperForm:
+def _exp(a: SuperForm, r: SuperForm, weight: PolyGauss, degrees) -> SuperForm:
     """weight * the terms of exp(a + r) of z0 degree in ``degrees``, for a of
     bidegree (1,1) and r of bidegree (2,2). Both are even, so they commute,
     and the part of z0 degree k is sum_b [exp a]_(k-2b) ^ r^b / b!, [exp a]_j
     the part of z0 degree j: only those parts are built, in one flat sum. The
     columns a_mu of a (its terms with J = (mu,)) are even and square to zero,
-    so exp a = prod_mu (1 + a_mu), one wedge per column. ``weight`` (a
-    `Scalar` or a `PolyGauss`) commutes with everything, so it and 1/b!
-    scale each r^b.
+    so exp a = prod_mu (1 + a_mu), one wedge per column. ``weight``, a
+    `PolyGauss`, commutes with everything, so it and 1/b! scale each r^b.
     """
     ctx, q = a.ctx, len(a.ctx.z0)
     exp_a = one = SuperForm.one(ctx)
@@ -62,11 +61,10 @@ def _thom(a: SuperForm, r: SuperForm, gauss: list) -> SuperForm:
 def _basepoint_thom(ctx: SignatureCtx, gauss: list) -> SuperForm:
     """`_thom` of A = 2 sqrt(pi) sum_alpha x_alpha eta_alpha and R = rho(R_e)."""
     two_sqrt_pi = Scalar.term(Fraction(2), epi=1)
-    a = SuperForm(ctx, (
-        ((((alpha, mu),), (mu,)), PolyGauss.var(ctx.nvars, alpha) * two_sqrt_pi)
+    a = sum((
+        eta(ctx, alpha).scale(PolyGauss.var(ctx.nvars, alpha) * two_sqrt_pi)
         for alpha in range(1, ctx.p + 1)
-        for mu in ctx.z0
-    ))
+    ), SuperForm(ctx))
     return _thom(a, curvature_at_e(ctx), gauss)
 
 

@@ -1,28 +1,32 @@
-"""Exact scalars in Q(sqrt2, sqrt(pi)) and polynomial-times-Gaussian functions.
+"""Exact graded scalars and polynomial-times-Gaussian functions.
 
 Everything here is immutable value data with exact rational arithmetic, and
 every value has one canonical form, so equality means equal functions. A
-`PolyGauss` is sqrt2^e2 sqrt(pi)^gamma times a rational polynomial in
-y = sqrt(pi) x, times one Gaussian. It stores its Gaussian exponent ``g``,
-its grade ``s`` = (e2, gamma) with e2 in {0, 1} ((0,)*n and (0, 0) for
-zero) and {packed-int atom: int numerator} over one least denominator
-``den`` (gcd 1 with the numerators; 1 for zero), with no zero numerator:
-`==` compares all four. The atom of x^m packs only the exponents of
-x_1..x_n, in W-bit fields (W = `_W`); its term is
-(v/den) sqrt2^e2 sqrt(pi)^(gamma + |m|) x^m. A stored field stays below its
-top bit, so adding two atoms never carries into the next field; `_pack` and
-`_FlatSum.result` raise OverflowError for an exponent that leaves it.
+`Scalar` is one graded rational r sqrt2^e2 sqrt(pi)^epi. A `PolyGauss` is
+sqrt2^e2 sqrt(pi)^gamma times a rational polynomial in y = sqrt(pi) x, times
+one Gaussian. It stores its Gaussian exponent ``g``, its grade ``s`` =
+(e2, gamma) with e2 in {0, 1} ((0,)*n and (0, 0) for zero) and {packed-int
+atom: int numerator} over one least denominator ``den`` (gcd 1 with the
+numerators; 1 for zero), with no zero numerator: `==` compares all four. The
+atom of x^m packs only the exponents of x_1..x_n, in W-bit fields (W = `_W`);
+its term is (v/den) sqrt2^e2 sqrt(pi)^(gamma + |m|) x^m. A stored field stays
+below its top bit, so adding two atoms never carries into the next field;
+`_pack` and `_FlatSum.result` raise OverflowError for an exponent that leaves it.
 
 `_FlatSum` is the one sum: +, -, products, partials, linear fields, wedge, d
 and L_X add int numerators into it, and `result` hands its dicts over as the
-stores after one gcd pass, building no Fraction, Scalar or Poly. A sum holds
-one Gaussian weight, and one grade per outer key: products add both and fold
+stores after one gcd pass, building no Fraction or Scalar. A sum holds one
+Gaussian weight, and one grade per outer key: products add both and fold
 sqrt2 * sqrt2 into their multiplier once, d/dx_i puts a value one grade up
 and a factor x_i one grade down, zero adds to any, and a non-zero
-contribution of another weight or grade raises ValueError naming both.
-`parts`, the {g: Poly} view that `items`, `str` and `eval` read, is built on
-first read; `Poly` is only its record. `_add_into` merges every sparse sum
-(`Scalar`, `SuperForm`, `LieElement`, the flat dicts), dropping what cancels.
+contribution of another weight or grade raises `Inhomogeneous` naming both,
+as a `Scalar` sum of two grades does. No construction builds either, so a
+check that meets one fails. `items` is the one reader of a store: it unpacks
+the atoms into (monomial, Scalar) pairs for `str`, `eval`, `sizes`, theta
+and `fiber_integrate`. `parts`, the {g: Poly} view of those pairs, is kept
+for the benchmark's size walk and rebuilt on each read; `Poly` is its bare
+record. `_add_into` merges every sparse sum (`Scalar`, `SuperForm`,
+`LieElement`, the flat dicts), dropping what cancels.
 
 Gaussian exponent keys follow one rule: `gauss_exp` stores an integral entry
 as an int and any other entry as a Fraction. The two hash and compare equal,
@@ -31,9 +35,8 @@ so values, text and JSON do not depend on it; int keys are hashed in C.
 Only this module knows how a coefficient is stored, and only it names
 `Poly`: other modules build a `PolyGauss` from `var`, `const`, `one`,
 `gaussian` and `from_items` (the weight once, then (monomial, coefficient)
-pairs of one grade), use `g`, `items` (those pairs), `derive` and
-`gradient`, and sum through `_FlatSum` (a linear field of a gradient
-through `add_field`).
+pairs of one grade), use `g`, `items`, `derive` and `gradient`, and sum
+through `_FlatSum` (a linear field of a gradient through `add_field`).
 """
 
 from __future__ import annotations
@@ -77,11 +80,15 @@ def _fold_sqrt2(e2: int, epi: int, r: Fraction) -> tuple[tuple[int, int], Fracti
     return (e2 & 1, epi), r
 
 
-class Scalar:
-    """Element of Q[sqrt2, sqrt(pi)^(+-1)] stored as {(e2, epi): rational}.
+class Inhomogeneous(ValueError):
+    """A sum of two Gaussian weights or two grades. No construction builds
+    one, so a check that meets it fails, with this message as its witness."""
 
-    A term (e2, epi) -> r represents r * sqrt(2)^e2 * sqrt(pi)^epi with
-    e2 in {0, 1} (even powers of sqrt2 folded into the rational).
+
+class Scalar:
+    """One graded rational r * sqrt2^e2 * sqrt(pi)^epi, stored as
+    {(e2, epi): r} with e2 in {0, 1} (even powers of sqrt2 folded into r);
+    zero is {}. A sum of two grades raises Inhomogeneous naming both.
     """
 
     __slots__ = ("terms",)
@@ -90,6 +97,8 @@ class Scalar:
         self.terms = _add_into(
             {}, (_fold_sqrt2(e2, epi, Fraction(r)) for (e2, epi), r in _pairs(terms))
         )
+        if len(self.terms) > 1:
+            raise Inhomogeneous("one scalar, two grades: {} and {}".format(*self.terms))
 
     @staticmethod
     def _of(terms: dict) -> "Scalar":
@@ -112,7 +121,7 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar._of(_add_into(dict(self.terms), other.terms.items()))
+        return Scalar([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "Scalar":
         return Scalar._of({k: -r for k, r in self.terms.items()})
@@ -122,11 +131,10 @@ class Scalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Scalar.rational(other)
-        return Scalar._of(_add_into({}, (
+        return Scalar._of(dict(
             _fold_sqrt2(a2 + b2, api + bpi, ra * rb)
-            for (a2, api), ra in self.terms.items()
-            for (b2, bpi), rb in other.terms.items()
-        )))
+            for (a2, api), ra in self.terms.items() for (b2, bpi), rb in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -134,36 +142,31 @@ class Scalar:
         return isinstance(other, Scalar) and self.terms == other.terms
 
     def __float__(self) -> float:
-        return sum(
-            (float(r) * SQRT2**e2 * SQRTPI**epi for (e2, epi), r in self.terms.items()),
-            0.0,
-        )
+        if not self.terms:
+            return 0.0
+        ((e2, epi), r), = self.terms.items()
+        return float(r) * SQRT2**e2 * SQRTPI**epi
 
     def __bool__(self):
         return bool(self.terms)
 
     def bit_height(self) -> int:
-        """The largest numerator or denominator bit length of the rationals."""
-        return max(
-            (max(abs(r.numerator), r.denominator).bit_length() for r in self.terms.values()),
-            default=0,
-        )
+        """The larger bit length of the rational's numerator and denominator."""
+        if not self.terms:
+            return 0
+        r, = self.terms.values()
+        return max(abs(r.numerator), r.denominator).bit_length()
 
     # -- text ------------------------------------------------------------
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for (e2, epi) in sorted(self.terms):
-            r = self.terms[(e2, epi)]
-            factors = [str(r)]
-            if e2:
-                factors.append("sqrt2")
-            if epi:
-                ex = Fraction(epi, 2)
-                factors.append("pi" if ex == 1 else f"pi^({ex})")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        ((e2, epi), r), = self.terms.items()
+        factors = [str(r)] + ["sqrt2"] * e2
+        if epi:
+            ex = Fraction(epi, 2)
+            factors.append("pi" if ex == 1 else f"pi^({ex})")
+        return "*".join(factors)
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -181,31 +184,12 @@ Monomial = tuple[int, ...]
 
 
 class Poly:
-    """Polynomial in x1..xn with Scalar coefficients; keys are exponent tuples.
-    The non-zero record that a `PolyGauss`'s `parts` view holds: it only prints."""
+    """The bare record of the `parts` view: {monomial: Scalar} in n variables."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[Monomial, Scalar]):
         self.n, self.terms = n, terms
-
-    def __str__(self) -> str:
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (sum(m), m)):
-            c = self.terms[m]
-            mono = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(m, start=1) if e
-            )
-            cs = str(c)
-            if len(c.terms) > 1:
-                cs = f"({cs})"
-            if not mono:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            else:
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
 
 
 # Canonical key rule: an integral entry is an int (hashed in C), any other a Fraction.
@@ -231,17 +215,17 @@ def _pack(mono: Monomial) -> int:
 class PolyGauss:
     """P(x) * exp(-pi * sum_i g_i x_i^2) with exact data: the weight ``g``, the
     grade ``s`` of P and its ``atoms`` over ``den`` (see the module docstring);
-    ``parts`` is the read-only {g: Poly} view of it. `PolyGauss(n)` is zero."""
+    `items` reads them. `PolyGauss(n)` is zero."""
 
-    __slots__ = ("n", "g", "s", "den", "atoms", "_parts")
+    __slots__ = ("n", "g", "s", "den", "atoms")
 
     def __init__(self, n: int):
-        self.n, self.g, self.s, self.den, self.atoms, self._parts = n, (0,) * n, (0, 0), 1, {}, None
+        self.n, self.g, self.s, self.den, self.atoms = n, (0,) * n, (0, 0), 1, {}
 
     @staticmethod
     def _of(n: int, g: GaussExp, s: tuple[int, int], atoms: dict, den: int) -> "PolyGauss":
         pg = PolyGauss.__new__(PolyGauss)
-        pg.n, pg.g, pg.s, pg.den, pg.atoms, pg._parts = n, g, s, den, atoms, None
+        pg.n, pg.g, pg.s, pg.den, pg.atoms = n, g, s, den, atoms
         return pg
 
     # -- constructors -------------------------------------------------
@@ -283,20 +267,19 @@ class PolyGauss:
                 acc._merge(None, g, (e2, epi - sum(mono)), (pair,))
         return acc.total()
 
+    def items(self) -> Iterable[tuple[Monomial, Scalar]]:
+        """Every term c * x^mono of P as (mono, c), unpacked from the store;
+        the one weight is ``g``."""
+        (e2, gamma), n, den = self.s, self.n, self.den
+        for k, v in self.atoms.items():
+            mono = tuple((k >> _W * i) & _FIELD for i in range(n))
+            yield mono, Scalar._of({(e2, gamma + sum(mono)): Fraction(v, den)})
+
     @property
     def parts(self) -> dict:
-        """{g: Poly}, one entry (none for zero), built from the store on first read."""
-        if self._parts is None:
-            (e2, gamma), terms = self.s, {}
-            for k, v in self.atoms.items():
-                mono = tuple((k >> _W * i) & _FIELD for i in range(self.n))
-                terms[mono] = Scalar._of({(e2, gamma + sum(mono)): Fraction(v, self.den)})
-            self._parts = {self.g: Poly(self.n, terms)} if terms else {}
-        return self._parts
-
-    def items(self) -> Iterable[tuple[Monomial, Scalar]]:
-        """Every term c * x^mono of P as (mono, c); the one weight is ``g``."""
-        return (pair for p in self.parts.values() for pair in p.terms.items())
+        """{g: Poly} of the pairs of `items`, rebuilt on each read; {} for
+        zero. Only the benchmark's size walk reads it."""
+        return {self.g: Poly(self.n, dict(self.items()))} if self.atoms else {}
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "PolyGauss"):
@@ -392,11 +375,17 @@ class PolyGauss:
     def __str__(self) -> str:
         if not self.atoms:
             return "0"
-        p = self.parts[self.g]
-        ps = str(p)
+        terms = []
+        for m, c in sorted(self.items(), key=lambda mc: (sum(mc[0]), mc[0])):
+            mono = "*".join(
+                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(m, start=1) if e
+            )
+            cs = str(c)
+            terms.append(cs if not mono else mono if cs == "1" else f"{cs}*{mono}")
+        ps = " + ".join(terms)
         if not any(self.g):
             return ps
-        if len(p.terms) > 1:
+        if len(terms) > 1:
             ps = f"({ps})"
         quad = "+".join(
             f"x{i}^2" if c == 1 else f"{c}*x{i}^2" for i, c in enumerate(self.g, start=1) if c
@@ -435,13 +424,13 @@ class _FlatSum:
         first grade the outer key's; another raises."""
         if g != self.g:
             if self.g is not None:
-                raise ValueError(f"one sum, two Gaussian weights: {self.g} and {g}")
+                raise Inhomogeneous(f"one sum, two Gaussian weights: {self.g} and {g}")
             self.g = g
         entry = self.sums.get(outer)
         if entry is None:
             entry = self.sums[outer] = (s, {})
         elif entry[0] != s:
-            raise ValueError(f"one coefficient, two grades: {entry[0]} and {s}")
+            raise Inhomogeneous(f"one coefficient, two grades: {entry[0]} and {s}")
         if not _add_into(entry[1], items):
             del self.sums[outer]
 

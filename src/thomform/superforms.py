@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .scalars import PolyGauss, Scalar, _add_into, _FlatSum, _pairs
+from .scalars import Inhomogeneous, PolyGauss, Scalar, _add_into, _FlatSum, _pairs
 
 Key = tuple[tuple, tuple]
 
@@ -46,10 +46,10 @@ def sort_with_sign(seq: tuple) -> tuple[tuple, int]:
 
 
 def _one_weight(terms: dict) -> dict:
-    """``terms``; coefficients of two Gaussian weights raise ValueError naming both."""
+    """``terms``; coefficients of two Gaussian weights raise Inhomogeneous naming both."""
     weights = dict.fromkeys(pg.g for pg in terms.values())
     if len(weights) > 1:
-        raise ValueError("one form, two Gaussian weights: {} and {}".format(*weights))
+        raise Inhomogeneous("one form, two Gaussian weights: {} and {}".format(*weights))
     return terms
 
 

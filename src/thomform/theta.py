@@ -18,6 +18,7 @@ Gram entries, and the congruence built from them, must fit a float;
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -295,7 +296,8 @@ def theta_partial_sum(
     Gaussian weight is evaluated once, and each key's coefficient, its
     terms turned to floats once, is evaluated over all
     points and reduced by two dot products with the cosines and sines of
-    the phases.
+    the phases. A sum or tail that does not fit a float (a phase or a y
+    past floats) raises ValueError naming tau.
     """
     if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
         raise ValueError(f"tau must be finite, got {tau}")
@@ -323,4 +325,7 @@ def theta_partial_sum(
                     term = term * points[:, i] ** e
             vals += term
         sums[i_set] = complex(vals @ cos, vals @ sin)
-    return sums, tail_estimate(dl, km, y, bound)
+    tail = tail_estimate(dl, km, y, bound)
+    if not (math.isfinite(tail) and all(map(cmath.isfinite, sums.values()))):
+        raise ValueError(f"tau = {tau} is out of range: a sum or the tail does not fit a float")
+    return sums, tail

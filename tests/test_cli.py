@@ -295,6 +295,16 @@ class TestTheta:
         data = json.loads(res.stdout)
         assert data["label"] == "hyp+hyp" and "w[1,3]^w[1,4]" in data["coefficients"]
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("tau", ["1e308+1i", "0.1+1e308i"])
+    def test_a_sum_or_tail_past_floats_exits_2(self, tau):
+        res = run(
+            "theta", "--lattice", str(EXAMPLES / "hyp_hyp.json"), "--tau", tau, "--bound", "1",
+        )
+        assert res.returncode == 2
+        assert res.stdout == "" and "NaN" not in res.stdout
+        assert res.stderr.startswith("error: tau = ") and res.stderr.count("\n") == 1
+
     def test_missing_file(self):
         res = run("theta", "--lattice", "/no/such.json", "--tau", "1i", "--bound", "1")
         assert res.returncode == 2

@@ -64,11 +64,7 @@ class TestValueExamples:
         form = km_form_at_e(ctx)
         coeff = form.terms[(((1, 2), (1, 3)), ())]
         # at v = 0 only the constant survives: -1/(4 pi)
-        const = Scalar()
-        for g, poly in coeff.parts.items():
-            zero_mono = tuple([0] * 3)
-            if zero_mono in poly.terms:
-                const = const + poly.terms[zero_mono]
+        const = dict(coeff.items()).get((0, 0, 0), Scalar())
         assert const == Scalar.term(Fraction(-1, 4), epi=-2)
 
     def test_bidegree(self):

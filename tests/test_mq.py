@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import exp_even
+from references import berezin_matching, exp_even, fiber_berezin_matching
 from references import fiber_d as wedge_fiber_d
 from thomform.liealg import SignatureCtx, curvature_at_e, eta
 from thomform.km import coefficient_gradients, exterior_derivative, km_form_at_e
@@ -63,7 +63,7 @@ class TestBasepointForm:
             ctx = SignatureCtx(p, q)
             majorant = tuple([Fraction(1)] * (p + q))
             for pg in mq_phi_at_e(ctx).terms.values():
-                assert set(pg.parts) == {majorant}
+                assert pg.g == majorant
 
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 2)])
     def test_main_identity_with_recorded_sign(self, p, q):
@@ -111,6 +111,43 @@ class TestTopDegreeExponential:
         minus_two_sqrt_pi = PolyGauss.const(q, Scalar.term(-2, epi=1))
         a = SuperForm(ctx, {((i,), (i,)): minus_two_sqrt_pi for i in ctx.z0})
         assert fiber_umq(q) == berezin_exponential(a, [2] * q)
+
+
+def coefficient_table(form: SuperForm, weight: tuple) -> dict:
+    """{I: {monomial: Scalar store}} of a form of z0 degree 0 and one
+    Gaussian ``weight``, the shape `references.berezin_matching` returns."""
+    assert all(not j_set and pg.g == weight for (_i, j_set), pg in form.terms.items())
+    return {i_set: {m: c.terms for m, c in pg.items()} for (i_set, _j), pg in form.terms.items()}
+
+
+class TestBerezinOracle:
+    """The Thom forms equal `references.berezin_matching`, which shares no
+    code with SuperForm, PolyGauss or the flat sum: its own Grassmann
+    product on sorted words, and int^B exp(A + R) as a sum over subsets of
+    the z0 columns and perfect matchings of R on the rest."""
+
+    @pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 7) for p in range(1, n)])
+    def test_basepoint_forms(self, p, q):
+        ctx, oracle = SignatureCtx(p, q), berezin_matching(p, q)
+        assert coefficient_table(mq_phi_at_e(ctx), (1,) * (p + q)) == oracle
+        assert coefficient_table(mq_phi0_at_e(ctx), (0,) * p + (2,) * q) == oracle
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_fiber_form(self, q):
+        assert coefficient_table(fiber_umq(q), (2,) * q) == fiber_berezin_matching(q)
+
+    @pytest.mark.parametrize("fault,p,q", [
+        ("exp_drops_the_r_power_factorials", 1, 4),
+        ("top_degree_drops_factorials", 1, 1),
+    ])
+    def test_sees_the_exponential_faults(self, fault, p, q):
+        from test_mutations import MUTATIONS, _mutate
+
+        with pytest.MonkeyPatch.context() as mp:
+            for edit in MUTATIONS[fault]:
+                _mutate(mp, *edit)
+            form = mq_phi_at_e(SignatureCtx(p, q))
+        assert coefficient_table(form, (1,) * (p + q)) != berezin_matching(p, q)
 
 
 @st.composite

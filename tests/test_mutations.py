@@ -80,6 +80,11 @@ MUTATIONS = {
             "cols.setdefault(j, []).append((r, c))": "cols.setdefault(r, []).append((j, c))",
         }),
     ],
+    # the Howe constant 1/2 for 1/(2 pi): x_i f and (1/2) d/dx_i f lie two
+    # grades apart, so the Howe form is refused where it is summed
+    "howe_shift_drops_the_pi": [
+        (scalars, "howe_shift", {"epi=-2": "epi=0"}),
+    ],
     "gauss_moment_doubled": [
         (scalars, "gauss_moment", {"epi=-2 * k) * inv_sqrt_c": "epi=-2 * k) * inv_sqrt_c * 2"}),
     ],
@@ -277,6 +282,27 @@ def test_a_dropped_pi_power_fails_theorem_with_two_grades():
             res = run_check("theorem", p=p, q=q)
             assert res.status == "fail", (p, q)
             assert res.witness.startswith("one coefficient, two grades: "), res.witness
+
+
+def test_a_howe_constant_without_pi_fails_theorem_with_two_grades(verdicts):
+    """The Howe form's sum of two grades is refused where it is built:
+    theorem fails at (1,1), and does not raise, naming both grades."""
+    assert verdicts["howe_shift_drops_the_pi"][("theorem", (("p", 1), ("q", 1)))] == "fail"
+    with pytest.MonkeyPatch.context() as mp:
+        for edit in MUTATIONS["howe_shift_drops_the_pi"]:
+            _mutate(mp, *edit)
+        res = run_check("theorem", p=1, q=1)
+    assert res.witness == "one coefficient, two grades: (0, -1) and (0, 1)"
+
+
+def test_no_sum_of_two_weights_or_grades_escapes_a_check(verdicts):
+    """A planted fault that sums two weights or grades fails the check
+    where the sum is built; it never raises out of `run_check`."""
+    raised = {
+        (name, key) for name, runs in verdicts.items() for key, v in runs.items()
+        if v == "raised Inhomogeneous"
+    }
+    assert raised == set()
 
 
 def test_the_slot_fault_reaches_transgression_at_q1(verdicts):

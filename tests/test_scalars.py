@@ -16,6 +16,7 @@ from scipy.integrate import quad
 import thomform
 from references import generator
 from thomform.scalars import (
+    Inhomogeneous,
     NotRepresentable,
     Poly,
     PolyGauss,
@@ -37,12 +38,22 @@ fractions = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=8
 )
 
-scalars = st.dictionaries(
-    st.tuples(st.integers(0, 1), st.integers(-4, 4)),
-    fractions,
-    max_size=4,
-).map(Scalar)
+scalar_grades = st.tuples(st.integers(0, 1), st.integers(-4, 4))
 
+
+def scalars_at(s):
+    """r * sqrt2^e2 * sqrt(pi)^epi for the grade s = (e2, epi), zero included."""
+    e2, epi = s
+    return fractions.map(lambda r: Scalar.term(r, e2=e2, epi=epi))
+
+
+# One graded rational each.
+scalars = scalar_grades.flatmap(scalars_at)
+
+
+def same_grade_scalars(k: int):
+    """k scalars of one drawn grade."""
+    return scalar_grades.flatmap(lambda s: st.tuples(*[scalars_at(s)] * k))
 
 
 def shifted_sums(c, atoms, zero) -> list:
@@ -58,18 +69,11 @@ def assert_faithful(values):
             assert (text_a == text_b) == (a == b), (text_a, text_b)
 
 
-def assert_str_faithful(c, atoms, zero):
-    """Over every sum of at most two atoms, shifted by c: two values print
-    the same text exactly when they are equal."""
-    assert_faithful(shifted_sums(c, atoms, zero))
-
-
-def assert_grouped_str_faithful(c: PolyGauss, groups: dict, key):
+def assert_grouped_str_faithful(c, groups: dict, key, zero):
     """Over every sum of at most two atoms of one group of ``groups`` {key:
     atoms}, shifted by c in the group of c's ``key``, and c itself when no
     group has its key: two values print the same text exactly when they are
     equal. Values of two groups do not add."""
-    zero = PolyGauss(2)
     values = [] if key(c) in groups else [c]
     for k, atoms in groups.items():
         values += shifted_sums(c if key(c) == k else zero, atoms, zero)
@@ -92,11 +96,11 @@ ZERO_WEIGHT = (0, 0)
 
 # Each atom differs from another in one printed feature: a rational, a
 # sqrt2 or pi power, a variable exponent, a Gaussian entry, a sum in
-# parentheses.
-SCALAR_ATOMS = [
-    Scalar.term(r, e2=e2, epi=epi)
-    for r, e2, epi in [(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (1, 0, 2), (-1, 0, -1)]
-]
+# parentheses. {grade: atoms of that one grade}
+SCALAR_ATOMS = {
+    (e2, epi): [Scalar.term(r, e2=e2, epi=epi) for r in (1, 2, Fraction(-1, 3))]
+    for e2, epi in [(0, 0), (1, 0), (0, 1), (0, 2), (0, -1), (1, 3)]
+}
 # {grade: atoms of that one grade}
 POLY_ATOMS = {
     PolyGauss.const(2, c).s: [weighted(ZERO_WEIGHT, {m: c}) for m in [(0, 0), (1, 0), (2, 0), (0, 1)]]
@@ -126,18 +130,20 @@ class TestScalarRing:
         s = Scalar.term(Fraction(3, 2), e2=1, epi=-2)
         assert math.isclose(float(s), 1.5 * math.sqrt(2) / math.pi)
 
-    @given(scalars, scalars, scalars)
-    def test_ring_axioms(self, a, b, c):
+    @given(same_grade_scalars(3), scalars)
+    def test_ring_axioms(self, abc, d):
+        # sums within one grade, products of any two
+        a, b, c = abc
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert a * d == d * a
+        assert (a * b) * d == a * (b * d)
+        assert d * (b + c) == d * b + d * c
         assert a + Scalar() == a
         assert a * Scalar.one() == a
         assert a + -a == Scalar()
 
-    @given(scalars, scalars, st.sampled_from([1, -1]))
+    @given(scalars, scalars_at((0, 0)), st.sampled_from([1, -1]))
     def test_unit_factor_equals_the_general_product(self, s, w, u):
         # the expected value is built coefficient by coefficient, not by a product
         unit = Scalar.rational(u)
@@ -145,15 +151,16 @@ class TestScalarRing:
         general = s * (unit + w) + -(s * w)
         assert s * unit == unit * s == s * u == u * s == expected == general
 
-    @given(scalars, scalars)
-    def test_float_is_a_homomorphism(self, a, b):
-        assert math.isclose(
-            float(a * b), float(a) * float(b), rel_tol=1e-9, abs_tol=1e-9
-        )
+    @given(same_grade_scalars(2), scalars)
+    def test_float_is_a_homomorphism(self, ab, d):
+        a, b = ab
+        assert math.isclose(float(a * d), float(a) * float(d), rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(float(a + b), float(a) + float(b), rel_tol=1e-9, abs_tol=1e-9)
 
     @given(scalars)
     def test_str_is_faithful(self, c):
-        assert_str_faithful(c, SCALAR_ATOMS, Scalar())
+        # c shifts the atoms of its own grade; the others print unshifted
+        assert_grouped_str_faithful(c, SCALAR_ATOMS, lambda v: next(iter(v.terms), None), Scalar())
 
     def test_power(self):
         s = Scalar.term(Fraction(1, 2), e2=1)
@@ -245,7 +252,7 @@ class TestPoly:
     @given(polys)
     def test_str_is_faithful(self, c):
         # c shifts the atoms of its own grade; the others print unshifted
-        assert_grouped_str_faithful(c, POLY_ATOMS, lambda v: v.s)
+        assert_grouped_str_faithful(c, POLY_ATOMS, lambda v: v.s, PolyGauss(2))
 
     def test_eval(self):
         # y1 y2 + 1 = pi x1 x2 + 1
@@ -289,13 +296,13 @@ class TestCanonicalSums:
         with pytest.raises(ValueError, match="dimension"):
             PolyGauss.from_items(2, (0,), [((0, 0), one)])
 
-    @given(scalars, scalars, polys)
-    def test_sums_stay_canonical(self, a, b, pg):
+    @given(same_grade_scalars(2), polys)
+    def test_sums_stay_canonical(self, ab, pg):
+        a, b = ab
         for value in (a + b, a * b, a + -a, a * 0):
-            assert all(value.terms.values())
+            assert all(value.terms.values()) and len(value.terms) <= 1
         for value in (pg + pg, pg * pg, pg - pg, -pg, pg.derive(1), pg * Scalar(), pg * 0):
-            assert all(value.parts.values())
-            assert all(s for poly in value.parts.values() for s in poly.terms.values())
+            assert all(c for _mono, c in value.items())
         assert not pg - pg
 
 
@@ -314,7 +321,9 @@ class TestPolyGauss:
     @given(weights, poly_terms)
     def test_str_is_faithful(self, g, terms):
         # c shifts the atoms of its own weight and grade; the others print unshifted
-        assert_grouped_str_faithful(weighted(g, terms), POLYGAUSS_ATOMS, lambda v: (v.g, v.s))
+        assert_grouped_str_faithful(
+            weighted(g, terms), POLYGAUSS_ATOMS, lambda v: (v.g, v.s), PolyGauss(2)
+        )
 
     @given(weights, poly_terms)
     def test_items_round_trip(self, g, terms):
@@ -405,6 +414,19 @@ class TestOneGrade:
 
     X, ONE = PolyGauss.var(2, 1), PolyGauss.one(2)  # grades (0, -1) and (0, 0)
     Y = X * Scalar.term(1, epi=1)  # y_1 = sqrt(pi) x_1: grade (0, 0)
+
+    def test_a_scalar_of_two_grades_raises(self):
+        # sqrt2^3 folds to 2 sqrt2: the grade (1, 0)
+        both = re.escape("one scalar, two grades: (0, 0) and (1, 0)")
+        for two_grades in (
+            lambda: Scalar.one() + SQRT2, lambda: Scalar({(0, 0): 1, (1, 0): 1}),
+            lambda: Scalar([((0, 0), 1), ((3, 0), 1)]),
+        ):
+            with pytest.raises(Inhomogeneous, match=both):
+                two_grades()
+        # a grade that cancels leaves one
+        assert Scalar([((0, 0), 1), ((1, 0), 1), ((1, 0), -1)]) == Scalar.one()
+        assert Scalar() + SQRT2 == SQRT2 == SQRT2 + Scalar()
 
     def test_from_items_of_two_grades_raises(self):
         one = Scalar.one()
@@ -612,8 +634,7 @@ class TestKernelReferences:
             values = [
                 r
                 for pg in form.terms.values()
-                for poly in pg.parts.values()
-                for s in poly.terms.values()
+                for _mono, s in pg.items()
                 for r in s.terms.values()
             ]
             assert values and all(
@@ -635,7 +656,7 @@ class TestKernelReferences:
             for build in (km_form_at_e, km_closed_form, mq_phi0_at_e, mq_phi_at_e)
         ] + [build(q) for q in range(1, 6) for build in (fiber_umq, fiber_transgression)]
         for form in forms:
-            keys = {g for pg in form.terms.values() for g in pg.parts}
+            keys = {pg.g for pg in form.terms.values()}
             assert len(keys) == 1 and all(type(c) is int for g in keys for c in g), keys
 
 
@@ -665,7 +686,11 @@ class TestSingleTermFastPaths:
 
     @given(single_terms, single_terms)
     def test_sum(self, a, b):
-        assert (a + b).terms == general_sum(a, b).terms
+        if a.terms.keys() == b.terms.keys():
+            assert (a + b).terms == general_sum(a, b).terms
+        else:  # the general sum would hold two grades
+            with pytest.raises(Inhomogeneous, match="one scalar, two grades"):
+                a + b
         assert (a + -a).terms == general_sum(a, -a).terms == {}
 
     @given(single_terms, single_terms)
@@ -866,13 +891,13 @@ class TestExponentFields:
 
 
 def test_poly_only_stores():
-    """`Poly` is the record of the `parts` view: its fields and its text;
-    `PolyGauss` computes on its store."""
+    """`Poly` is the bare record of the `parts` view: its fields only;
+    `PolyGauss` computes on its store and prints from `items`."""
     defined = {
         name for name, member in vars(Poly).items()
         if inspect.isfunction(member) or isinstance(member, staticmethod)
     }
-    assert defined == {"__init__", "__str__"}
+    assert defined == {"__init__"}
 
 
 def test_only_scalars_knows_the_coefficient_format():

@@ -26,6 +26,8 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 KEPT = {
     "SuperForm.sizes": "the sizes interface (terms, monomials, bit height) for the benchmark",
     "Scalar.bit_height": "the coefficient bit height that SuperForm.sizes reports",
+    "PolyGauss.parts": "the {g: Poly} view that the benchmark's size walk reads; delete it "
+    "and Poly once the benchmark reads SuperForm.sizes",
 }
 
 CLI_RUNS = [

@@ -6,7 +6,9 @@ free symbols (or, for the moments and forms, as sympy's own sqrt(2) and
 sqrt(pi)), and compared exactly with sympy's own derivative, Hermite
 polynomial or integral, or (for the Howe-operator form and the
 transgression family) built by sympy's own differentiation and
-substitution. No library arithmetic enters the reference side.
+substitution. No library arithmetic enters the reference side. The
+theorem itself is checked with no library algebra on either side: the
+sympy Howe form against the Berezin matching oracle of `references`.
 """
 
 import itertools
@@ -16,6 +18,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from references import berezin_matching
+from thomform.checks import SIGMA_EVEN, SIGMA_ODD
 from thomform.km import (
     coefficient_gradients,
     exterior_derivative,
@@ -168,6 +172,25 @@ def test_howe_operator_form(build, p, q):
         diff = (exact_to_sympy(pg, xs) - reference[i_set]) * sympy.exp(
             sympy.pi * sum(x**2 for x in xs)
         )
+        assert sympy.expand(sympy.powsimp(sympy.expand(diff))) == 0, i_set
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 5) for p in range(1, n)])
+def test_theorem_without_library_algebra(p, q):
+    """phi_KM = sigma(q) 2^(-q/2) phi_MQ, the recorded sign sigma(q), with
+    phi_KM built by sympy and phi_MQ by `references.berezin_matching`; both
+    carry the majorant exp(-pi |x|^2), divided out here."""
+    xs, howe = howe_form_reference(p, q)
+    mq, sigma = berezin_matching(p, q), SIGMA_EVEN if q % 2 == 0 else SIGMA_ODD
+    assert set(howe) == set(mq)
+    majorant = sympy.exp(sympy.pi * sum(x**2 for x in xs))
+    for i_set, terms in mq.items():
+        rhs = sum(
+            rational(r) * sympy.sqrt(2) ** e2 * sympy.sqrt(sympy.pi) ** epi
+            * sympy.Mul(*(x**e for x, e in zip(xs, mono)))
+            for mono, scalar in terms.items() for (e2, epi), r in scalar.items()
+        )
+        diff = howe[i_set] * majorant - sigma * rhs / sympy.sqrt(2) ** q
         assert sympy.expand(sympy.powsimp(sympy.expand(diff))) == 0, i_set
 
 

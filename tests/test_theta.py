@@ -253,6 +253,14 @@ class TestThetaSum:
         with pytest.raises(ValueError, match=name):
             theta_partial_sum(dl, tau, bound)
 
+    # a phase past floats turns every sum to NaN, a y past floats the tail
+    @pytest.mark.filterwarnings("ignore:.*encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("tau", [complex(1e308, 1.0), complex(0.1, 1e308)])
+    def test_a_sum_or_tail_past_floats_names_tau(self, tau):
+        dl = diagonalize_gram(HYP_HYP)
+        with pytest.raises(ValueError, match=re.escape(f"tau = {tau} is out of range")):
+            theta_partial_sum(dl, tau, 1.0)
+
     @pytest.mark.parametrize("bound", [math.inf, math.nan, -1.0])
     def test_enumerate_rejects_bad_bound(self, bound):
         with pytest.raises(ValueError, match="bound"):
